@@ -31,7 +31,7 @@ scanning actions in insertion order with the incumbent skipped.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -51,16 +51,27 @@ class PairIndexedCTMDP:
     reference ``atol`` incumbent rule and strict first-wins greedy
     argmin identically.
 
-    Subclasses populate ``states``, ``actions``, ``pair_state``,
-    ``pair_col``, ``pair_offset``, ``cost``, ``extra``, ``rate_scale``
-    and their generator representation, then call
-    :meth:`_init_pair_grid`.
+    Subclasses populate ``states``, the pair indexing (via
+    :meth:`_index_pairs`), ``cost``, ``extra``, ``rate_scale`` and their
+    generator representation, then call :meth:`_init_pair_grid`.
     """
 
     states: Tuple[Hashable, ...]
     actions: Tuple[Tuple[Hashable, ...], ...]
     n_states: int
     n_pairs: int
+
+    def _index_pairs(self, actions: Sequence[Sequence[Hashable]]) -> None:
+        """Set ``actions``, ``n_pairs`` and the ``pair_offset`` /
+        ``pair_state`` / ``pair_col`` arrays from per-state action lists."""
+        self.actions = tuple(tuple(a) for a in actions)
+        counts = np.array([len(a) for a in self.actions], dtype=np.intp)
+        self.n_pairs = int(counts.sum())
+        self.pair_offset = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        self.pair_state = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+        self.pair_col = np.arange(self.n_pairs, dtype=np.intp) - np.repeat(
+            self.pair_offset[:-1], counts
+        )
 
     def _init_pair_grid(self) -> None:
         """Derive the padded action grid from the primary pair arrays."""
@@ -82,22 +93,31 @@ class PairIndexedCTMDP:
 
     def pair(self, state_index: int, action: Hashable) -> int:
         """Row of a ``(state index, action)`` pair in the stacked arrays."""
+        if not 0 <= state_index < self.n_states:
+            raise InvalidPolicyError(
+                f"state index {state_index} out of range for "
+                f"{self.n_states} states"
+            )
         try:
-            return self._pair_index[(state_index, action)]
-        except KeyError:
+            col = self.actions[state_index].index(action)
+        except ValueError:
             raise InvalidPolicyError(
                 f"action {action!r} not available in state index {state_index}"
             ) from None
+        return int(self.pair_offset[state_index]) + col
 
     def policy_rows(self, assignment: Mapping[Hashable, Hashable]) -> np.ndarray:
         """Pair rows selected by a ``state -> action`` assignment."""
-        return np.asarray(
-            [
+        try:
+            cols = [
+                actions.index(assignment[state])
+                for state, actions in zip(self.states, self.actions)
+            ]
+        except ValueError:  # let pair() name the offending state, typed
+            for i, state in enumerate(self.states):
                 self.pair(i, assignment[state])
-                for i, state in enumerate(self.states)
-            ],
-            dtype=np.intp,
-        )
+            raise
+        return self.pair_offset[:-1] + np.asarray(cols, dtype=np.intp)
 
     def assignment_from_rows(self, sel: np.ndarray) -> "Dict[Hashable, Hashable]":
         """The ``state -> action`` mapping of a pair-row selection."""
@@ -202,33 +222,20 @@ class CompiledCTMDP(PairIndexedCTMDP):
         self.states: Tuple[Hashable, ...] = mdp.states
         self.n_states = n
         actions: List[Tuple[Hashable, ...]] = []
-        pair_state: List[int] = []
-        pair_col: List[int] = []
-        offsets = [0]
-        pair_index: Dict[Tuple[int, Hashable], int] = {}
         rows: List[np.ndarray] = []
         costs: List[float] = []
         extra_names: set = set()
-        for i, state in enumerate(mdp.states):
+        for state in mdp.states:
             state_actions = tuple(mdp.actions(state))
             actions.append(state_actions)
-            for col, action in enumerate(state_actions):
-                pair_index[(i, action)] = len(rows)
-                pair_state.append(i)
-                pair_col.append(col)
+            for action in state_actions:
                 rows.append(mdp.generator_row(state, action))
                 data = mdp.data(state, action)
                 costs.append(data.effective_cost_rate())
                 extra_names.update(data.extra_costs)
-            offsets.append(len(rows))
-        self.actions: Tuple[Tuple[Hashable, ...], ...] = tuple(actions)
-        self.n_pairs = len(rows)
-        self.pair_state = np.asarray(pair_state, dtype=np.intp)
-        self.pair_col = np.asarray(pair_col, dtype=np.intp)
-        self.pair_offset = np.asarray(offsets, dtype=np.intp)
+        self._index_pairs(actions)
         self.generator = np.vstack(rows) if rows else np.zeros((0, n))
         self.cost = np.asarray(costs, dtype=float)
-        self._pair_index = pair_index
         self.extra: Dict[str, np.ndarray] = {}
         for name in sorted(extra_names, key=repr):
             channel = np.zeros(self.n_pairs)

@@ -36,6 +36,11 @@ from repro.ctmdp.policy import Policy, RandomizedPolicy
 #: when extracting a policy.
 OCCUPATION_EPS = 1e-10
 
+#: HiGHS primal and dual feasibility tolerance of the average-cost LP.
+#: At the default 1e-7 a ~400-state SYS optimum stops ~1e-6 (relative)
+#: below the true gain, and certification rejects the optimal policy.
+LP_FEASIBILITY_TOL = 1e-10
+
 #: HiGHS termination codes as reported by ``scipy.optimize.linprog``.
 LP_STATUS_NAMES = {
     0: "optimal",
@@ -206,7 +211,10 @@ def solve_average_cost_lp(mdp: CTMDP) -> LinearProgramResult:
     attached instead of silently returning a partial answer.
     """
     pairs, costs, a_eq, b_eq = _build_lp(mdp)
-    result = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    tolerances = {"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+                  "dual_feasibility_tolerance": LP_FEASIBILITY_TOL}
+    result = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                     method="highs", options=tolerances)
     diagnostics = _lp_diagnostics(result, b_eq)
     if not result.success:
         raise SolverError(

@@ -433,27 +433,11 @@ class SparseCTMDP(PairIndexedCTMDP):
     ) -> None:
         self.states = tuple(states)
         self.n_states = len(self.states)
-        self.actions = tuple(tuple(a) for a in actions)
+        self._index_pairs(actions)
         if len(self.actions) != self.n_states:
             raise InvalidModelError(
                 f"{len(self.actions)} action tuples for {self.n_states} states"
             )
-        counts = np.array([len(a) for a in self.actions], dtype=np.intp)
-        self.n_pairs = int(counts.sum())
-        self.pair_state = np.repeat(
-            np.arange(self.n_states, dtype=np.intp), counts
-        )
-        self.pair_col = np.concatenate(
-            [np.arange(c, dtype=np.intp) for c in counts]
-        ) if self.n_pairs else np.zeros(0, dtype=np.intp)
-        self.pair_offset = np.concatenate(
-            [[0], np.cumsum(counts)]
-        ).astype(np.intp)
-        self._pair_index = {
-            (int(i), action): int(self.pair_offset[i] + col)
-            for i in range(self.n_states)
-            for col, action in enumerate(self.actions[i])
-        }
         self.generator = sp.csr_array(generator, dtype=float)
         if self.generator.shape != (self.n_pairs, self.n_states):
             raise InvalidModelError(

@@ -19,8 +19,6 @@ the analytic evaluator, and the LP solver, plus the weighted combiner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Extra-cost channel: effective power rate (watts, switching included).
 POWER = "power"
 #: Extra-cost channel: delay cost C_sq (waiting requests).
@@ -34,30 +32,3 @@ def weighted_cost(power: float, delay: float, weight: float) -> float:
     if weight < 0:
         raise ValueError(f"performance weight must be >= 0, got {weight}")
     return power + weight * delay
-
-
-@dataclass(frozen=True)
-class CostRates:
-    """The per-state-action cost components of the SYS model.
-
-    Attributes
-    ----------
-    power:
-        Effective power rate ``C_pow(x, a)`` in watts.
-    queue_length:
-        Delay cost ``C_sq(x)`` in waiting requests.
-    loss:
-        Rate of lost requests in this state (requests per second).
-    """
-
-    power: float
-    queue_length: float
-    loss: float
-
-    def combined(self, weight: float) -> float:
-        """The Eqn.-3.1 weighted total."""
-        return weighted_cost(self.power, self.queue_length, weight)
-
-    def as_extra_costs(self) -> "dict[str, float]":
-        """The mapping stored on CTMDP state-action pairs."""
-        return {POWER: self.power, QUEUE_LENGTH: self.queue_length, LOSS: self.loss}

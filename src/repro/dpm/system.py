@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.ctmdp.model import CTMDP
 from repro.dpm import cost as cost_channels
-from repro.dpm.cost import CostRates
 from repro.dpm.service_provider import ServiceProvider
 from repro.dpm.service_queue import QueueState, stable, transfer
 from repro.dpm.service_requestor import ServiceRequestor
@@ -140,10 +139,10 @@ class PowerManagedSystemModel:
         admit_inputs(provider, requestor, self.capacity)
         self._states = self._enumerate_states()
         self._index = {x: i for i, x in enumerate(self._states)}
-        # Weight-independent (state, action) structure -- transition-rate
-        # and impulse vectors plus cost channels -- computed lazily once;
-        # only the weighted cost rate differs between built CTMDPs.
-        self._structure: "List[tuple] | None" = None
+        # Weight-independent dense rows (rates, impulses) plus the cost
+        # decomposition, derived lazily from the sparse skeleton; only
+        # the weighted cost rate differs between built dense CTMDPs.
+        self._structure: "tuple | None" = None
         # Weight-independent sparse skeleton: a structural SparseCTMDP
         # (CSR pattern, rates, extra channels) plus the per-pair cost
         # decomposition; per-weight builds overlay costs onto it.
@@ -295,123 +294,147 @@ class PowerManagedSystemModel:
 
     # -- CTMDP construction ------------------------------------------------------
 
-    def _build_structure(self) -> "List[tuple]":
-        """The weight-independent per-(state, action) construction data.
+    def _assemble(self) -> tuple:
+        """The weight-independent SYS layout, in O(pairs) NumPy over the
+        ``(mode, queue)`` index grid (DESIGN §10.2).
 
-        Rate and impulse vectors are write-protected: they are shared by
-        every CTMDP this model builds (``CTMDP.add_action`` stores them
-        by reference), and ``generator_row`` copies before completing
-        diagonals, so sharing is safe as long as nobody mutates them.
+        Returns ``(skeleton, base_power, delay, term_pairs, term_vals)``:
+        ``skeleton`` is the off-diagonal COO triples lowered by
+        :meth:`SparseCTMDP.from_coo` (CSR rates, pair indexing, extra
+        channels; costs all zero -- never solved directly), and the
+        arrays decompose each pair's effective cost rate: ``base_power``
+        is ``scale * pow(s)``, ``delay`` the ``C_sq`` count, and
+        ``(term_pairs, term_vals)`` the folded switching-energy terms
+        ``scaled_rate * ene``. Bit-identical to walking every pair
+        through the per-state methods above: pairs in state order with
+        actions in provider order, each pair's entries in ascending
+        destination index -- the order ``from_coo`` sums diagonals in
+        and the cost overlay adds energy terms in.
         """
-        structure: List[tuple] = []
-        n = self.n_states
-        for state in self._states:
-            for action in self.valid_actions(state):
-                rates = np.zeros(n)
-                impulses = np.zeros(n)
-                for dest, rate in self.transition_rates(state, action).items():
-                    j = self._index[dest]
-                    rates[j] += rate
-                    if dest.mode != state.mode:
-                        impulses[j] = self.provider.switching_energy(
-                            state.mode, dest.mode
-                        )
-                costs = CostRates(
-                    power=self.effective_power_rate(state, action),
-                    queue_length=self.delay_cost(state),
-                    loss=self.loss_rate(state),
-                )
-                rates.setflags(write=False)
-                impulses.setflags(write=False)
-                structure.append((state, action, rates, impulses, costs))
-        return structure
+        from repro.ctmdp.sparse import SparseCTMDP
+
+        sp, cap, lam, scale = (self.provider, self.capacity,
+                               self.requestor.rate, self.rate_scale)
+        modes = sp.modes
+        n_modes, levels, n = len(modes), cap + 1, self.n_states
+        # switching_rate carries the self-switch stand-in on its diagonal.
+        chi = np.array([[sp.switching_rate(s, a) for a in modes] for s in modes])
+        ene = np.array([[sp.switching_energy(s, a) for a in modes] for s in modes])
+        mu, power, wake, service = (
+            np.array([f(m) for m in modes])
+            for f in (sp.service_rate, sp.power_rate, sp.wakeup_time,
+                      sp.service_time)
+        )
+        active = mu > 0.0
+        # State grid in _enumerate_states order: S x Q_stable first,
+        # then S_active x Q_transfer.
+        transfer_modes = (
+            np.flatnonzero(active) if self.include_transfer_states
+            else np.zeros(0, dtype=np.intp)
+        )
+        mode = np.concatenate([np.repeat(np.arange(n_modes), levels),
+                               np.repeat(transfer_modes, cap)])
+        level = np.concatenate([np.tile(np.arange(levels), n_modes),
+                                np.tile(np.arange(1, levels), len(transfer_modes))])
+        is_transfer = np.arange(n) >= n_modes * levels
+        if type(self).is_valid_action is PowerManagedSystemModel.is_valid_action:
+            full = (level == cap)[:, None]
+            s_active, a_active = active[mode][:, None], active[None, :]
+            invalid = np.where(
+                is_transfer[:, None],
+                full & a_active & (service[None, :] > service[mode][:, None]),  # III.3
+                (self.include_transfer_states & s_active & ~a_active)  # III.1
+                | (full & ~s_active & ~a_active
+                   & ~(wake[None, :] < wake[mode][:, None])),  # III.2
+            )
+        else:  # a subclass redefines validity (the fuzzer's unconstrained
+            # models): honour it state by state
+            invalid = ~np.array([[self.is_valid_action(x, m) for m in modes]
+                                 for x in self._states], dtype=bool)
+        if np.any(invalid.all(axis=1)):
+            state = self._states[int(np.argmax(invalid.all(axis=1)))]
+            raise InvalidModelError(f"state {state!r} has no valid action")
+        x, a = np.nonzero(~invalid)
+        keys = (~invalid * (1 << np.arange(n_modes))).sum(axis=1).tolist()
+        named = {k: tuple(m for j, m in enumerate(modes) if k >> j & 1)
+                 for k in set(keys)}
+        s, i, tr = mode[x], level[x], is_transfer[x]
+        # Candidate edges per pair, columns (arrival, switch, service):
+        # arrivals move one queue level up within the mode's block; a
+        # switch lands on (a, q_i) from stable, (a, q_{i-1}) from
+        # transfer; a stable completion enters (s, q_{i->i-1}), or
+        # (s, q_{i-1}) without transfer states.
+        completion = (
+            n_modes * levels + (np.cumsum(active) - 1)[s] * cap + i - 1
+            if self.include_transfer_states else x - 1
+        )
+        dest = np.stack([x + 1, a * levels + i - tr, completion], axis=1)
+        rate = np.stack([np.full(len(x), lam), chi[s, a], mu[s]], axis=1)
+        present = np.stack([i < cap, tr | (a != s), ~tr & (i >= 1)], axis=1)
+        dest = np.where(present & (rate > 0.0), dest, n)  # n sorts last
+        flat = (3 * np.arange(len(x))[:, None]
+                + np.argsort(dest, axis=1, kind="stable")).ravel()
+        flat = flat[dest.ravel()[flat] < n]
+        rows, kind = np.divmod(flat, 3)
+        rates = rate.ravel()[flat] * scale if scale != 1.0 else rate.ravel()[flat]
+        switch = (kind == 1) & (a != s)[rows]  # entries that change mode
+        delay = (i - tr).astype(float)
+        extra = {
+            self.POWER: np.where(tr | (a != s),
+                                 power[s] + chi[s, a] * ene[s, a], power[s]),
+            self.QUEUE_LENGTH: delay,
+            self.LOSS: np.where(i == cap, lam, 0.0),
+        }
+        skeleton = SparseCTMDP.from_coo(
+            self._states, [named[k] for k in keys], rows, dest.ravel()[flat],
+            rates, np.zeros(len(x)), rate_scale=scale, extra=extra,
+        )
+        term_pairs = rows[switch]
+        term_vals = rates[switch] * ene[s, a][term_pairs]
+        return skeleton, scale * power[s], delay, term_pairs, term_vals
 
     def _sparse_skeleton_parts(self) -> tuple:
-        """The weight-independent half of the sparse build, cached.
-
-        Returns ``(skeleton, base_power, delay, term_pairs, term_vals)``
-        where ``skeleton`` is a structural :class:`SparseCTMDP` (CSR
-        rates, pair indexing, extra channels; costs all zero -- never
-        solved directly) and the remaining arrays decompose each pair's
-        effective cost rate so a per-weight overlay can reproduce the
-        single-pass construction bit-for-bit: ``base_power`` is
-        ``scale * pow(s)``, ``delay`` the ``C_sq`` count, and
-        ``(term_pairs, term_vals)`` the folded switching-energy terms
-        ``scaled_rate * ene`` in destination-index order.
-        """
-        if self._sparse_skeleton is not None:
-            from repro.obs.runtime import active as obs_active
-
-            ins = obs_active()
-            if ins.enabled and ins.metrics is not None:
-                ins.metrics.counter("solver.reuse.skeleton_hits").inc()
-            return self._sparse_skeleton
-        from repro.ctmdp.sparse import SparseCTMDP
+        """:meth:`_assemble`, cached across weights and backends."""
         from repro.obs.runtime import active as obs_active
 
-        scale = self.rate_scale
-        states = self._states
-        actions: "List[tuple]" = []
-        pair_rows: "List[int]" = []
-        cols: "List[int]" = []
-        vals: "List[float]" = []
-        base_power: "List[float]" = []
-        delay: "List[float]" = []
-        term_pairs: "List[int]" = []
-        term_vals: "List[float]" = []
-        extra: "Dict[str, List[float]]" = {
-            "power": [], "queue_length": [], "loss": [],
-        }
-        pair = 0
-        for state in states:
-            acts = tuple(self.valid_actions(state))
-            actions.append(acts)
-            for action in acts:
-                base_power.append(
-                    scale * self.provider.power_rate(state.mode)
-                )
-                delay.append(self.delay_cost(state))
-                entries = sorted(
-                    (self._index[dest], dest, rate)
-                    for dest, rate in self.transition_rates(state, action).items()
-                )
-                for j, dest, rate in entries:
-                    scaled = rate * scale if scale != 1.0 else rate
-                    pair_rows.append(pair)
-                    cols.append(j)
-                    vals.append(scaled)
-                    if dest.mode != state.mode:
-                        term_pairs.append(pair)
-                        term_vals.append(
-                            scaled * self.provider.switching_energy(
-                                state.mode, dest.mode
-                            )
-                        )
-                extra["power"].append(self.effective_power_rate(state, action))
-                extra["queue_length"].append(self.delay_cost(state))
-                extra["loss"].append(self.loss_rate(state))
-                pair += 1
-        skeleton = SparseCTMDP.from_coo(
-            states,
-            actions,
-            np.asarray(pair_rows, dtype=np.intp),
-            np.asarray(cols, dtype=np.intp),
-            np.asarray(vals, dtype=float),
-            np.zeros(pair),
-            rate_scale=scale,
-            extra={name: np.asarray(ch) for name, ch in extra.items()},
-        )
-        self._sparse_skeleton = (
-            skeleton,
-            np.asarray(base_power),
-            np.asarray(delay),
-            np.asarray(term_pairs, dtype=np.intp),
-            np.asarray(term_vals),
-        )
+        hit = self._sparse_skeleton is not None
+        if not hit:
+            self._sparse_skeleton = self._assemble()
         ins = obs_active()
         if ins.enabled and ins.metrics is not None:
-            ins.metrics.counter("solver.reuse.skeleton_builds").inc()
+            ins.metrics.counter(
+                f"solver.reuse.skeleton_{'hits' if hit else 'builds'}"
+            ).inc()
         return self._sparse_skeleton
+
+    def _dense_structure(self) -> tuple:
+        """Per-pair rate and impulse rows for the dict-based build, read
+        off the skeleton's off-diagonal entries; cached and
+        write-protected (every dense CTMDP this model builds shares the
+        row views)."""
+        if self._structure is None:
+            skeleton, base_power, delay, _, _ = self._sparse_skeleton_parts()
+            coo = skeleton.generator.tocoo()
+            off = coo.col != skeleton.pair_state[coo.row]
+            row, col = coo.row[off], coo.col[off]
+            sp = self.provider
+            mode = np.array([sp.index_of(x.mode) for x in self._states])
+            ene = np.array([[sp.switching_energy(s, a) for a in sp.modes]
+                            for s in sp.modes])
+            rates = np.zeros((skeleton.n_pairs, self.n_states))
+            impulses = np.zeros_like(rates)
+            rates[row, col] = coo.data[off]
+            # ene is zero on its diagonal: same-mode edges carry no impulse.
+            impulses[row, col] = ene[mode[skeleton.pair_state[row]], mode[col]]
+            rates.setflags(write=False)
+            impulses.setflags(write=False)
+            pairs = [(state, action)
+                     for state, acts in zip(self._states, skeleton.actions)
+                     for action in acts]
+            extra = [dict(zip(skeleton.extra, v))
+                     for v in zip(*(ch.tolist() for ch in skeleton.extra.values()))]
+            self._structure = (pairs, rates, impulses, base_power, delay, extra)
+        return self._structure
 
     def _build_sparse_ctmdp(self, weight: float):
         """COO-direct sparse construction -- nothing of size
@@ -421,18 +444,17 @@ class PowerManagedSystemModel:
         Split into the cached weight-independent skeleton
         (:meth:`_sparse_skeleton_parts`) plus a per-weight cost overlay:
         sibling models share every structural array, so a frontier sweep
-        pays the Python construction loop once and each additional
-        weight costs two O(pairs) vector ops.
+        assembles once and each additional weight costs two O(pairs)
+        vector ops.
 
         Numerically this mirrors :meth:`build_ctmdp`'s dense path entry
         for entry: the same scaled rates, and effective cost rates that
         fold the switching-energy impulses through the identical
         ``scale * power + (scale * weight) * queue + sum(rate * energy)``
-        expression. The overlay replays that expression in the original
-        order -- the base-plus-weight term first, then each energy term
-        in destination-index order (``np.add.at`` accumulates in index
-        order) -- so the overlaid costs match the single-pass build
-        bit-for-bit.
+        expression. The overlay evaluates it in the dense build's order
+        -- the base-plus-weight term first, then each energy term in
+        destination-index order (``np.add.at`` accumulates in index
+        order) -- so both backends hold bit-identical costs.
         """
         skeleton, base_power, delay, term_pairs, term_vals = (
             self._sparse_skeleton_parts()
@@ -461,9 +483,8 @@ class PowerManagedSystemModel:
         LRU), so repeated calls with the same weight return the *same*
         model instance -- treat it as immutable, which
         :meth:`CTMDP.add_action` enforces for existing pairs anyway. The
-        weight-independent transition structure is additionally shared
-        across dense builds, so a frontier sweep pays the Python
-        construction loop once.
+        weight-independent rows are additionally shared across dense
+        builds, so a frontier sweep assembles the layout once.
         """
         if not np.isfinite(weight):
             raise InvalidModelError(f"performance weight must be finite, got {weight}")
@@ -499,30 +520,25 @@ class PowerManagedSystemModel:
             while len(self._ctmdp_cache) > self.CTMDP_CACHE_SIZE:
                 self._ctmdp_cache.popitem(last=False)
             return smdp
-        if self._structure is None:
-            self._structure = self._build_structure()
+        pairs, rates, impulses, base_power, delay, extra = self._dense_structure()
         scale = self.rate_scale
-        # Time rescaling: rates and cost *rates* get the factor; the
-        # folded cost scale * power + (scale * weight) * queue equals
-        # scale * (power + weight * queue) bit-for-bit when the factor
-        # is a power of two. Impulse energies are pure costs (their
-        # contribution scales through the rate vector they multiply),
-        # and the extra channels stay in original observable units.
-        # The scale == 1.0 path multiplies by exactly 1.0 but keeps
-        # the shared unscaled vectors to avoid per-build copies.
+        # Time rescaling: rates (already scaled by _assemble) and cost
+        # *rates* get the factor; the folded cost scale * power +
+        # (scale * weight) * queue equals scale * (power + weight *
+        # queue) bit-for-bit when the factor is a power of two. Impulse
+        # energies are pure costs (their contribution scales through the
+        # rate vector they multiply), and the extra channels stay in
+        # original observable units.
+        cost = (base_power + (scale * weight) * delay).tolist()
         mdp = CTMDP(self._states, rate_scale=scale)
-        for state, action, rates, impulses, costs in self._structure:
-            if scale != 1.0:
-                rates = rates * scale
-                rates.setflags(write=False)
+        for p, (state, action) in enumerate(pairs):
             mdp.add_action(
                 state,
                 action,
-                rates=rates,
-                cost_rate=scale * self.provider.power_rate(state.mode)
-                + (scale * weight) * costs.queue_length,
-                impulse_costs=impulses,
-                extra_costs=costs.as_extra_costs(),
+                rates=rates[p],
+                cost_rate=cost[p],
+                impulse_costs=impulses[p],
+                extra_costs=extra[p],
             )
         mdp.validate()
         self._ctmdp_cache[key] = mdp

@@ -76,3 +76,20 @@ class TestTable1OperatingPoints:
         assert lp.status == "passed"
         scale = max(1.0, abs(result.metrics.average_power))
         assert abs(lp.data["duality_gap"]) <= TOLERANCE * scale
+
+
+class TestFeasibilityTolerance:
+    """HiGHS's default 1e-7 feasibility tolerance let the ~400-state LP
+    stop ~1e-6 (relative) below the optimal gain, so certification
+    rejected the optimal policy with ``lp-duality-gap``."""
+
+    def test_optimal_policy_certifies_at_400_states(self):
+        model = paper_system(arrival_rate=0.2, capacity=100)
+        result = optimize_weighted(model, 1.0)
+        report = certify_result(model, result)
+        assert report.certified, report.finding_codes
+        lp = solve_average_cost_lp(model.build_ctmdp(1.0))
+        pi_gain = (
+            result.metrics.average_power + result.metrics.average_queue_length
+        )
+        assert lp.gain == pytest.approx(pi_gain, rel=1e-9)

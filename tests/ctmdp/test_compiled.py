@@ -209,6 +209,22 @@ class TestCompiledStructure:
         with pytest.raises(InvalidPolicyError):
             comp.policy_rows(assignment)
 
+    @pytest.fixture(scope="class", params=["compiled", "sparse"])
+    def lowering(self, request, mdp, comp):
+        from repro.ctmdp.sparse import compile_sparse_ctmdp
+
+        return comp if request.param == "compiled" else compile_sparse_ctmdp(mdp)
+
+    @pytest.mark.parametrize("index", [-1, -23, 23, 10_000])
+    def test_pair_rejects_state_index_out_of_range(self, lowering, index):
+        # A negative index must not wrap around to the last states.
+        with pytest.raises(InvalidPolicyError, match="out of range"):
+            lowering.pair(index, "active")
+
+    def test_pair_rejects_unknown_action(self, lowering):
+        with pytest.raises(InvalidPolicyError, match="not available"):
+            lowering.pair(0, "no-such-mode")
+
     def test_add_action_invalidates_compiled_cache(self):
         mdp = random_mdp(3, 3, 2)
         first = compile_ctmdp(mdp)

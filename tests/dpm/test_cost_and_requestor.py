@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dpm.cost import LOSS, POWER, QUEUE_LENGTH, CostRates, weighted_cost
+from repro.dpm.cost import weighted_cost
 from repro.dpm.service_requestor import ServiceRequestor
 from repro.errors import InvalidModelError
 
@@ -19,17 +19,6 @@ class TestWeightedCost:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             weighted_cost(1.0, 1.0, -0.1)
-
-
-class TestCostRates:
-    def test_combined(self):
-        rates = CostRates(power=5.0, queue_length=2.0, loss=0.1)
-        assert rates.combined(3.0) == pytest.approx(11.0)
-
-    def test_as_extra_costs_channels(self):
-        rates = CostRates(power=5.0, queue_length=2.0, loss=0.1)
-        extras = rates.as_extra_costs()
-        assert extras == {POWER: 5.0, QUEUE_LENGTH: 2.0, LOSS: 0.1}
 
 
 class TestServiceRequestor:

@@ -50,6 +50,59 @@ def random_models(draw):
     )
 
 
+@st.composite
+def multi_active_models(draw):
+    """2-5 modes, 1-3 of them active at random positions, with switching
+    and service times drawn from a coarse grid so ties are common.
+
+    These are the inputs on which constraints III.2 (strictly shorter
+    wakeup time) and III.3 (no slower active mode at the full transfer
+    state) decide the action sets; ``random_models`` has exactly one
+    active mode and never reaches III.3.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n_modes = draw(st.integers(2, 5))
+    n_active = draw(st.integers(1, min(3, n_modes)))
+    service_rates = np.zeros(n_modes)
+    service_rates[rng.permutation(n_modes)[:n_active]] = rng.choice(
+        [0.5, 1.0, 2.0], n_active
+    )
+    provider = ServiceProvider.from_switching_times(
+        modes=[f"m{k}" for k in range(n_modes)],
+        switching_times=rng.choice([0.1, 0.5, 1.0, 2.0], (n_modes, n_modes)),
+        service_rates=service_rates,
+        power=rng.uniform(0.0, 50.0, n_modes),
+        switching_energy=rng.choice([0.0, 0.5, 3.0], (n_modes, n_modes)),
+        self_switch_rate=draw(st.sampled_from([1e4, 50.0])),
+    )
+    return PowerManagedSystemModel(
+        provider,
+        ServiceRequestor(float(rng.uniform(0.05, 2.0))),
+        draw(st.integers(1, 4)),
+        include_transfer_states=draw(st.booleans()),
+        rate_scale=draw(st.sampled_from([1.0, 0.5, 4.0])),
+    )
+
+
+class TestAssemblyProperties:
+    @given(model=multi_active_models(), weight=st.sampled_from([0.0, 0.3, 7.5]))
+    @settings(max_examples=25, deadline=None)
+    def test_assembly_matches_walk(self, model, weight):
+        from tests.dpm.test_system import (
+            assert_dense_equal,
+            assert_sparse_equal,
+            reference_layout,
+            reference_sparse,
+        )
+
+        layout = reference_layout(model)
+        assert_sparse_equal(
+            model.build_ctmdp(weight, backend="sparse"),
+            reference_sparse(model, weight, layout),
+        )
+        assert_dense_equal(model.build_ctmdp(weight), model, weight, layout)
+
+
 class TestRandomModels:
     @given(model=random_models())
     @settings(max_examples=20, deadline=None)

@@ -3,7 +3,9 @@
 These tests pin down the paper's four SQ transition types, the state-
 space composition ``X = S x Q_stable U S_active x Q_transfer``, the
 three action-validity constraints, and the tensor (Kronecker) structure
-of the stable-stable block.
+of the stable-stable block. ``TestVectorizedAssembly`` then requires the
+vectorized build of both backends to equal a pair-by-pair walk through
+the per-state methods, bit for bit.
 """
 
 from __future__ import annotations
@@ -270,3 +272,183 @@ class TestTensorStructure:
                 SystemState("sleeping", stable(i)), "active"
             )
             assert rates[SystemState("active", stable(i))] == pytest.approx(chi)
+
+
+def reference_layout(model):
+    """The SYS layout walked pair by pair through the public per-state
+    methods (``valid_actions``, ``transition_rates``,
+    ``effective_power_rate``, ``delay_cost``, ``loss_rate``): the oracle
+    the vectorized assembly must reproduce bit for bit.
+
+    Returns ``(actions, coo, base_power, delay, terms, extra, dense)``:
+    the per-state action tuples; off-diagonal ``(pair_rows, cols,
+    rates)`` with each pair's entries in ascending destination index;
+    the cost decomposition and its switching-energy ``(term_pairs,
+    term_vals)``; the three extra channels; and per pair the dense
+    ``(state, action, rates, impulses)`` rows.
+    """
+    sp, scale, n = model.provider, model.rate_scale, model.n_states
+    actions, rows, cols, vals = [], [], [], []
+    base_power, delay, term_pairs, term_vals, dense = [], [], [], [], []
+    extra = {"power": [], "queue_length": [], "loss": []}
+    for state in model.states:
+        acts = tuple(model.valid_actions(state))
+        actions.append(acts)
+        for action in acts:
+            pair = len(dense)
+            base_power.append(scale * sp.power_rate(state.mode))
+            delay.append(model.delay_cost(state))
+            rates, impulses = np.zeros(n), np.zeros(n)
+            for j, dest, rate in sorted(
+                (model.index_of(dest), dest, rate)
+                for dest, rate in model.transition_rates(state, action).items()
+            ):
+                scaled = rate * scale if scale != 1.0 else rate
+                rows.append(pair)
+                cols.append(j)
+                vals.append(scaled)
+                rates[j] += rate
+                if dest.mode != state.mode:
+                    energy = sp.switching_energy(state.mode, dest.mode)
+                    term_pairs.append(pair)
+                    term_vals.append(scaled * energy)
+                    impulses[j] = energy
+            extra["power"].append(model.effective_power_rate(state, action))
+            extra["queue_length"].append(model.delay_cost(state))
+            extra["loss"].append(model.loss_rate(state))
+            dense.append(
+                (state, action, rates * scale if scale != 1.0 else rates,
+                 impulses)
+            )
+    coo = (
+        np.asarray(rows, dtype=np.intp),
+        np.asarray(cols, dtype=np.intp),
+        np.asarray(vals, dtype=float),
+    )
+    terms = (np.asarray(term_pairs, dtype=np.intp), np.asarray(term_vals))
+    extra = {name: np.asarray(ch) for name, ch in extra.items()}
+    return (actions, coo, np.asarray(base_power), np.asarray(delay), terms,
+            extra, dense)
+
+
+def reference_sparse(model, weight, layout=None):
+    """:func:`reference_layout` lowered with the cost overlay at *weight*."""
+    from repro.ctmdp.sparse import SparseCTMDP
+
+    actions, coo, base_power, delay, terms, extra, _ = (
+        layout or reference_layout(model)
+    )
+    cost = base_power + (model.rate_scale * weight) * delay
+    np.add.at(cost, *terms)
+    return SparseCTMDP.from_coo(
+        model.states, actions, *coo, cost, rate_scale=model.rate_scale,
+        extra=extra,
+    )
+
+
+def assert_sparse_equal(got, want):
+    assert got.actions == want.actions
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(
+            getattr(got.generator, name), getattr(want.generator, name)
+        )
+    np.testing.assert_array_equal(got.cost, want.cost)
+    assert got.extra.keys() == want.extra.keys()
+    for name in want.extra:
+        np.testing.assert_array_equal(got.extra[name], want.extra[name])
+    g_got, c_got, shift_got = got.canonical()
+    g_want, c_want, shift_want = want.canonical()
+    assert shift_got == shift_want
+    np.testing.assert_array_equal(g_got.data, g_want.data)
+    np.testing.assert_array_equal(c_got, c_want)
+
+
+def assert_dense_equal(mdp, model, weight, layout):
+    dense = layout[-1]
+    assert mdp.state_action_pairs() == [(s, a) for s, a, _, _ in dense]
+    scale = model.rate_scale
+    for state, action, rates, impulses in dense:
+        data = mdp.data(state, action)
+        np.testing.assert_array_equal(data.rates, rates)
+        np.testing.assert_array_equal(data.impulse_costs, impulses)
+        assert data.cost_rate == (
+            scale * model.provider.power_rate(state.mode)
+            + (scale * weight) * model.delay_cost(state)
+        )
+        assert data.extra_costs == {
+            "power": model.effective_power_rate(state, action),
+            "queue_length": model.delay_cost(state),
+            "loss": model.loss_rate(state),
+        }
+
+
+def _preset_models():
+    from repro.dpm.presets import disk_drive_provider, wireless_nic_provider
+    from repro.dpm.service_requestor import ServiceRequestor
+
+    models = {f"paper-Q{q}": paper_system(capacity=q) for q in (1, 2, 5, 8, 250)}
+    models["no-transfer"] = paper_system(include_transfer_states=False)
+    models["self-switch-50"] = paper_system(self_switch_rate=50.0)
+    models["disk-drive"] = PowerManagedSystemModel(
+        disk_drive_provider(), ServiceRequestor(0.25), capacity=4
+    )
+    models["wireless-nic"] = PowerManagedSystemModel(
+        wireless_nic_provider(), ServiceRequestor(10.0), capacity=4
+    )
+    for scale in (0.25, 8.0):
+        base = paper_system()
+        models[f"rate-scale-{scale:g}"] = PowerManagedSystemModel(
+            base.provider, base.requestor, base.capacity, rate_scale=scale
+        )
+    return models
+
+
+ASSEMBLY_MODELS = _preset_models()
+
+
+class TestVectorizedAssembly:
+    """Both build backends equal the per-state walk bit for bit."""
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0, 7.5])
+    @pytest.mark.parametrize("name", list(ASSEMBLY_MODELS))
+    def test_sparse_skeleton_matches_walk(self, name, weight):
+        model = ASSEMBLY_MODELS[name]
+        got = model.build_ctmdp(weight, backend="sparse")
+        assert_sparse_equal(got, reference_sparse(model, weight))
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 7.5])
+    @pytest.mark.parametrize("name", list(ASSEMBLY_MODELS))
+    def test_dense_rows_match_walk(self, name, weight):
+        model = ASSEMBLY_MODELS[name]
+        mdp = model.build_ctmdp(weight, backend="dense")
+        assert_dense_equal(mdp, model, weight, reference_layout(model))
+
+    def test_subclass_validity_is_honoured(self):
+        # The fuzzer drops III.1-III.3 by overriding is_valid_action; the
+        # assembly must build exactly the actions that override allows.
+        from repro.robust.fuzz import unconstrained_system
+
+        base = paper_system(capacity=3)
+        model = unconstrained_system(base.provider, base.requestor, 3)
+        assert_sparse_equal(
+            model.build_ctmdp(1.0, backend="sparse"),
+            reference_sparse(model, 1.0),
+        )
+        assert model.build_ctmdp(1.0).actions(SystemState("active", stable(0))) == [
+            "active", "waiting", "sleeping",
+        ]
+
+    def test_state_without_valid_action_raises(self, monkeypatch):
+        # Constraints III.1-III.3 always leave an active mode valid, and
+        # admission refuses providers without one. A provider that loses
+        # its active mode after admission, with tied wakeup times, has
+        # III.2 forbid every action at a full queue: both the walk and
+        # the assembly fail typed on the same state.
+        model = paper_system(capacity=2, include_transfer_states=False)
+        monkeypatch.setattr(model.provider, "service_rate", lambda mode: 0.0)
+        monkeypatch.setattr(model.provider, "wakeup_time", lambda mode: 1.0)
+        message = r"state \(active,q2\) has no valid action"
+        with pytest.raises(InvalidModelError, match=message):
+            model.valid_actions(SystemState("active", stable(2)))
+        with pytest.raises(InvalidModelError, match=message):
+            model.build_ctmdp(1.0, backend="sparse")
