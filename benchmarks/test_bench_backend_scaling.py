@@ -17,11 +17,18 @@ footprint, and the SYS build takes no longer than its solve.
 ``REPRO_SCALE_MAX_STATES`` (default 300000) gates the largest points so
 a nightly job can push to 10^6 states while the default run stays a
 sub-minute smoke.
+
+A second leg measures where ``auto`` should switch tiers
+(``DENSE_STATE_LIMIT``): dense vs CSR wall time from 23 to 1003 states
+for the whole ``optimize_weighted`` path (build, solve, evaluate) and
+for policy iteration on a dict-built model (lowering and solve),
+recorded under ``backend_crossover``.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 import tracemalloc
 from pathlib import Path
@@ -30,10 +37,12 @@ import pytest
 
 from benchmarks.conftest import once
 from repro.obs.benchtrack import record_suite
+from repro.ctmdp.backends import DENSE_STATE_LIMIT
 from repro.ctmdp.compiled import compile_ctmdp
 from repro.ctmdp.kron import kron_farm_model
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.ctmdp.value_iteration import relative_value_iteration
+from repro.dpm.optimizer import optimize_weighted
 from repro.dpm.presets import paper_system
 
 BENCH_JSON = Path(__file__).parent / "BENCH_solver_core.json"
@@ -55,6 +64,16 @@ MEMORY_ADVANTAGE = 10.0
 #: (n_queues, queue_capacity) farm models: 8^6 = 262144 states by
 #: default; the gated second point is 10^6 states (nightly).
 FARM_POINTS = ((6, 7), (6, 9))
+
+#: SYS capacities of the crossover leg: 23, 103, 203, 403, 1003 states.
+CROSSOVER_CAPACITIES = (5, 25, 50, 100, 250)
+
+#: Timed runs per (size, tier, path); the median is recorded.
+CROSSOVER_SAMPLES = 5
+
+#: The crossover leg's acceptance, at its widest point only: CSR at
+#: least this factor faster than dense at 1003 states on both paths.
+CROSSOVER_ADVANTAGE = 2.0
 
 
 def _record(key: str, payload) -> None:
@@ -194,6 +213,75 @@ def test_bench_backend_scaling(benchmark):
             row["kron_peak_bytes"] * MEMORY_ADVANTAGE
             <= row["dense_generator_bytes"]
         )
+
+
+def _median_s(fn, prepare) -> float:
+    """Median wall time of *fn* over :data:`CROSSOVER_SAMPLES` runs,
+    each on a fresh input from the untimed *prepare*."""
+    times = []
+    for _ in range(CROSSOVER_SAMPLES):
+        args = prepare()
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _crossover_point(capacity: int):
+    model = paper_system(capacity=capacity)
+
+    def fresh_model():
+        model.clear_caches()
+        return ()
+
+    def fresh_dict_model():
+        model.clear_caches()
+        return (model.build_ctmdp(weight=1.0),)
+
+    row = {"n_states": model.n_states}
+    for tier in ("dense", "sparse"):
+        row[f"optimize_weighted_{tier}_s"] = _median_s(
+            lambda: optimize_weighted(model, 1.0, backend=tier), fresh_model
+        )
+        row[f"policy_iteration_{tier}_s"] = _median_s(
+            lambda mdp: policy_iteration(mdp, backend=tier), fresh_dict_model
+        )
+    model.clear_caches()
+    dense = optimize_weighted(model, 1.0, backend="dense")
+    sparse = optimize_weighted(model, 1.0, backend="sparse")
+    assert sparse.policy.as_dict() == dense.policy.as_dict()
+    return row
+
+
+def test_bench_backend_crossover(benchmark):
+    rows = once(
+        benchmark,
+        lambda: [_crossover_point(c) for c in CROSSOVER_CAPACITIES],
+    )
+    _record(
+        "backend_crossover",
+        {
+            "dense_state_limit": DENSE_STATE_LIMIT,
+            "samples": CROSSOVER_SAMPLES,
+            "points": {str(row["n_states"]): row for row in rows},
+        },
+    )
+    for row in rows:
+        print(
+            f"\ncrossover n={row['n_states']}: optimize_weighted dense "
+            f"{row['optimize_weighted_dense_s'] * 1e3:.1f} ms / CSR "
+            f"{row['optimize_weighted_sparse_s'] * 1e3:.1f} ms; "
+            f"policy_iteration dense "
+            f"{row['policy_iteration_dense_s'] * 1e3:.1f} ms / CSR "
+            f"{row['policy_iteration_sparse_s'] * 1e3:.1f} ms"
+        )
+    widest = rows[-1]
+    assert widest["n_states"] == 1003
+    for path in ("optimize_weighted", "policy_iteration"):
+        assert (
+            widest[f"{path}_sparse_s"] * CROSSOVER_ADVANTAGE
+            <= widest[f"{path}_dense_s"]
+        ), path
 
 
 class TestScalingShape:

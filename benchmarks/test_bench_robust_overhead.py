@@ -96,12 +96,14 @@ def test_bench_guardrail_overhead(benchmark):
         mdp = paper_system(capacity=POOL_CAPACITY_SOLVER).build_ctmdp(weight=1.0)
         compile_ctmdp(mdp)  # warm the lowering cache out of the timing
 
+        # The guardrails guard the dense tier's solves; at this size
+        # ``auto`` would pick CSR, which never calls them.
         def baseline_run():
             with guardrails_disabled():
-                return policy_iteration(mdp)
+                return policy_iteration(mdp, backend="compiled")
 
         guarded_s, guarded, baseline_s, baseline = _best_of_pair(
-            lambda: policy_iteration(mdp), baseline_run
+            lambda: policy_iteration(mdp, backend="compiled"), baseline_run
         )
         return guarded_s, guarded, baseline_s, baseline
 

@@ -315,11 +315,21 @@ def _run_check(
 
 
 def _as_policy(mdp, policy):
-    """Normalize the policy input; validates plain assignments."""
+    """Normalize the policy input onto the certifier's dense *mdp*.
+
+    Plain assignments are validated. A :class:`Policy` solved on another
+    representation (a CSR or cached sibling build) is rebound through its
+    assignment, with the same validation, so a bad table still yields
+    :class:`InvalidPolicyError` rather than a crash in a check.
+    """
     from repro.ctmdp.policy import Policy, RandomizedPolicy
 
-    if isinstance(policy, (Policy, RandomizedPolicy)):
+    if isinstance(policy, RandomizedPolicy):
         return policy
+    if isinstance(policy, Policy):
+        if policy.mdp is mdp:
+            return policy
+        policy = policy.as_dict()
     return Policy(mdp, dict(policy))
 
 

@@ -24,7 +24,7 @@ Implements the decision-theoretic layer of the paper:
   ``backend="compiled"`` fast paths of the solvers above.
 - :mod:`repro.ctmdp.sparse` -- the CSR sparse lowering and its
   direct-then-Krylov evaluation ladder; the middle tier of the backend
-  ladder, for models beyond a few thousand states.
+  ladder, for models beyond a few hundred states.
 - :mod:`repro.ctmdp.kron` -- matrix-free Kronecker-structured CTMDPs
   (factor generators, never the joint matrix); the top tier, for
   tensor-product state spaces of 10^5--10^6 states.

@@ -3,11 +3,12 @@
 Three representation tiers sit behind one API:
 
 - ``"dense"`` (alias ``"compiled"``): the dense compiled lowering --
-  O(pairs x states) memory, O(n^3) direct evaluation. Fastest below a
-  couple thousand states; the bit-exactness baseline.
+  O(pairs x states) memory, O(n^3) direct evaluation. Fastest on small
+  models; the bit-exactness baseline.
 - ``"sparse"``: CSR lowering (:mod:`repro.ctmdp.sparse`) -- O(nnz)
-  memory, sparse-LU/GMRES evaluation. The interactive tier for 10^4 -
-  10^5 states.
+  memory, one fresh SuperLU factorization per policy-iteration round
+  (ILU-GMRES as the rescue rung). The tier from a few hundred states
+  through 10^5.
 - ``"kron"``: matrix-free Kronecker models (:mod:`repro.ctmdp.kron`) --
   O(sum of factor sizes) generator storage, uniformized value iteration
   and Krylov evaluation. The only tier that reaches 10^6 joint states.
@@ -15,21 +16,16 @@ Three representation tiers sit behind one API:
 
 ``"auto"`` resolves from the model type and size: Kronecker models run
 matrix-free, sparse models run sparse, and plain :class:`CTMDP` models
-run dense up to :data:`DENSE_STATE_LIMIT` states, sparse beyond.
+take :func:`auto_tier` of their state count -- dense up to
+:data:`DENSE_STATE_LIMIT` states, sparse beyond. The SYS builder's
+``backend="auto"`` and the admission gate's view ask the same function,
+so a model is built, admitted and solved on one tier.
 
 Every resolution is auditable: with instrumentation active, each call
 appends a row to the :data:`DECISION_SERIES` series (requested backend,
 resolved tier, state count, reason) and bumps a per-tier counter;
 ``auto`` selections additionally emit a structured log line so a model
 silently landing on a weaker tier is visible at ``--log-level info``.
-
-The sparse and kron tiers additionally carry the cross-solve reuse
-layer (:mod:`repro.ctmdp.reuse`, DESIGN §12): within a solve,
-evaluation systems are updated in place and factorizations reused
-across improvement rounds; across solves, the DPM sweeps seed each
-weight with its neighbor's converged policy. Reuse never changes
-results -- converged policies are re-evaluated through the standard
-ladder -- and is observable through the ``solver.reuse.*`` counters.
 """
 
 from __future__ import annotations
@@ -42,9 +38,12 @@ from repro.obs.runtime import active as obs_active
 BACKENDS = ("auto", "dense", "compiled", "sparse", "kron", "reference")
 
 #: ``auto`` keeps plain CTMDPs on the dense compiled tier up to this
-#: many states; beyond it the dense lowering's O(pairs x states) rows
-#: and O(n^3) solves lose to CSR across the board.
-DENSE_STATE_LIMIT = 2000
+#: many states; beyond it CSR wins. Measured crossovers (DESIGN §10.2,
+#: ``backend_crossover`` in ``BENCH_solver_core.json``): the SYS
+#: build + solve + evaluate path turns in CSR's favour at ~50-85 states,
+#: policy iteration on a dict-built model between 203 and 403 states.
+#: The limit sits at the later of the two.
+DENSE_STATE_LIMIT = 256
 
 #: Series of backend-decision records: one row per resolution with
 #: ``requested``/``resolved``/``n_states``/``reason``/``who`` fields.
@@ -83,6 +82,15 @@ def _record_decision(
             n_states,
             who,
         )
+
+
+def auto_tier(n_states: int) -> "tuple[str, str]":
+    """``(tier, reason)`` that ``auto`` gives a plain model of
+    *n_states* states: ``"compiled"`` up to :data:`DENSE_STATE_LIMIT`,
+    ``"sparse"`` beyond."""
+    if n_states <= DENSE_STATE_LIMIT:
+        return "compiled", f"n_states<={DENSE_STATE_LIMIT} fits the dense tier"
+    return "sparse", f"n_states>{DENSE_STATE_LIMIT} exceeds the dense tier"
 
 
 def resolve_backend(mdp, backend: str, who: str = "solver") -> str:
@@ -131,14 +139,7 @@ def resolve_backend(mdp, backend: str, who: str = "solver") -> str:
         )
     n_states = mdp.n_states
     if backend == "auto":
-        if n_states <= DENSE_STATE_LIMIT:
-            resolved, reason = "compiled", (
-                f"n_states<={DENSE_STATE_LIMIT} fits the dense tier"
-            )
-        else:
-            resolved, reason = "sparse", (
-                f"n_states>{DENSE_STATE_LIMIT} exceeds the dense tier"
-            )
+        resolved, reason = auto_tier(n_states)
     elif backend == "dense":
         resolved, reason = "compiled", "explicit request (dense alias)"
     else:

@@ -219,9 +219,8 @@ def _evaluate_policy_sparse(
     compute_stationary: bool,
 ) -> PolicyEvaluation:
     """Sparse-ladder twin of the dense evaluation assembly."""
-    import scipy.sparse as sp
-
     from repro.ctmdp.sparse import (
+        bordered_system,
         compile_sparse_ctmdp,
         solve_sparse_with_fallback,
         sparse_stationary_distribution,
@@ -240,14 +239,10 @@ def _evaluate_policy_sparse(
         c = np.ldexp(np.asarray(cost_vector, dtype=float), -shift)
     if c.shape != (n,):
         raise InvalidPolicyError(f"cost vector shape {c.shape} != ({n},)")
-    gain_col = sp.csr_array(
-        (np.full(n, -1.0), (np.arange(n), np.zeros(n, int))), shape=(n, 1)
-    )
-    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
-    a = sp.block_array([[rows, gain_col], [ref_row, None]], format="csc")
     b = np.concatenate([-c, [0.0]])
     solution = solve_sparse_with_fallback(
-        a, b, what="policy evaluation system",
+        bordered_system(rows, reference_state), b,
+        what="policy evaluation system",
         context={"reference_state": reference_state},
         a_max=max(1.0, float(np.max(np.abs(rows.data), initial=0.0))),
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional
 
 import numpy as np
 
@@ -121,14 +121,16 @@ class _CycleDetector:
     decreasing across policy changes, so a revisit signals numerical
     trouble (e.g. an evaluation solved in a degraded mode). Raising a
     structured error with the offending policy beats iterating to the
-    ``max_iterations`` wall.
+    ``max_iterations`` wall. The policy diagnostic comes from the
+    ``policy_payload`` thunk, called only when the check raises --
+    rendering every state costs ~0.3 s per round at 10^5 states.
     """
 
     def __init__(self) -> None:
         self._seen: "dict" = {}
 
     def check(self, key, iteration: int, gain_history: "List[float]",
-              policy_payload) -> None:
+              policy_payload: "Optional[Callable[[], list]]") -> None:
         first = self._seen.setdefault(key, iteration)
         if first != iteration:
             raise SolverError(
@@ -140,7 +142,10 @@ class _CycleDetector:
                     "first_seen": first,
                     "cycle_length": iteration - first,
                     "gain_history": gain_history[-10:],
-                    "policy": policy_payload,
+                    "policy": (
+                        policy_payload() if policy_payload is not None
+                        else None
+                    ),
                 },
             )
 
@@ -327,7 +332,7 @@ def _policy_iteration_compiled(
             if changed:
                 cycles.check(
                     sel.tobytes(), iteration, gain_history,
-                    _policy_payload(comp.assignment_from_rows(sel)),
+                    lambda: _policy_payload(comp.assignment_from_rows(sel)),
                 )
                 gain, bias = solve_rows(sel)
             # An unchanged policy selects the same rows, so re-solving would
@@ -384,30 +389,28 @@ def _policy_iteration_sparse(
     atol: float,
     reference_state: int,
     time_budget_s: "Optional[float]" = None,
-    reuse: bool = True,
 ) -> PolicyIterationResult:
     """Policy iteration over the CSR lowering.
 
     Identical round structure to the compiled path -- canonical-unit
     bordered evaluation system, incumbent-atol improvement sweeps,
-    stationary solve deferred to convergence -- but the system is
-    assembled as a sparse block matrix each round and solved through the
-    :mod:`repro.ctmdp.sparse` direct/Krylov ladder, and the sweep's test
-    quantities come from one sparse matvec.
+    stationary solve deferred to convergence -- but the sweep's test
+    quantities come from one sparse matvec, and every evaluation (the
+    initial one included) assembles the bordered system as a CSC block
+    matrix and factorizes it with one fresh SuperLU through the
+    :mod:`repro.ctmdp.sparse` ladder. A seeded and a cold solve that
+    reach the same policy therefore return its values from the same
+    computation, bit for bit.
 
-    With ``reuse`` (default), intermediate evaluations run through the
-    :class:`repro.ctmdp.reuse.BorderedSystemCache` ladder -- in-place
-    CSR row surgery instead of per-round re-lowering, and stale-LU
-    preconditioned GMRES instead of per-round refactorization. Reused
-    solves only steer the improvement trajectory: the converged policy
-    is always re-evaluated through the standard ladder, so the returned
-    gain/bias/stationary are bit-identical to a ``reuse=False`` solve
-    of the same converged policy (DESIGN §12).
+    A singular round system -- the improvement step reached a
+    (numerically) multichain policy -- raises a typed
+    :class:`SolverError` (``reason: "singular_system"``) instead of
+    running the Krylov rescue; warm-started sweeps take it as a rejected
+    seed and re-solve cold.
     """
-    import scipy.sparse as sp
-
     from repro.errors import InvalidPolicyError
     from repro.ctmdp.sparse import (
+        bordered_system,
         compile_sparse_ctmdp,
         solve_sparse_with_fallback,
         sparse_stationary_distribution,
@@ -433,12 +436,6 @@ def _policy_iteration_sparse(
     else:
         sel = comp.policy_rows(initial_policy.as_dict())
     g_can, c_can, shift = comp.canonical()
-    # Constant blocks of the bordered system: the -1 gain column and the
-    # reference row; only the selected generator rows and the -c right-
-    # hand side change between rounds.
-    gain_col = sp.csr_array((np.full(n, -1.0), (np.arange(n), np.zeros(n, int))),
-                            shape=(n, 1))
-    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
     b = np.zeros(n + 1)
     # Per-pair row maxima of the canonical generator, computed once from
     # the CSR data: the guardrail acceptance scale of any round's system.
@@ -447,27 +444,12 @@ def _policy_iteration_sparse(
     np.maximum.at(row_inf, coo.row, np.abs(coo.data))
 
     def solve_rows(rows: np.ndarray) -> "tuple[float, np.ndarray]":
-        a = sp.block_array(
-            [[g_can[rows], gain_col], [ref_row, None]], format="csc"
-        )
         np.negative(c_can[rows], out=b[:n])
         solution = solve_sparse_with_fallback(
-            a, b, what="policy evaluation system",
+            bordered_system(g_can[rows], reference_state), b,
+            what="policy evaluation system",
             context={"reference_state": reference_state},
             a_max=max(1.0, float(np.max(row_inf[rows]))),
-        )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
-
-    reuse_cache = None
-    if reuse:
-        from repro.ctmdp.reuse import BorderedSystemCache
-
-        reuse_cache = BorderedSystemCache(g_can, n, reference_state)
-
-    def solve_rows_reused(rows: np.ndarray) -> "tuple[float, np.ndarray]":
-        np.negative(c_can[rows], out=b[:n])
-        solution = reuse_cache.solve(
-            rows, b, max(1.0, float(np.max(row_inf[rows])))
         )
         return float(np.ldexp(solution[n], shift)), solution[:n]
 
@@ -476,11 +458,7 @@ def _policy_iteration_sparse(
     gain_history: List[float] = []
     if ins.enabled:
         sweep_start = time.perf_counter()
-    # The initial evaluation always runs the standard ladder so the
-    # reuse path and a cold solve share their starting point exactly;
-    # `exact` tracks whether the current (gain, bias) came off it.
     gain, bias = solve_rows(sel)
-    exact = True
     gain_history.append(gain)
     series = _convergence_series(metrics) if metrics is not None else None
     if series is not None:
@@ -507,13 +485,9 @@ def _policy_iteration_sparse(
             if changed:
                 cycles.check(
                     sel.tobytes(), iteration, gain_history,
-                    _policy_payload(comp.assignment_from_rows(sel)),
+                    lambda: _policy_payload(comp.assignment_from_rows(sel)),
                 )
-                if reuse_cache is not None:
-                    gain, bias = solve_rows_reused(sel)
-                    exact = False
-                else:
-                    gain, bias = solve_rows(sel)
+                gain, bias = solve_rows(sel)
             gain_history.append(gain)
             if series is not None:
                 series.append(
@@ -525,19 +499,6 @@ def _policy_iteration_sparse(
                     sweep_s=time.perf_counter() - sweep_start,
                 )
             if not changed:
-                if not exact:
-                    # Reused solves hold the ladder's residual tolerance
-                    # but not the standard rung's exact bit pattern; the
-                    # converged policy's returned evaluation must be the
-                    # one a cold solve would produce, so re-run it
-                    # through the standard ladder (cold solves obtain
-                    # their final values from this same call).
-                    gain, bias = solve_rows(sel)
-                    gain_history[-1] = gain
-                    if metrics is not None:
-                        metrics.counter(
-                            "solver.reuse.final_reevaluations"
-                        ).inc()
                 if ins.enabled:
                     span.attrs.update(iterations=iteration, gain=gain)
                     if metrics is not None:
@@ -578,7 +539,6 @@ def policy_iteration(
     reference_state: int = 0,
     backend: str = "auto",
     time_budget_s: Optional[float] = None,
-    reuse: bool = True,
 ) -> PolicyIterationResult:
     """Solve a unichain average-cost CTMDP by policy iteration.
 
@@ -601,37 +561,31 @@ def policy_iteration(
         ``"auto"`` (default) resolves by model type and size (see
         :mod:`repro.ctmdp.backends`): Kronecker models run matrix-free,
         sparse models run sparse, and plain CTMDPs run the dense
-        compiled tier up to 2000 states, CSR beyond. ``"dense"`` /
-        ``"compiled"`` force the dense lowering, ``"sparse"`` the CSR
-        lowering with the direct/Krylov evaluation ladder, ``"kron"``
-        the matrix-free Kronecker solvers, and ``"reference"`` the
-        original per-state dict loops. All tiers produce the same
-        policies and matching gains (the equivalence suite asserts it;
-        dense vs. compiled is bit-exact, Krylov rungs are held to the
-        documented residual tolerance).
+        compiled tier up to
+        :data:`~repro.ctmdp.backends.DENSE_STATE_LIMIT` states, CSR
+        beyond. ``"dense"`` / ``"compiled"`` force the dense lowering,
+        ``"sparse"`` the CSR lowering (one fresh SuperLU factorization
+        per improvement round), ``"kron"`` the matrix-free Kronecker
+        solvers, and ``"reference"`` the original per-state dict loops.
+        All tiers produce the same policies and matching gains (the
+        equivalence suite asserts it; dense vs. compiled is bit-exact,
+        Krylov rungs are held to the documented residual tolerance).
     time_budget_s:
         Optional wall-clock budget; exceeding it raises a structured
         :class:`SolverError` (``reason: time_budget_exceeded``) instead
         of running unbounded on a pathological model.
-    reuse:
-        Enable the within-solve reuse ladder on the sparse tier
-        (:mod:`repro.ctmdp.reuse`): incremental CSR updates and stale-LU
-        preconditioned evaluations between improvement rounds. The
-        converged policy is always re-evaluated through the standard
-        ladder, so results are bit-identical either way;
-        ``reuse=False`` restores the round-per-round rebuild (the bench
-        cold leg). Other tiers ignore the flag.
 
     Raises
     ------
     SolverError
         If ``max_iterations`` or ``time_budget_s`` is exhausted, a
         policy cycle is detected (both indicate a modeling bug -- e.g.
-        a multichain model slipping through), or evaluation fails even
-        in the least-squares fallback of
-        :mod:`repro.robust.guardrails`. The exception's ``diagnostics``
-        mapping carries the iteration count, recent gain history, and
-        the offending policy.
+        a multichain model slipping through), evaluation fails even in
+        the least-squares fallback of :mod:`repro.robust.guardrails`,
+        or -- on the sparse tier -- a round's evaluation system is
+        singular (``reason: "singular_system"``). The exception's
+        ``diagnostics`` mapping carries the iteration count, recent
+        gain history, and the offending policy.
     """
     backend = resolve_backend(mdp, backend)
     mdp.validate()
@@ -645,7 +599,7 @@ def policy_iteration(
     if backend == "sparse":
         return _policy_iteration_sparse(
             mdp, initial_policy, max_iterations, atol, reference_state,
-            time_budget_s, reuse=reuse,
+            time_budget_s,
         )
     if backend == "compiled":
         return _policy_iteration_compiled(
@@ -693,7 +647,8 @@ def policy_iteration(
             if changed:
                 cycles.check(
                     tuple(sorted(policy.as_dict().items(), key=repr)),
-                    iteration, gain_history, _policy_payload(policy.as_dict()),
+                    iteration, gain_history,
+                    lambda: _policy_payload(policy.as_dict()),
                 )
             evaluation = evaluate_policy(
                 policy, reference_state=reference_state, backend="reference",

@@ -18,6 +18,15 @@ direct-then-iterative sparse ladder:
 3. a typed :class:`~repro.errors.SolverError` carrying residual
    diagnostics -- never a silent NaN.
 
+A singular LU skips rung 2 and fails typed at once (``reason:
+"singular_system"``): GMRES cannot converge on a singular matrix, and on
+a singular-but-consistent one it can return a residual-passing member of
+the solution family. An evaluation system is singular exactly when the
+policy's chain is (numerically) multichain. Policy iteration runs every
+improvement round through this ladder -- one fresh SuperLU factorization
+per round -- and warm-started sweeps take the typed failure as a
+rejected seed.
+
 Tolerance contract: direct sparse solves agree with the dense core to
 solver roundoff (policies exactly, in practice); any solution accepted
 off the Krylov rung satisfies a relative residual of at most
@@ -77,10 +86,17 @@ KRYLOV_SERIES = "solver.sparse.krylov.residuals"
 logger = get_logger("ctmdp.sparse")
 
 
+class _SingularLU(RuntimeError):
+    """SuperLU's exactly-singular signal, told apart from other
+    direct-rung failures, which still fall through to GMRES."""
+
+
 def _direct_solve(a_csc, b: np.ndarray) -> np.ndarray:
     """Direct sparse LU solve (module-level so tests can force the
     Krylov rung by monkeypatching, mirroring ``guardrails._dense_solve``).
 
+    A factorization failure raises :class:`_SingularLU`: ``splu``
+    raises ``RuntimeError`` exactly when it finds the matrix singular.
     With metrics active, records the LU fill-in -- ``(nnz(L) +
     nnz(U)) / nnz(A)`` -- the number that explains why a direct solve
     suddenly got slow or memory-hungry on a new model family.
@@ -89,7 +105,12 @@ def _direct_solve(a_csc, b: np.ndarray) -> np.ndarray:
 
     if numerical_fault("direct-fail"):
         raise RuntimeError("injected direct sparse-LU failure")
-    lu = splu(a_csc)
+    try:
+        if numerical_fault("singular-lu"):
+            raise RuntimeError("injected singular factorization")
+        lu = splu(a_csc)
+    except RuntimeError as exc:
+        raise _SingularLU(str(exc)) from exc
     ins = obs_active()
     if ins.enabled and ins.metrics is not None:
         ins.metrics.histogram("solver.sparse.lu_fill_factor").observe(
@@ -143,7 +164,6 @@ def solve_sparse_with_fallback(
     residual_rtol: float = RESIDUAL_RTOL,
     context: "Optional[Dict]" = None,
     a_max: "Optional[float]" = None,
-    x0: "Optional[np.ndarray]" = None,
 ) -> np.ndarray:
     """Solve ``a @ x = b`` through the sparse ladder (see module doc).
 
@@ -151,11 +171,10 @@ def solve_sparse_with_fallback(
     the relative-residual test (computing it from a sparse matrix is the
     caller's O(nnz) job, done once per policy-iteration run).
 
-    ``x0`` warm-starts the GMRES rung (the direct rung ignores it): a
-    nearby previous solution -- e.g. the prior policy-iteration round's
-    value vector -- shrinks the initial residual and with it the Krylov
-    iteration count. Acceptance is unchanged: whatever the start, the
-    returned solution satisfies the ``residual_rtol`` contract.
+    The LU counts as singular when SuperLU reports it or its solution is
+    non-finite. Any other direct-rung failure, and a finite LU solution
+    that misses the residual test (ill-conditioning, not singularity),
+    falls through to GMRES.
     """
     a_csc = sp.csc_array(a)
     if a_max is None:
@@ -168,15 +187,20 @@ def solve_sparse_with_fallback(
     ) as span:
         direct_error: "Optional[str]" = None
         direct_residual: "Optional[float]" = None
+        singular_error: "Optional[str]" = None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 x = _direct_solve(a_csc, b)
+        except _SingularLU as exc:
+            singular_error = str(exc)
         except (RuntimeError, ValueError) as exc:
             direct_error = str(exc)
         else:
-            if np.all(np.isfinite(x)):
-                ok, direct_residual = True, _relative_residual(
+            if not np.all(np.isfinite(x)):
+                singular_error = "LU solution has non-finite entries"
+            else:
+                direct_residual = _relative_residual(
                     a_csc, x, b, a_max=a_max
                 )
                 if direct_residual <= residual_rtol:
@@ -195,10 +219,19 @@ def solve_sparse_with_fallback(
                             residual=direct_residual,
                         )
                     return x
-            else:
-                direct_error = (
-                    "direct sparse solve produced non-finite entries"
-                )
+        if singular_error is not None:
+            span.attrs.update(rung="singular")
+            raise SolverError(
+                f"{what} is singular (sparse LU: {singular_error}); the "
+                "induced chain is (numerically) multichain",
+                diagnostics={
+                    "reason": "singular_system",
+                    "what": what,
+                    "backend": "sparse",
+                    "direct_error": singular_error,
+                    **(context or {}),
+                },
+            )
 
         # Krylov rung: ILU-preconditioned GMRES run to the documented
         # KRYLOV_RTOL target, accepted under the ladder's residual_rtol.
@@ -212,17 +245,12 @@ def solve_sparse_with_fallback(
             else None
         )
         precond, precond_info = _ilu_preconditioner(a_csc)
-        if x0 is not None and (
-            x0.shape != b.shape or not np.all(np.isfinite(x0))
-        ):
-            x0 = None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             x, info = gmres(
                 a_csc,
                 b,
                 M=precond,
-                x0=x0,
                 rtol=KRYLOV_RTOL,
                 atol=0.0,
                 restart=GMRES_RESTART,
@@ -230,8 +258,6 @@ def solve_sparse_with_fallback(
                 callback=callback,
                 callback_type="pr_norm",
             )
-        if x0 is not None and metrics is not None:
-            metrics.counter("solver.reuse.gmres_warm_starts").inc()
         from repro.robust.faultinject import numerical_fault
 
         if numerical_fault("krylov-stall"):
@@ -258,12 +284,11 @@ def solve_sparse_with_fallback(
                 nnz=nnz,
                 reason=fallback_reason,
                 iterations=len(residuals),
-                # A warm start can converge before the first pr_norm
-                # callback fires; the accepted residual keeps the row's
-                # trajectory non-empty either way.
+                # GMRES can return before its first pr_norm callback
+                # (a zero right-hand side); the accepted residual keeps
+                # the row's trajectory non-empty either way.
                 residuals=residuals or [gmres_residual],
                 residual=gmres_residual,
-                warm_started=x0 is not None,
                 **precond_info,
             )
         if converged:
@@ -312,6 +337,19 @@ def solve_sparse_with_fallback(
         "constraints",
         diagnostics=diagnostics,
     )
+
+
+def bordered_system(rows, reference_state: int):
+    """CSC matrix ``[[G, -1], [e_ref, 0]]`` of the evaluation equations
+    ``c + G h = g 1``, ``h[ref] = 0``, for one policy's ``(n, n)`` CSR
+    generator *rows* -- the system every sparse evaluation solves."""
+    n = rows.shape[0]
+    gain_col = sp.csr_array(
+        (np.full(n, -1.0), (np.arange(n), np.zeros(n, dtype=np.intp))),
+        shape=(n, 1),
+    )
+    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
+    return sp.block_array([[rows, gain_col], [ref_row, None]], format="csc")
 
 
 def sparse_stationary_distribution(

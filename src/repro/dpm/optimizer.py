@@ -108,7 +108,6 @@ def optimize_weighted(
     solver: str = "policy_iteration",
     backend: str = "auto",
     initial_policy: "Optional[Policy]" = None,
-    reuse: bool = True,
 ) -> OptimizationResult:
     """Minimize the average rate of ``C_pow + weight * C_sq``.
 
@@ -140,9 +139,6 @@ def optimize_weighted(
         policy the solver cannot evaluate -- falls back to a cold
         start (``solver.reuse.warm_start_rejected``). Other solvers
         ignore it.
-    reuse:
-        Forwarded to :func:`repro.ctmdp.policy_iteration.policy_iteration`
-        (the within-solve reuse ladder on the sparse tier).
     """
     ins = obs_active()
     if ins.metrics is not None:
@@ -174,8 +170,7 @@ def optimize_weighted(
                         else {}
                     )
                     policy = policy_iteration(
-                        mdp, initial_policy=seed, backend=backend,
-                        reuse=reuse, **kwargs
+                        mdp, initial_policy=seed, backend=backend, **kwargs
                     ).policy
                 except (InvalidPolicyError, KeyError, SolverError):
                     if seed is None:
@@ -194,9 +189,7 @@ def optimize_weighted(
                         ins.metrics.counter(
                             "solver.reuse.warm_start_rejected"
                         ).inc()
-                    policy = policy_iteration(
-                        mdp, backend=backend, reuse=reuse
-                    ).policy
+                    policy = policy_iteration(mdp, backend=backend).policy
             elif solver == "value_iteration":
                 policy = relative_value_iteration(
                     mdp, span_tolerance=1e-9, backend=backend

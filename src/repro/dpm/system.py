@@ -474,10 +474,12 @@ class PowerManagedSystemModel:
         :class:`CTMDP`; ``backend="sparse"`` builds a
         :class:`~repro.ctmdp.sparse.SparseCTMDP` directly from COO
         triples, never allocating per-pair dense rows -- the only way to
-        build SYS models beyond ~10^4 states. ``backend="kron"`` is
-        rejected with a typed error: the SYS transfer states (Section
-        III) couple the mode and queue axes, so the joint generator has
-        no tensor-sum structure to exploit.
+        build SYS models beyond ~10^4 states. ``backend="auto"`` builds
+        the representation :func:`repro.ctmdp.backends.auto_tier` gives
+        the state count, the tier ``auto`` then solves it on.
+        ``backend="kron"`` is rejected with a typed error: the SYS
+        transfer states (Section III) couple the mode and queue axes, so
+        the joint generator has no tensor-sum structure to exploit.
 
         Built models are cached per (weight, backend) pair (a small
         LRU), so repeated calls with the same weight return the *same*
@@ -506,9 +508,10 @@ class PowerManagedSystemModel:
                 "'sparse' or 'auto'"
             )
         if backend == "auto":
-            from repro.ctmdp.backends import DENSE_STATE_LIMIT
+            from repro.ctmdp.backends import auto_tier
 
-            backend = "dense" if self.n_states <= DENSE_STATE_LIMIT else "sparse"
+            tier, _ = auto_tier(self.n_states)
+            backend = "sparse" if tier == "sparse" else "dense"
         key = (float(weight), backend)
         cached = self._ctmdp_cache.get(key)
         if cached is not None:

@@ -681,7 +681,7 @@ def admit_ctmdp(
 def _admit_ctmdp_impl(
     mdp, level: str, backend: str
 ) -> AdmissionReport:
-    from repro.ctmdp.backends import BACKENDS, DENSE_STATE_LIMIT
+    from repro.ctmdp.backends import BACKENDS, auto_tier
     from repro.ctmdp.compiled import compile_ctmdp
     from repro.ctmdp.kron import KroneckerCTMDP
     from repro.ctmdp.sparse import SparseCTMDP, compile_sparse_ctmdp
@@ -720,7 +720,8 @@ def _admit_ctmdp_impl(
         )
 
     use_sparse = isinstance(mdp, SparseCTMDP) or backend == "sparse" or (
-        backend in ("auto", "kron") and mdp.n_states > DENSE_STATE_LIMIT
+        backend in ("auto", "kron")
+        and auto_tier(mdp.n_states)[0] == "sparse"
     )
     try:
         with ins.span("admission.compile"):

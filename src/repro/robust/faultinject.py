@@ -176,7 +176,7 @@ def nan_contaminated(results: "Sequence[Any]") -> bool:
 # Numerical fault injection (the post-PR-6 solver ladder)
 # ---------------------------------------------------------------------------
 
-#: Faults injectable into the sparse/reuse numerical ladder:
+#: Faults injectable into the sparse numerical ladder:
 #:
 #: - ``"direct-fail"`` -- the sparse direct LU solve raises, forcing
 #:   the ILU-GMRES rescue rung (models SuperLU failure on a matrix the
@@ -187,14 +187,15 @@ def nan_contaminated(results: "Sequence[Any]") -> bool:
 #: - ``"krylov-stall"`` -- the GMRES rung's solution is replaced with
 #:   NaN, modeling non-convergence; the ladder must fail with a typed
 #:   :class:`~repro.errors.SolverError`, never return the vector.
-#: - ``"stale-lu-singular"`` -- the reuse cache's refactorization
-#:   raises as if the bordered system were singular; warm-started
-#:   sweeps must fall back to a cold start with identical results.
+#: - ``"singular-lu"`` -- SuperLU reports the system singular; the
+#:   ladder must fail fast with a typed error (no GMRES rescue), and
+#:   warm-started sweeps must fall back to a cold start with identical
+#:   results.
 NUMERICAL_KINDS = (
     "direct-fail",
     "ilu-breakdown",
     "krylov-stall",
-    "stale-lu-singular",
+    "singular-lu",
 )
 
 
@@ -204,10 +205,9 @@ class NumericalFaultPlan:
 
     Unlike :class:`FaultPlan` these fire *in-process* (the numerical
     ladder runs in the solver's own process, not a pool worker): the
-    hook sites in :mod:`repro.ctmdp.sparse` and
-    :mod:`repro.ctmdp.reuse` call :func:`numerical_fault` and a fired
-    fault is consumed -- ``arm(kind, times=2)`` fires on the first two
-    reaches of the site, then the real numerics resume. ``fired``
+    hook sites in :mod:`repro.ctmdp.sparse` call :func:`numerical_fault`
+    and a fired fault is consumed -- ``arm(kind, times=2)`` fires on the
+    first two reaches of the site, then the real numerics resume. ``fired``
     records consumption so tests can assert the fault actually
     exercised the rung it targets.
     """

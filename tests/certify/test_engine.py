@@ -122,6 +122,27 @@ class TestWeightedCertification:
         assert report.certified
         assert report.claimed == {}
 
+    def test_csr_solved_result_certifies(self, model, solved):
+        # The policy is bound to the SparseCTMDP it was solved on; the
+        # certifier rebinds it to its own dense build.
+        result = optimize_weighted(model, 0.5, backend="sparse")
+        report = certify_result(model, result)
+        assert report.certified, report.finding_codes
+        dense = certify_result(model, solved)
+        assert report.policy_checksum == dense.policy_checksum
+
+    def test_invalid_csr_policy_is_a_finding_not_a_crash(self, model):
+        from repro.ctmdp.policy import Policy
+
+        policy = optimize_weighted(model, 0.5, backend="sparse").policy
+        table = policy.as_dict()
+        table[next(iter(table))] = "warp-drive"
+        report = certify_solution(
+            model, Policy._trusted(policy.mdp, table), weight=0.5
+        )
+        assert not report.certified
+        assert report.finding_codes == ["invalid-policy"]
+
 
 class TestConstrainedCertification:
     def test_constrained_solution_certifies(self, model):

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from repro.ctmdp.compiled import PairIndexedCTMDP
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy, evaluate_policy
 from repro.ctmdp.policy_iteration import policy_iteration
+from repro.errors import SolverError
+
+# The package re-exports the function under the submodule's name.
+pi_mod = sys.modules["repro.ctmdp.policy_iteration"]
 
 
 def brute_force_optimal_gain(mdp: CTMDP) -> float:
@@ -103,3 +109,54 @@ class TestPolicyIteration:
         result = policy_iteration(paper_mdp)
         assert result.iterations <= 20
         assert 0.0 < result.gain < 50.0
+
+
+class TestCyclePayloadIsLazy:
+    """The cycle detector renders the policy only when it raises."""
+
+    @pytest.fixture
+    def payload_calls(self, monkeypatch):
+        calls = []
+        original = pi_mod._policy_payload
+
+        def counting(assignment, limit=200):
+            calls.append(len(assignment))
+            return original(assignment, limit)
+
+        monkeypatch.setattr(pi_mod, "_policy_payload", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["compiled", "sparse"])
+    def test_converging_run_never_renders_the_policy(
+        self, paper_model, payload_calls, backend
+    ):
+        result = policy_iteration(
+            paper_model.build_ctmdp(weight=1.0), backend=backend
+        )
+        assert result.iterations > 1  # rounds with policy changes ran
+        assert payload_calls == []
+
+    @pytest.mark.parametrize("backend", ["compiled", "sparse"])
+    def test_cycling_run_carries_the_policy(
+        self, paper_model, payload_calls, monkeypatch, backend
+    ):
+        # The first sweep improves as usual; the second returns to the
+        # initial selection, a revisit of iteration 0.
+        improve = PairIndexedCTMDP.improve
+        sweeps = []
+
+        def cycling(self, pair_values, sel, atol):
+            sweeps.append(1)
+            if len(sweeps) == 1:
+                return improve(self, pair_values, sel, atol)
+            return self.pair_offset[:-1].copy(), True
+
+        monkeypatch.setattr(PairIndexedCTMDP, "improve", cycling)
+        mdp = paper_model.build_ctmdp(weight=1.0)
+        with pytest.raises(SolverError) as err:
+            policy_iteration(mdp, backend=backend)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["reason"] == "policy_cycle"
+        assert diagnostics["first_seen"] == 0
+        assert payload_calls == [mdp.n_states]
+        assert len(diagnostics["policy"]) == mdp.n_states

@@ -1,337 +1,18 @@
-"""Within-solve reuse layer: BorderedSystemCache + sparse-PI wiring.
+"""Seeded sparse policy iteration returns exactly what a cold solve does.
 
-Pins the three mechanisms of :mod:`repro.ctmdp.reuse` -- vectorized
-bordered assembly, in-place CSR row surgery, stale-LU preconditioned
-GMRES -- against the straightforward ``block_array`` lowering they
-replace, and the correctness contract: warm-started sparse policy
-iteration returns bit-identical results to a cold solve.
+Every sparse round, seeded or cold, evaluates its policy with one fresh
+SuperLU factorization, so a seed changes the improvement path and the
+round count but never the converged policy's values (DESIGN §12).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-import repro.ctmdp.reuse as reuse_mod
-import repro.ctmdp.sparse as sparse_mod
+from repro.ctmdp.policy import Policy
 from repro.ctmdp.policy_iteration import policy_iteration
-from repro.ctmdp.reuse import (
-    REUSE_MAX_CHANGED_FRACTION,
-    BorderedSystemCache,
-    _concat_ranges,
-)
-from repro.ctmdp.sparse import (
-    ILU_DROP_TOL,
-    ILU_FILL_FACTOR,
-    KRYLOV_SERIES,
-    compile_sparse_ctmdp,
-    solve_sparse_with_fallback,
-)
 from repro.dpm.presets import paper_system
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import instrument
-from repro.robust.guardrails import RESIDUAL_RTOL
-
-
-def _paper_sparse(capacity=25, weight=1.0):
-    return compile_sparse_ctmdp(
-        paper_system(capacity=capacity).build_ctmdp(
-            weight=weight, backend="sparse"
-        )
-    )
-
-
-def _reference_system(smdp, sel, reference_state=0):
-    """The pre-reuse ``block_array`` lowering of the bordered system."""
-    g_can, c_can, _ = smdp.canonical()
-    n = smdp.n_states
-    gain_col = sp.csr_array(
-        (np.full(n, -1.0), (np.arange(n), np.zeros(n, dtype=int))),
-        shape=(n, 1),
-    )
-    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
-    return sp.block_array(
-        [[g_can[sel], gain_col], [ref_row, None]], format="csr"
-    )
-
-
-def _counters(registry):
-    doc = registry.to_dict()
-    return {
-        name: value.get("value")
-        for name, value in doc.items()
-        if name.startswith("solver.reuse.")
-    }
-
-
-class TestConcatRanges:
-    def test_basic(self):
-        np.testing.assert_array_equal(
-            _concat_ranges(np.array([3, 1, 2])), [0, 1, 2, 0, 0, 1]
-        )
-
-    def test_empty(self):
-        assert _concat_ranges(np.zeros(0, dtype=np.intp)).size == 0
-
-    def test_zero_counts_interleaved(self):
-        np.testing.assert_array_equal(
-            _concat_ranges(np.array([0, 2, 0, 1])), [0, 1, 0]
-        )
-
-
-class TestAssembly:
-    def test_full_assembly_matches_block_array(self):
-        smdp = _paper_sparse()
-        g_can, _, _ = smdp.canonical()
-        cache = BorderedSystemCache(g_can, smdp.n_states, 0)
-        for sel in (
-            smdp.pair_offset[:-1],
-            smdp.pair_offset[1:] - 1,  # last-listed action per state
-        ):
-            a = cache.system_for(np.asarray(sel))
-            ref = _reference_system(smdp, np.asarray(sel))
-            assert (a != ref).nnz == 0
-            # Bit-level check, not just same sparsity pattern:
-            ref_csr = sp.csr_array(ref)
-            np.testing.assert_array_equal(a.indptr, ref_csr.indptr)
-            np.testing.assert_array_equal(a.indices, ref_csr.indices)
-            np.testing.assert_array_equal(a.data, ref_csr.data)
-
-    def test_incremental_update_matches_full_reassembly(self):
-        # A synthetic model where every action has the same row nnz, so
-        # flipping actions exercises the in-place surgery path.
-        n, k = 12, 3
-        rng = np.random.default_rng(7)
-        rows, cols, vals = [], [], []
-        for pair in range(n * k):
-            state = pair // k
-            dests = rng.choice(
-                [j for j in range(n) if j != state], size=3, replace=False
-            )
-            for j in dests:
-                rows.append(pair)
-                cols.append(int(j))
-                vals.append(float(rng.uniform(0.5, 2.0)))
-        smdp = sparse_mod.SparseCTMDP.from_coo(
-            list(range(n)),
-            [tuple(f"a{i}" for i in range(k))] * n,
-            np.asarray(rows, dtype=np.intp),
-            np.asarray(cols, dtype=np.intp),
-            np.asarray(vals),
-            np.zeros(n * k),
-        )
-        g_can, _, _ = smdp.canonical()
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            cache = BorderedSystemCache(g_can, n, 0)
-            sel = smdp.pair_offset[:-1].copy()
-            cache.system_for(sel)
-            sel2 = sel.copy()
-            sel2[[2, 5, 9]] += 1  # flip three states to their next action
-            a = cache.system_for(sel2).copy()
-        ref = sp.csr_array(_reference_system(smdp, sel2))
-        np.testing.assert_array_equal(a.indptr, ref.indptr)
-        np.testing.assert_array_equal(a.indices, ref.indices)
-        np.testing.assert_array_equal(a.data, ref.data)
-        counters = _counters(metrics)
-        assert counters["solver.reuse.incremental_updates"] == 1
-        assert counters["solver.reuse.incremental_update_rows"] == 3
-        assert counters["solver.reuse.full_assemblies"] == 1
-
-    def test_sparsity_change_falls_back_to_reassembly(self):
-        smdp = _paper_sparse(capacity=8)
-        g_can, _, _ = smdp.canonical()
-        counts = np.diff(smdp.generator.indptr)
-        # Find a state whose two actions have different row nnz.
-        target = None
-        for state in range(smdp.n_states):
-            lo, hi = smdp.pair_offset[state], smdp.pair_offset[state + 1]
-            if hi - lo >= 2 and counts[lo] != counts[lo + 1]:
-                target = state
-                break
-        assert target is not None, "SYS actions should differ in nnz"
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            cache = BorderedSystemCache(g_can, smdp.n_states, 0)
-            sel = smdp.pair_offset[:-1].copy()
-            cache.system_for(sel)
-            sel2 = sel.copy()
-            sel2[target] += 1
-            a = cache.system_for(sel2)
-        ref = sp.csr_array(_reference_system(smdp, sel2))
-        np.testing.assert_array_equal(a.indptr, ref.indptr)
-        np.testing.assert_array_equal(a.data, ref.data)
-        counters = _counters(metrics)
-        assert counters["solver.reuse.full_assemblies"] == 2
-        assert counters.get("solver.reuse.incremental_updates") is None
-
-    def test_unchanged_selection_reuses_matrix_object(self):
-        smdp = _paper_sparse(capacity=6)
-        g_can, _, _ = smdp.canonical()
-        cache = BorderedSystemCache(g_can, smdp.n_states, 0)
-        sel = smdp.pair_offset[:-1]
-        a1 = cache.system_for(sel)
-        a2 = cache.system_for(sel.copy())
-        assert a1 is a2
-
-
-class TestReuseLadder:
-    def test_reused_lu_solution_meets_residual_contract(self):
-        smdp = _paper_sparse(capacity=30)
-        g_can, c_can, _ = smdp.canonical()
-        n = smdp.n_states
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            cache = BorderedSystemCache(g_can, n, 0)
-            sel = smdp.pair_offset[:-1].copy()
-            b = np.concatenate([-c_can[sel], [0.0]])
-            a_max = max(1.0, float(np.max(np.abs(g_can.data))))
-            cache.solve(sel, b, a_max)  # factorizes
-            sel2 = sel.copy()
-            sel2[4] += 1  # one changed row: prime stale-LU territory
-            b2 = np.concatenate([-c_can[sel2], [0.0]])
-            x = cache.solve(sel2, b2, a_max)
-        a = sp.csr_array(_reference_system(smdp, sel2))
-        residual = float(np.max(np.abs(a @ x - b2))) / (
-            a_max * max(float(np.max(np.abs(x))), 1e-300)
-        )
-        assert residual <= RESIDUAL_RTOL
-        counters = _counters(metrics)
-        assert counters["solver.reuse.refactorizations"] == 1
-        assert counters["solver.reuse.factorization_reuses"] == 1
-        rows = metrics.to_dict()[KRYLOV_SERIES]["records"]
-        reused = [r for r in rows if r["rung"] == "reused_lu"]
-        assert reused and all(r["residuals"] for r in rows)
-
-    def test_large_policy_change_refactorizes(self):
-        smdp = _paper_sparse(capacity=30)
-        g_can, c_can, _ = smdp.canonical()
-        n = smdp.n_states
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            cache = BorderedSystemCache(g_can, n, 0)
-            sel = smdp.pair_offset[:-1].copy()
-            b = np.concatenate([-c_can[sel], [0.0]])
-            a_max = max(1.0, float(np.max(np.abs(g_can.data))))
-            cache.solve(sel, b, a_max)
-            # Change far more rows than the stale-LU rung tolerates.
-            sel2 = smdp.pair_offset[1:] - 1
-            changed = int(np.count_nonzero(sel2 != sel))
-            assert changed > REUSE_MAX_CHANGED_FRACTION * n
-            b2 = np.concatenate([-c_can[sel2], [0.0]])
-            cache.solve(sel2, b2, a_max)
-        counters = _counters(metrics)
-        assert counters["solver.reuse.refactorizations"] == 2
-        assert counters.get("solver.reuse.factorization_reuses") is None
-
-
-class TestCacheSelfInvalidation:
-    """Satellite: `BorderedSystemCache` self-invalidation under forced
-    misses and repeated solve cycles (only the happy path was tested).
-    """
-
-    def _primed(self, capacity=30):
-        smdp = _paper_sparse(capacity=capacity)
-        g_can, c_can, _ = smdp.canonical()
-        cache = BorderedSystemCache(g_can, smdp.n_states, 0)
-        sel = smdp.pair_offset[:-1].copy()
-        a_max = max(1.0, float(np.max(np.abs(g_can.data))))
-        b = np.concatenate([-c_can[sel], [0.0]])
-        cache.solve(sel, b, a_max)
-        # States with at least two actions -- the only ones whose row
-        # choice can legally be perturbed.
-        flexible = np.flatnonzero(np.diff(smdp.pair_offset) > 1)
-        return smdp, c_can, cache, sel, a_max, flexible
-
-    def test_forced_miss_refactorizes_and_stays_correct(self, monkeypatch):
-        # A stale-LU GMRES that diverges (NaN, as a breakdown leaves it)
-        # must register as a miss, so each solve falls through to a
-        # fresh factorization -- and still meets the residual contract.
-        def diverged_gmres(a, b, **kwargs):
-            return np.full_like(b, np.nan), 1
-
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            smdp, c_can, cache, sel, a_max, flexible = self._primed()
-            monkeypatch.setattr(reuse_mod, "gmres", diverged_gmres)
-            for k in flexible[:3]:
-                sel2 = sel.copy()
-                sel2[k] += 1
-                b2 = np.concatenate([-c_can[sel2], [0.0]])
-                x = cache.solve(sel2, b2, a_max)
-                a = sp.csr_array(_reference_system(smdp, sel2))
-                residual = float(np.max(np.abs(a @ x - b2))) / (
-                    a_max * max(float(np.max(np.abs(x))), 1e-300)
-                )
-                assert residual <= RESIDUAL_RTOL
-        counters = _counters(metrics)
-        assert counters["solver.reuse.reuse_misses"] == 3
-        assert counters["solver.reuse.refactorizations"] == 4  # prime + 3
-        assert counters.get("solver.reuse.factorization_reuses") is None
-
-    def test_failed_acceptance_drops_lu_and_uses_full_ladder(
-        self, monkeypatch
-    ):
-        # An impossible acceptance threshold inside the reuse module
-        # makes both the stale-LU rung and the fresh-LU acceptance fail:
-        # the cache must drop its factorization state (self-invalidate)
-        # and hand the solve to the full sparse ladder, whose own
-        # (unpatched) contract still holds.
-        smdp, c_can, cache, sel, a_max, flexible = self._primed()
-        assert cache._lu is not None
-        monkeypatch.setattr(reuse_mod, "RESIDUAL_RTOL", 0.0)
-        sel2 = sel.copy()
-        sel2[flexible[0]] += 1
-        b2 = np.concatenate([-c_can[sel2], [0.0]])
-        x = cache.solve(sel2, b2, a_max)
-        assert cache._lu is None and cache._lu_sel is None
-        a = sp.csr_array(_reference_system(smdp, sel2))
-        residual = float(np.max(np.abs(a @ x - b2))) / (
-            a_max * max(float(np.max(np.abs(x))), 1e-300)
-        )
-        assert residual <= RESIDUAL_RTOL
-
-    def test_invalidated_cache_recovers_on_next_solve(self, monkeypatch):
-        # After a self-invalidation the next uninhibited solve must
-        # refactorize from scratch and restore normal reuse behavior.
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            smdp, c_can, cache, sel, a_max, flexible = self._primed()
-            monkeypatch.setattr(reuse_mod, "RESIDUAL_RTOL", 0.0)
-            sel2 = sel.copy()
-            sel2[flexible[0]] += 1
-            b2 = np.concatenate([-c_can[sel2], [0.0]])
-            cache.solve(sel2, b2, a_max)
-            assert cache._lu is None
-            monkeypatch.setattr(
-                reuse_mod, "RESIDUAL_RTOL", RESIDUAL_RTOL
-            )
-            b = np.concatenate([-c_can[sel], [0.0]])
-            cache.solve(sel, b, a_max)
-            assert cache._lu is not None  # refactorized
-            sel3 = sel.copy()
-            sel3[flexible[1]] += 1
-            b3 = np.concatenate([-c_can[sel3], [0.0]])
-            cache.solve(sel3, b3, a_max)
-        counters = _counters(metrics)
-        # The last solve reused the recovered factorization.
-        assert counters["solver.reuse.factorization_reuses"] == 1
-
-    def test_repeated_solve_cycles_match_reference(self):
-        # Ten alternating-selection solves through one cache, each
-        # checked against the block_array reference lowering.
-        smdp, c_can, cache, sel, a_max, flexible = self._primed(capacity=20)
-        for k in range(10):
-            sel2 = sel.copy()
-            sel2[flexible[k % len(flexible)]] += 1 if k % 2 == 0 else 0
-            b2 = np.concatenate([-c_can[sel2], [0.0]])
-            x = cache.solve(sel2, b2, a_max)
-            a = sp.csr_array(_reference_system(smdp, sel2))
-            residual = float(np.max(np.abs(a @ x - b2))) / (
-                a_max * max(float(np.max(np.abs(x))), 1e-300)
-            )
-            assert residual <= RESIDUAL_RTOL
 
 
 class TestWarmColdEquivalence:
@@ -340,24 +21,17 @@ class TestWarmColdEquivalence:
         mdp = paper_system(capacity=capacity).build_ctmdp(
             weight=weight, backend="sparse"
         )
-        cold = policy_iteration(mdp, reuse=False)
-        warm = policy_iteration(mdp, reuse=True)
+        # Last-listed action everywhere: a different path than cold.
+        seed = Policy._trusted(
+            mdp, {s: acts[-1] for s, acts in zip(mdp.states, mdp.actions)}
+        )
+        cold = policy_iteration(mdp)
+        warm = policy_iteration(mdp, initial_policy=seed)
+        assert seed.as_dict() != cold.policy.as_dict()
         assert warm.policy.as_dict() == cold.policy.as_dict()
         assert warm.gain == cold.gain
         np.testing.assert_array_equal(warm.bias, cold.bias)
         np.testing.assert_array_equal(warm.stationary, cold.stationary)
-        assert warm.iterations == cold.iterations
-
-    def test_final_reevaluation_counted(self):
-        mdp = paper_system(capacity=40).build_ctmdp(
-            weight=1.0, backend="sparse"
-        )
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            result = policy_iteration(mdp, reuse=True)
-        assert result.iterations > 1
-        counters = _counters(metrics)
-        assert counters["solver.reuse.final_reevaluations"] == 1
 
     def test_seeded_start_converges_to_same_fixed_point(self):
         mdp = paper_system(capacity=40).build_ctmdp(
@@ -370,66 +44,3 @@ class TestWarmColdEquivalence:
         np.testing.assert_array_equal(seeded.bias, cold.bias)
         # Starting at the fixed point converges in one no-change round.
         assert seeded.iterations == 1
-
-
-class TestIluKnobs:
-    def test_constants_are_the_documented_values(self):
-        assert ILU_DROP_TOL == 1e-6
-        assert ILU_FILL_FACTOR == 10.0
-
-    def test_knobs_recorded_in_gmres_series_row(self, monkeypatch):
-        def broken(a_csc, b):
-            raise RuntimeError("forced direct failure")
-
-        monkeypatch.setattr(sparse_mod, "_direct_solve", broken)
-        smdp = _paper_sparse(capacity=10)
-        a = _reference_system(smdp, smdp.pair_offset[:-1])
-        _, c_can, _ = smdp.canonical()
-        b = np.concatenate([-c_can[smdp.pair_offset[:-1]], [0.0]])
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            solve_sparse_with_fallback(a, b)
-        rows = metrics.to_dict()[KRYLOV_SERIES]["records"]
-        (gmres_row,) = [r for r in rows if r["rung"] == "gmres"]
-        assert gmres_row["preconditioner"] == "ilu"
-        assert gmres_row["ilu_drop_tol"] == ILU_DROP_TOL
-        assert gmres_row["ilu_fill_factor"] == ILU_FILL_FACTOR
-        assert gmres_row["warm_started"] is False
-
-    def test_knobs_in_solver_error_diagnostics(self, monkeypatch):
-        def broken(a_csc, b):
-            raise RuntimeError("forced direct failure")
-
-        monkeypatch.setattr(sparse_mod, "_direct_solve", broken)
-        from repro.errors import SolverError
-
-        # A singular system defeats both rungs.
-        a = sp.csc_array(np.zeros((3, 3)))
-        with pytest.raises(SolverError) as err:
-            solve_sparse_with_fallback(a, np.ones(3))
-        assert err.value.diagnostics["preconditioner"] in ("ilu", "jacobi")
-
-    def test_warm_x0_accepted_and_counted(self, monkeypatch):
-        def broken(a_csc, b):
-            raise RuntimeError("forced direct failure")
-
-        monkeypatch.setattr(sparse_mod, "_direct_solve", broken)
-        smdp = _paper_sparse(capacity=10)
-        a = _reference_system(smdp, smdp.pair_offset[:-1])
-        _, c_can, _ = smdp.canonical()
-        b = np.concatenate([-c_can[smdp.pair_offset[:-1]], [0.0]])
-        x_cold = solve_sparse_with_fallback(a, b)
-        metrics = MetricsRegistry()
-        with instrument(metrics=metrics):
-            x_warm = solve_sparse_with_fallback(a, b, x0=x_cold)
-        counters = _counters(metrics)
-        assert counters["solver.reuse.gmres_warm_starts"] == 1
-        rows = metrics.to_dict()[KRYLOV_SERIES]["records"]
-        (gmres_row,) = [r for r in rows if r["rung"] == "gmres"]
-        assert gmres_row["warm_started"] is True
-        assert gmres_row["residuals"]  # non-empty even at instant convergence
-        a_max = float(np.max(np.abs(sp.csc_array(a).data)))
-        residual = float(np.max(np.abs(a @ x_warm - b))) / (
-            a_max * max(float(np.max(np.abs(x_warm))), 1e-300)
-        )
-        assert residual <= RESIDUAL_RTOL

@@ -11,17 +11,24 @@ from repro.ctmdp.compiled import compile_ctmdp
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy, evaluate_policy
 from repro.ctmdp.sparse import (
+    ILU_DROP_TOL,
+    ILU_FILL_FACTOR,
+    KRYLOV_SERIES,
     SparseCTMDP,
+    bordered_system,
     compile_sparse_ctmdp,
     solve_sparse_with_fallback,
     sparse_stationary_distribution,
 )
+from repro.dpm.presets import paper_system
 from repro.errors import (
     InvalidModelError,
     NotIrreducibleError,
     SolverError,
 )
 from repro.markov.generator import stationary_distribution
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import instrument
 
 
 @pytest.fixture
@@ -34,6 +41,22 @@ def power_mdp() -> CTMDP:
     mdp.add_action("down", "wake", rates=[5.0, 0.0], cost_rate=1.0,
                    impulse_costs=[3.0, 0.0])
     return mdp
+
+
+def _paper_sparse(capacity: int) -> SparseCTMDP:
+    return paper_system(capacity=capacity).build_ctmdp(
+        weight=1.0, backend="sparse"
+    )
+
+
+def _policy_system(smdp: SparseCTMDP, sel: np.ndarray):
+    """Bordered evaluation system and right-hand side of rows *sel*."""
+    g_can, c_can, _ = smdp.canonical()
+    return bordered_system(g_can[sel], 0), np.concatenate([-c_can[sel], [0.0]])
+
+
+def _forced_direct_failure(a_csc, b):
+    raise RuntimeError("forced direct failure")
 
 
 class TestSparseLowering:
@@ -178,3 +201,69 @@ class TestSparseEvaluation:
         })
         with pytest.raises(SolverError):
             evaluate_policy(randomized, backend="sparse")
+
+
+class TestFailFastSingular:
+    """A singular LU is a typed failure, never a Krylov rescue."""
+
+    def _singular_selection(self, smdp):
+        # State 4 has a single action, so its row index + 1 is state 5's
+        # first row: two identical rows make the system singular.
+        sel = smdp.pair_offset[:-1].copy()
+        assert smdp.pair_offset[5] - smdp.pair_offset[4] == 1
+        sel[4] += 1
+        return sel
+
+    def test_singular_selection_raises_typed(self):
+        smdp = _paper_sparse(capacity=30)
+        a, b = _policy_system(smdp, self._singular_selection(smdp))
+        metrics = MetricsRegistry()
+        with instrument(metrics=metrics):
+            with pytest.raises(SolverError) as err:
+                solve_sparse_with_fallback(
+                    a, b, context={"reference_state": 0}
+                )
+        diagnostics = err.value.diagnostics
+        assert diagnostics["reason"] == "singular_system"
+        assert diagnostics["backend"] == "sparse"
+        assert diagnostics["reference_state"] == 0
+        assert KRYLOV_SERIES not in metrics.to_dict()  # GMRES never ran
+
+    def test_disabled_direct_rung_still_reaches_gmres(self, monkeypatch):
+        # Only SuperLU's own singular signal fails fast; any other
+        # direct-rung failure keeps the Krylov rescue.
+        monkeypatch.setattr(sparse_mod, "_direct_solve", _forced_direct_failure)
+        smdp = _paper_sparse(capacity=10)
+        a, b = _policy_system(smdp, smdp.pair_offset[:-1])
+        metrics = MetricsRegistry()
+        with instrument(metrics=metrics):
+            solve_sparse_with_fallback(a, b)
+        rows = metrics.to_dict()[KRYLOV_SERIES]["records"]
+        assert [r["rung"] for r in rows] == ["gmres"]
+
+
+class TestIluKnobs:
+    def test_constants_are_the_documented_values(self):
+        assert ILU_DROP_TOL == 1e-6
+        assert ILU_FILL_FACTOR == 10.0
+
+    def test_knobs_recorded_in_gmres_series_row(self, monkeypatch):
+        monkeypatch.setattr(sparse_mod, "_direct_solve", _forced_direct_failure)
+        smdp = _paper_sparse(capacity=10)
+        a, b = _policy_system(smdp, smdp.pair_offset[:-1])
+        metrics = MetricsRegistry()
+        with instrument(metrics=metrics):
+            solve_sparse_with_fallback(a, b)
+        rows = metrics.to_dict()[KRYLOV_SERIES]["records"]
+        (gmres_row,) = [r for r in rows if r["rung"] == "gmres"]
+        assert gmres_row["preconditioner"] == "ilu"
+        assert gmres_row["ilu_drop_tol"] == ILU_DROP_TOL
+        assert gmres_row["ilu_fill_factor"] == ILU_FILL_FACTOR
+
+    def test_knobs_in_solver_error_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(sparse_mod, "_direct_solve", _forced_direct_failure)
+        # A singular system defeats both rungs.
+        a = sp.csc_array(np.zeros((3, 3)))
+        with pytest.raises(SolverError) as err:
+            solve_sparse_with_fallback(a, np.ones(3))
+        assert err.value.diagnostics["preconditioner"] in ("ilu", "jacobi")

@@ -180,7 +180,9 @@ class TestCycleDetection:
         detector.check("policy-a", 0, [1.0], None)
         detector.check("policy-b", 1, [1.0, 0.9], None)
         with pytest.raises(SolverError) as excinfo:
-            detector.check("policy-a", 2, [1.0, 0.9, 1.0], [["s", "a"]])
+            detector.check(
+                "policy-a", 2, [1.0, 0.9, 1.0], lambda: [["s", "a"]]
+            )
         diag = excinfo.value.diagnostics
         assert diag["reason"] == "policy_cycle"
         assert diag["first_seen"] == 0

@@ -1,15 +1,14 @@
-"""Numerical fault injection into the sparse/reuse solver ladder.
+"""Numerical fault injection into the sparse solver ladder.
 
-Satellite of the serving-runtime PR: the PR 4 harness covered the
-parallel layer's crash/hang/NaN faults, but the post-PR-6 numerical
-ladder (direct LU -> ILU-GMRES -> typed failure, plus the PR 8 reuse
-cache's stale-LU rung) predates it. These tests arm
-:class:`repro.robust.faultinject.NumericalFaultPlan` faults at each
+The parallel layer's harness covers crash/hang/NaN faults; the
+numerical ladder (direct LU -> ILU-GMRES -> typed failure, plus policy
+iteration's fail-fast on a singular LU) is covered here. These tests
+arm :class:`repro.robust.faultinject.NumericalFaultPlan` faults at each
 rung's injection point and assert the rescue/fallback behavior the
 ladder documents: correct results out of the surviving rungs, typed
 :class:`~repro.errors.SolverError` when the ladder is exhausted, and
 bit-identical sweep results when a warm-started solve hits an injected
-singular reuse system and falls back cold.
+singular LU and falls back cold.
 """
 
 from __future__ import annotations
@@ -124,30 +123,28 @@ class TestSparseLadderFaults:
 
 
 class TestReuseCacheFaults:
-    """The PR 8 reuse cache under an injected singular stale-LU."""
+    """Sparse policy iteration under an injected singular LU."""
 
     def test_cold_solve_surfaces_typed_error(self):
         model = paper_system(capacity=4)
-        plan = NumericalFaultPlan().arm("stale-lu-singular")
+        plan = NumericalFaultPlan().arm("singular-lu")
         with inject_numerical(plan):
             with pytest.raises(SolverError) as excinfo:
                 optimize_weighted(model, 0.5, backend="sparse")
-        assert plan.fired == {"stale-lu-singular": 1}
-        assert (
-            excinfo.value.diagnostics["reason"] == "singular_reuse_system"
-        )
+        assert plan.fired == {"singular-lu": 1}
+        assert excinfo.value.diagnostics["reason"] == "singular_system"
 
     def test_warm_start_falls_back_cold_bit_identical(self):
         model = paper_system(capacity=4)
         clean = optimize_weighted(model, 0.5, backend="sparse")
         seed = optimize_weighted(model, 0.4, backend="sparse").policy
-        plan = NumericalFaultPlan().arm("stale-lu-singular")
+        plan = NumericalFaultPlan().arm("singular-lu")
         registry = MetricsRegistry()
         with inject_numerical(plan), instrument(metrics=registry):
             warm = optimize_weighted(
                 model, 0.5, backend="sparse", initial_policy=seed
             )
-        assert plan.fired == {"stale-lu-singular": 1}
+        assert plan.fired == {"singular-lu": 1}
         # The advisory-seed contract held: the injected singular system
         # rejected the seed, the cold fallback ran, and the result is
         # bit-identical to an uninjected solve.

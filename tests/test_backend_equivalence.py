@@ -257,21 +257,26 @@ class TestBackendResolution:
 
 
 class TestReuseEquivalence:
-    """The reuse ladder never changes results: reuse=True == reuse=False.
+    """A seeded sparse solve returns exactly what a cold solve returns.
 
-    Bit-identity holds because every converged policy is re-evaluated
-    through the standard sparse ladder before returning (DESIGN §12),
-    regardless of which reuse rungs served the intermediate rounds.
+    Every round, seeded or cold, evaluates its policy with one fresh
+    factorization through the same ladder, so two solves that reach the
+    same policy return values from the same computation (DESIGN §12).
+    The seed -- the last-listed action in every state -- sends policy
+    iteration down a different improvement path than the cold start.
     """
 
     def _assert_identical(self, mdp):
-        cold = policy_iteration(mdp, backend="sparse", reuse=False)
-        warm = policy_iteration(mdp, backend="sparse", reuse=True)
+        from repro.ctmdp.policy import Policy
+
+        seed = Policy(mdp, {s: mdp.actions(s)[-1] for s in mdp.states})
+        cold = policy_iteration(mdp, backend="sparse")
+        warm = policy_iteration(mdp, backend="sparse", initial_policy=seed)
+        assert seed.as_dict() != cold.policy.as_dict()
         assert warm.policy.as_dict() == cold.policy.as_dict()
         assert warm.gain == cold.gain
         np.testing.assert_array_equal(warm.bias, cold.bias)
         np.testing.assert_array_equal(warm.stationary, cold.stationary)
-        assert warm.iterations == cold.iterations
 
     def test_reuse_bit_identical_on_paper_sys(self):
         self._assert_identical(paper_mdp())
@@ -281,9 +286,8 @@ class TestReuseEquivalence:
         self._assert_identical(fuzz_mdp(kind, seed))
 
     def test_reuse_bit_identical_under_forced_gmres(self, monkeypatch):
-        # With the direct rung disabled, both the reuse cache's
-        # refactorization and the fallback ladder run GMRES -- results
-        # must still match a reuse-free solve bit-for-bit.
+        # With the direct rung disabled every round runs ILU-GMRES; the
+        # seeded and cold solves must still agree bit-for-bit.
         def broken(a_csc, b):
             raise RuntimeError("forced direct failure")
 
