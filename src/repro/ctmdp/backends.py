@@ -30,6 +30,8 @@ silently landing on a weaker tier is visible at ``--log-level info``.
 
 from __future__ import annotations
 
+import time
+
 from repro.errors import SolverError
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
@@ -146,3 +148,28 @@ def resolve_backend(mdp, backend: str, who: str = "solver") -> str:
         resolved, reason = backend, "explicit request"
     _record_decision(backend, resolved, n_states, reason, who)
     return resolved
+
+
+def lower(mdp, tier: str):
+    """The model *tier*'s solver loops run on: the cached dense or CSR
+    lowering of *mdp* (``"compiled"``/``"sparse"``), or a Kronecker
+    model itself (``"kron"``). With metrics active, the time it takes
+    goes to the ``profile.solver.lowering_s`` histogram."""
+    ins = obs_active()
+    if ins.enabled:
+        started = time.perf_counter()
+    if tier == "compiled":
+        from repro.ctmdp.compiled import compile_ctmdp
+
+        model = compile_ctmdp(mdp)
+    elif tier == "sparse":
+        from repro.ctmdp.sparse import compile_sparse_ctmdp
+
+        model = compile_sparse_ctmdp(mdp)
+    else:
+        model = mdp
+    if ins.enabled and ins.metrics is not None:
+        ins.metrics.histogram("profile.solver.lowering_s", profiling=True).observe(
+            time.perf_counter() - started
+        )
+    return model

@@ -27,6 +27,13 @@ All solver sweeps here reproduce the reference semantics exactly,
 including the ``atol`` incumbent rule of policy improvement: an action
 displaces the running best only when it beats it by more than ``atol``,
 scanning actions in insertion order with the incumbent skipped.
+
+The lowered forms are what the array-tier solver loops run on (see
+:mod:`repro.ctmdp.policy_iteration`): :class:`PairIndexedCTMDP` holds
+the selection, sweep and policy methods both pair-indexed tiers share,
+and :class:`CompiledCTMDP` adds the dense linear algebra -- policy
+evaluation, discounted evaluation, the uniformized transition matrix
+and the stationary solve.
 """
 
 from __future__ import annotations
@@ -36,8 +43,10 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.ctmdp.model import CTMDP
-from repro.errors import InvalidPolicyError
-from repro.markov.generator import canonical_shift
+from repro.ctmdp.policy import Policy
+from repro.errors import InvalidPolicyError, SolverError
+from repro.markov.generator import canonical_shift, stationary_distribution
+from repro.robust.guardrails import solve_with_fallback
 
 
 class PairIndexedCTMDP:
@@ -180,6 +189,41 @@ class PairIndexedCTMDP:
                 best_col = np.where(better, a, best_col)
         return best_val, best_col
 
+    # -- solver protocol -----------------------------------------------------
+
+    def selection(self, policy=None) -> np.ndarray:
+        """Pair rows of *policy*; the first-listed action per state when
+        *policy* is ``None``."""
+        if policy is None:
+            return self.pair_offset[:-1].copy()
+        return self.policy_rows(policy.as_dict())
+
+    def q_values(self, v: np.ndarray, canonical: bool = True) -> np.ndarray:
+        """Per-pair test quantities ``c + G v`` of an improvement sweep,
+        from the canonical arrays (policy iteration's bias) or, with
+        ``canonical=False``, in model units (discounted values)."""
+        g, c = self.canonical()[:2] if canonical else (self.generator, self.cost)
+        q = g @ v
+        q += c
+        return q
+
+    def uniformized_backup(self, lam: float):
+        """The Bellman backup ``w -> min_a [c/lam + P w]`` of the chain
+        uniformized at *lam* (``P = I + G/lam``), as a function returning
+        ``(new values, greedy pair rows)``; :meth:`greedy` breaks ties."""
+        transition = self.uniformized_transition(lam)
+        step_cost = self.cost / lam
+
+        def backup(w: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            best_val, best_col = self.greedy(step_cost + transition @ w)
+            return best_val, self.pad_index[self._state_range, best_col]
+
+        return backup
+
+    def policy(self, mdp, sel: np.ndarray) -> Policy:
+        """The policy of pair rows *sel*, bound to the source model *mdp*."""
+        return Policy._trusted(mdp, self.assignment_from_rows(sel))
+
     @property
     def canonical_shift(self) -> int:
         """Binary exponent normalizing :meth:`max_exit_rate` into [1, 2)."""
@@ -245,6 +289,7 @@ class CompiledCTMDP(PairIndexedCTMDP):
             self.extra[name] = channel
         self.rate_scale = float(getattr(mdp, "rate_scale", 1.0))
         self._canonical = None
+        self._row_inf = None
         self._sparse = None
         for array in (self.generator, self.cost, self.pair_state,
                       self.pair_col, self.pair_offset):
@@ -262,6 +307,64 @@ class CompiledCTMDP(PairIndexedCTMDP):
         callers may assemble linear systems in place.
         """
         return self.generator[sel], self.cost[sel]
+
+    def evaluate(
+        self, sel: np.ndarray, reference_state: int, x0=None
+    ) -> "tuple[float, np.ndarray]":
+        """Gain and bias of the policy selecting rows *sel*.
+
+        Solves ``c + G h = g 1``, ``h[ref] = 0`` as one bordered dense
+        system through the guardrail ladder, assembled from the
+        canonical (exponent-normalized) arrays so that extreme rate
+        magnitudes never reach the factorization and power-of-two
+        rescalings of the model solve bit-identically; the gain is
+        mapped back by the exact inverse shift, the bias is
+        scale-invariant. *x0* is ignored (a direct solve).
+        """
+        n = self.n_states
+        if not 0 <= reference_state < n:
+            raise InvalidPolicyError(
+                f"reference state {reference_state} out of range"
+            )
+        g_can, c_can, shift = self.canonical()
+        if self._row_inf is None:
+            # Per-pair row maxima, computed once: ``max |a_ij|`` of any
+            # selection's bordered system is the selected rows' maximum
+            # or the unit border entries, so the guardrail acceptance
+            # scale costs O(n) per solve instead of two O(n^2) scans.
+            self._row_inf = np.max(np.abs(g_can), axis=1, initial=0.0)
+        a = np.zeros((n + 1, n + 1))
+        a[:n, :n] = g_can[sel]
+        a[:n, n] = -1.0
+        a[n, reference_state] = 1.0
+        solution = solve_with_fallback(
+            a, np.concatenate([-c_can[sel], [0.0]]),
+            what="policy evaluation system",
+            context={"reference_state": reference_state},
+            a_max=max(1.0, float(np.max(self._row_inf[sel]))),
+        )
+        return float(np.ldexp(solution[n], shift)), solution[:n]
+
+    def evaluate_discounted(
+        self, sel: np.ndarray, discount: float, x0=None
+    ) -> np.ndarray:
+        """Values ``v`` solving ``(a I - G) v = c`` for rows *sel*
+        (dense LU; *x0* is ignored)."""
+        a = discount * np.eye(self.n_states) - self.generator[sel]
+        try:
+            return np.linalg.solve(a, self.cost[sel])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - a>0 keeps this regular
+            raise SolverError("discounted evaluation system is singular") from exc
+
+    def stationary(self, sel: np.ndarray) -> np.ndarray:
+        """Stationary distribution of the policy selecting rows *sel*."""
+        return stationary_distribution(self.generator[sel], validate=False)
+
+    def uniformized_transition(self, lam: float) -> np.ndarray:
+        """Dense ``(pairs, states)`` rows of ``P = I + G/lam``."""
+        transition = self.generator / lam
+        transition[np.arange(self.n_pairs), self.pair_state] += 1.0
+        return transition
 
     def max_exit_rate(self) -> float:
         """Largest total exit rate; equals ``CTMDP.max_exit_rate()``."""

@@ -11,6 +11,11 @@ Theorem 2.2 guarantees a stationary a-optimal policy exists; Theorem 2.3
 says that as ``a -> 0`` the discounted-optimal policies converge to an
 average-optimal policy -- the discount-sweep ablation bench demonstrates
 exactly this on the paper's DPM model.
+
+One loop serves the dense, CSR and Kronecker tiers on the lowering
+methods policy iteration uses (see :mod:`repro.ctmdp.policy_iteration`)
+plus ``evaluate_discounted``; the per-state dict loop of the
+``reference`` backend stays as the independent implementation.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ctmdp.backends import BACKENDS, resolve_backend
-from repro.ctmdp.compiled import compile_ctmdp
+from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
 
@@ -61,94 +65,34 @@ def _evaluate_discounted(policy: Policy, discount: float) -> np.ndarray:
         raise SolverError("discounted evaluation system is singular") from exc
 
 
-def _evaluate_discounted_rows(comp, sel, discount: float) -> np.ndarray:
-    """Compiled twin of :func:`_evaluate_discounted` (bit-identical)."""
-    g_mat, c = comp.evaluation_system(sel)
-    a = discount * np.eye(comp.n_states) - g_mat
-    try:
-        return np.linalg.solve(a, c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - a>0 keeps this regular
-        raise SolverError("discounted evaluation system is singular") from exc
-
-
-def _discounted_policy_iteration_compiled(
-    mdp: CTMDP,
-    discount: float,
-    initial_policy: Optional[Policy],
-    max_iterations: int,
-    atol: float,
-) -> DiscountedResult:
-    """Vectorized discounted policy iteration over the compiled arrays."""
-    comp = compile_ctmdp(mdp)
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    values = _evaluate_discounted_rows(comp, sel, discount)
-    for iteration in range(1, max_iterations + 1):
-        test_values = comp.cost + comp.generator @ values
-        sel, changed = comp.improve(test_values, sel, atol)
-        if changed:
-            values = _evaluate_discounted_rows(comp, sel, discount)
-        # Unchanged policy: the same system re-solves to the same values.
-        if not changed:
-            return DiscountedResult(
-                policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
-                values=values,
-                discount=discount,
-                iterations=iteration,
-            )
-    raise SolverError(
-        f"discounted policy iteration did not converge in {max_iterations} iterations"
-    )
-
-
-def _evaluate_discounted_sparse(comp, sel, discount: float) -> np.ndarray:
-    """Sparse twin of :func:`_evaluate_discounted_rows`: solve
-    ``(a I - G[sel]) v = c[sel]`` through the sparse ladder."""
-    import scipy.sparse as sp
-
-    from repro.ctmdp.sparse import solve_sparse_with_fallback
-
-    g_rows, c = comp.evaluation_rows(sel)
-    n = comp.n_states
-    a = sp.eye_array(n, format="csr") * discount - g_rows
-    return solve_sparse_with_fallback(
-        a, c, what="discounted evaluation system",
-        context={"discount": discount},
-    )
-
-
-def _discounted_policy_iteration_sparse(
+def _discounted_policy_iteration(
     mdp,
+    tier: str,
     discount: float,
     initial_policy: Optional[Policy],
     max_iterations: int,
     atol: float,
 ) -> DiscountedResult:
-    """Discounted policy iteration over the CSR lowering."""
-    from repro.ctmdp.sparse import compile_sparse_ctmdp
-
-    comp = compile_sparse_ctmdp(mdp)
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    values = _evaluate_discounted_sparse(comp, sel, discount)
+    """Discounted policy iteration on *tier*'s lowering of *mdp*; the
+    sweep runs in model units, and each evaluation is warm-started from
+    the previous values (``x0``), which only the Krylov tier uses."""
+    mdp.validate()
+    model = lower(mdp, tier)
+    sel = model.selection(initial_policy)
+    values = model.evaluate_discounted(sel, discount)
     for iteration in range(1, max_iterations + 1):
-        test_values = comp.generator @ values
-        test_values += comp.cost
-        sel, changed = comp.improve(test_values, sel, atol)
-        if changed:
-            values = _evaluate_discounted_sparse(comp, sel, discount)
+        sel, changed = model.improve(
+            model.q_values(values, canonical=False), sel, atol
+        )
         # Unchanged policy: the same system re-solves to the same values.
         if not changed:
             return DiscountedResult(
-                policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
+                policy=model.policy(mdp, sel),
                 values=values,
                 discount=discount,
                 iterations=iteration,
             )
+        values = model.evaluate_discounted(sel, discount, x0=values)
     raise SolverError(
         f"discounted policy iteration did not converge in {max_iterations} iterations"
     )
@@ -187,21 +131,11 @@ def discounted_policy_iteration(
     if discount <= 0:
         raise ValueError(f"discount factor must be positive, got {discount}")
     backend = resolve_backend(mdp, backend)
+    if backend != "reference":
+        return _discounted_policy_iteration(
+            mdp, backend, discount, initial_policy, max_iterations, atol
+        )
     mdp.validate()
-    if backend == "kron":
-        from repro.ctmdp.kron import discounted_policy_iteration_kron
-
-        return discounted_policy_iteration_kron(
-            mdp, discount, initial_policy, max_iterations, atol
-        )
-    if backend == "sparse":
-        return _discounted_policy_iteration_sparse(
-            mdp, discount, initial_policy, max_iterations, atol
-        )
-    if backend == "compiled":
-        return _discounted_policy_iteration_compiled(
-            mdp, discount, initial_policy, max_iterations, atol
-        )
     if initial_policy is None:
         policy = Policy(mdp, {s: mdp.actions(s)[0] for s in mdp.states})
     else:

@@ -20,6 +20,12 @@ solver needs is expressed through ``G_a @ x`` matvecs:
 - **stationary distributions** -- GMRES on the transposed balance
   equations via ``rmatvec``, with the usual normalization row.
 
+The solver loops themselves are the shared ones of
+:mod:`repro.ctmdp.policy_iteration`, :mod:`repro.ctmdp.value_iteration`
+and :mod:`repro.ctmdp.discounted`; :class:`KroneckerCTMDP` supplies
+their linear algebra through the same methods as the dense and CSR
+lowerings.
+
 Tolerance contract: GMRES runs to :data:`repro.ctmdp.sparse.KRYLOV_RTOL`
 (1e-10) and any accepted solution passes the guardrail-style relative
 residual test; small models are cross-checked against the dense core by
@@ -45,6 +51,7 @@ from repro.errors import (
     SolverError,
 )
 from repro.ctmdp.sparse import GMRES_MAXITER, GMRES_RESTART, KRYLOV_RTOL
+from repro.ctmdp.uniformization import APERIODICITY_SLACK
 from repro.markov.generator import canonical_shift
 from repro.markov.kron import KroneckerGenerator
 from repro.obs.runtime import active as obs_active
@@ -294,14 +301,12 @@ class KroneckerCTMDP:
     def canonical_shift(self) -> int:
         return canonical_shift(self.max_exit_rate())
 
-    def default_action_index(self) -> np.ndarray:
-        """First available action per state (global order) -- the
-        matrix-free analogue of the first-listed initial policy."""
-        return np.argmax(self.available, axis=0).astype(np.intp)
-
-    def policy_array(self, policy) -> np.ndarray:
+    def selection(self, policy=None) -> np.ndarray:
         """Flat action-index array of *policy* (``ArrayPolicy`` or any
-        object with ``as_dict``)."""
+        object with ``as_dict``); the first available action per state
+        (global order) when *policy* is ``None``."""
+        if policy is None:
+            return np.argmax(self.available, axis=0).astype(np.intp)
         if isinstance(policy, ArrayPolicy):
             return policy.action_index
         action_pos = {a: k for k, a in enumerate(self.action_set)}
@@ -323,6 +328,248 @@ class KroneckerCTMDP:
                 f"{self.state_label(bad)!r}"
             )
         return sel
+
+    def policy(self, mdp, sel: np.ndarray) -> ArrayPolicy:
+        """The policy of action indices *sel* (*mdp* is this model)."""
+        return ArrayPolicy(self, sel)
+
+    def assignment_from_rows(self, sel: np.ndarray) -> "Dict[tuple, Hashable]":
+        """The ``state -> action`` mapping of action indices *sel*,
+        labelled by :meth:`state_label`, so it works past
+        :data:`LABEL_LIMIT`."""
+        return {
+            self.state_label(i): self.action_set[a]
+            for i, a in enumerate(sel.tolist())
+        }
+
+    def q_values(self, v: np.ndarray, canonical: bool = True) -> np.ndarray:
+        """``(n_actions, n)`` test quantities ``c_a + G_a v`` of an
+        improvement sweep, one matvec per action and +inf where an
+        action is unavailable; canonical units by default (policy
+        iteration's bias), model units with ``canonical=False``."""
+        shift = self.canonical_shift
+        test = np.full((self.n_actions, self.n_states), np.inf)
+        for a in range(self.n_actions):
+            mask = self.available[a]
+            if not mask.any():
+                continue
+            _count_matvecs()
+            values = self.costs[a] + self.generators[a].matvec(v)
+            if canonical:
+                values = np.ldexp(values, -shift)
+            test[a, mask] = values[mask]
+        return test
+
+    def improve(
+        self, test: np.ndarray, sel: np.ndarray, atol: float
+    ) -> "tuple[np.ndarray, bool]":
+        """One incumbent-rule improvement sweep over :meth:`q_values`.
+
+        Same semantics as ``PairIndexedCTMDP.improve``: scanning actions
+        in global order, a candidate displaces the running best only
+        when smaller by more than ``atol``.
+        """
+        best_val = test[sel, np.arange(self.n_states)]
+        best = sel.copy()
+        for a in range(self.n_actions):
+            column = test[a]
+            better = (column < best_val - atol) & (sel != a)
+            if np.any(better):
+                best_val = np.where(better, column, best_val)
+                best = np.where(better, a, best)
+        return best, bool(np.any(best != sel))
+
+    def uniformized_backup(self, lam: float):
+        """The Bellman backup ``w -> min_a [c_a/lam + w + (G_a w)/lam]``
+        at uniformization rate *lam*, as a function returning ``(new
+        values, greedy action indices)``: one matvec per action, +inf
+        where unavailable, strict first-wins argmin in global order."""
+        ins = obs_active()
+        if ins.metrics is not None:
+            ins.metrics.gauge(UNIFORMIZATION_GAUGE).set(lam)
+        n = self.n_states
+
+        def backup(w: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+            best_val = np.full(n, np.inf)
+            best_act = np.zeros(n, dtype=np.intp)
+            for a in range(self.n_actions):
+                mask = self.available[a]
+                if not mask.any():
+                    continue
+                _count_matvecs()
+                values = (
+                    self.costs[a] / lam
+                    + w
+                    + self.generators[a].matvec(w) / lam
+                )
+                values = np.where(mask, values, np.inf)
+                better = values < best_val
+                if np.any(better):
+                    best_val = np.where(better, values, best_val)
+                    best_act = np.where(better, a, best_act)
+            return best_val, best_act
+
+        return backup
+
+    def evaluate(
+        self,
+        sel: np.ndarray,
+        reference_state: int,
+        x0: "Optional[np.ndarray]" = None,
+    ) -> "tuple[float, np.ndarray]":
+        """Gain and bias of the policy *sel*, fully matrix-free.
+
+        Solves the uniformized elimination system (module doc) in
+        canonical units with GMRES, warm-started from *x0*; the accepted
+        solution is residual-checked against the original evaluation
+        equations ``c + G h = g 1`` under the guardrail tolerance.
+        """
+        n = self.n_states
+        if not 0 <= reference_state < n:
+            raise InvalidPolicyError(
+                f"reference state {reference_state} out of range"
+            )
+        shift = self.canonical_shift
+        max_rate_can = float(np.ldexp(self.max_exit_rate(), -shift))
+        lam = APERIODICITY_SLACK * max_rate_can if max_rate_can > 0 else 1.0
+        ins = obs_active()
+        if ins.enabled and ins.metrics is not None:
+            ins.metrics.gauge(UNIFORMIZATION_GAUGE).set(
+                float(np.ldexp(lam, shift))
+            )
+        with ins.span(
+            "policy_evaluation", backend="kron", n_states=n
+        ) as span:
+            g_apply = _policy_generator_apply(self, sel)
+
+            def g_can(x: np.ndarray) -> np.ndarray:
+                # Canonical application is exact: 2**-shift times the matvec.
+                return np.ldexp(g_apply(x), -shift)
+
+            c_can = np.ldexp(self.costs[sel, np.arange(n)], -shift)
+            c_ref = float(c_can[reference_state])
+
+            def elimination(x: np.ndarray) -> np.ndarray:
+                # A h = h - P h + (P h)_ref 1  with  P = I + G/lam.
+                px = x + g_can(x) / lam
+                return x - px + px[reference_state]
+
+            operator = LinearOperator((n, n), matvec=elimination, dtype=float)
+            b = (c_can - c_ref) / lam
+            h = _gmres_solve(
+                operator, b, x0,
+                what="matrix-free policy evaluation",
+                context={"reference_state": reference_state},
+            )
+            h = h - h[reference_state]
+            gh = g_can(h)
+            gain_can = c_ref + float(gh[reference_state])
+            # Residual of the original evaluation equations, guardrail-style.
+            residual = c_can + gh - gain_can
+            scale = (
+                max_rate_can * 2.0 * float(np.max(np.abs(h), initial=0.0))
+                + float(np.max(np.abs(c_can), initial=0.0))
+                + abs(gain_can)
+            )
+            rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
+            span.attrs.update(residual=rel)
+            if rel > RESIDUAL_RTOL:
+                raise SolverError(
+                    f"matrix-free policy evaluation residual {rel:.3g} exceeds "
+                    f"{RESIDUAL_RTOL:g}; the induced chain is likely multichain",
+                    diagnostics={
+                        "backend": "kron", "residual": rel,
+                        "residual_rtol": RESIDUAL_RTOL,
+                    },
+                )
+            gain = float(np.ldexp(gain_can, shift))
+            span.attrs.update(gain=gain)
+            return gain, h
+
+    def evaluate_discounted(
+        self,
+        sel: np.ndarray,
+        discount: float,
+        x0: "Optional[np.ndarray]" = None,
+    ) -> np.ndarray:
+        """Values ``v`` solving ``(a I - G_pi) v = c_pi`` by GMRES,
+        warm-started from *x0* (the operator is strictly diagonally
+        dominant for ``a > 0``, so unpreconditioned Krylov converges
+        reliably), residual-checked like :meth:`evaluate`."""
+        n = self.n_states
+        g_apply = _policy_generator_apply(self, sel)
+        operator = LinearOperator(
+            (n, n), matvec=lambda x: discount * x - g_apply(x), dtype=float
+        )
+        c = self.costs[sel, np.arange(n)]
+        v = _gmres_solve(
+            operator, c, x0,
+            what="matrix-free discounted evaluation",
+            context={"discount": discount},
+        )
+        residual = c + g_apply(v) - discount * v
+        scale = (
+            (self.max_exit_rate() * 2.0 + discount)
+            * float(np.max(np.abs(v), initial=0.0))
+            + float(np.max(np.abs(c), initial=0.0))
+        )
+        rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
+        if rel > RESIDUAL_RTOL:
+            raise SolverError(
+                f"matrix-free discounted evaluation residual {rel:.3g} "
+                f"exceeds {RESIDUAL_RTOL:g}",
+                diagnostics={
+                    "backend": "kron", "residual": rel,
+                    "residual_rtol": RESIDUAL_RTOL, "discount": discount,
+                },
+            )
+        return v
+
+    def stationary(self, sel: np.ndarray) -> np.ndarray:
+        """Stationary distribution of the policy *sel*, matrix-free.
+
+        Same last-row-normalization formulation as the dense and sparse
+        stationary solvers, with ``G_pi^T`` applied through per-factor
+        transposes.
+        """
+        n = self.n_states
+        shift = self.canonical_shift
+        rapply = _policy_generator_rapply(self, sel)
+
+        def balance(x: np.ndarray) -> np.ndarray:
+            y = np.ldexp(rapply(x), -shift)
+            y[-1] = x.sum()
+            return y
+
+        operator = LinearOperator((n, n), matvec=balance, dtype=float)
+        b = np.zeros(n)
+        b[-1] = 1.0
+        x0 = np.full(n, 1.0 / n)
+        try:
+            with obs_active().span(
+                "stationary_solve", backend="kron", n_states=n
+            ):
+                p = _gmres_solve(
+                    operator, b, x0,
+                    what="matrix-free stationary solve", context={},
+                )
+        except SolverError as exc:
+            raise NotIrreducibleError(
+                "stationary distribution is not unique or does not exist: "
+                + str(exc)
+            ) from exc
+        if np.min(p) < -1e-7:
+            raise NotIrreducibleError(
+                "matrix-free stationary solve produced significantly negative "
+                f"probabilities (min {np.min(p):.3g})"
+            )
+        p = np.clip(p, 0.0, None)
+        total = p.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            raise NotIrreducibleError(
+                "matrix-free stationary solve produced a non-normalizable vector"
+            )
+        return p / total
 
     # -- conversions ---------------------------------------------------------
 
@@ -550,133 +797,6 @@ def _gmres_solve(operator, b, x0, what: str, context: "Dict") -> np.ndarray:
     return x
 
 
-def kron_gain_bias(
-    kmdp: KroneckerCTMDP,
-    sel: np.ndarray,
-    reference_state: int = 0,
-    x0: "Optional[np.ndarray]" = None,
-) -> "tuple[float, np.ndarray]":
-    """Gain and bias of the policy *sel*, fully matrix-free.
-
-    Solves the uniformized elimination system (module doc) in canonical
-    units with GMRES; the accepted solution is residual-checked against
-    the original evaluation equations ``c + G h = g 1`` under the
-    guardrail tolerance.
-    """
-    from repro.ctmdp.uniformization import APERIODICITY_SLACK
-
-    n = kmdp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(
-            f"reference state {reference_state} out of range"
-        )
-    shift = kmdp.canonical_shift
-    max_rate_can = float(np.ldexp(kmdp.max_exit_rate(), -shift))
-    lam = APERIODICITY_SLACK * max_rate_can if max_rate_can > 0 else 1.0
-    ins = obs_active()
-    if ins.enabled and ins.metrics is not None:
-        ins.metrics.gauge(UNIFORMIZATION_GAUGE).set(
-            float(np.ldexp(lam, shift))
-        )
-    with ins.span(
-        "policy_evaluation", backend="kron", n_states=n
-    ) as span:
-        g_apply = _policy_generator_apply(kmdp, sel)
-
-        def g_can(x: np.ndarray) -> np.ndarray:
-            # Canonical application is exact: 2**-shift times the matvec.
-            return np.ldexp(g_apply(x), -shift)
-
-        c_can = np.ldexp(
-            kmdp.costs[sel, np.arange(n)], -shift
-        )
-        c_ref = float(c_can[reference_state])
-
-        def elimination(x: np.ndarray) -> np.ndarray:
-            # A h = h - P h + (P h)_ref 1  with  P = I + G/lam.
-            px = x + g_can(x) / lam
-            return x - px + px[reference_state]
-
-        operator = LinearOperator((n, n), matvec=elimination, dtype=float)
-        b = (c_can - c_ref) / lam
-        h = _gmres_solve(
-            operator, b, x0,
-            what="matrix-free policy evaluation",
-            context={"reference_state": reference_state},
-        )
-        h = h - h[reference_state]
-        gh = g_can(h)
-        gain_can = c_ref + float(gh[reference_state])
-        # Residual of the original evaluation equations, guardrail-style.
-        residual = c_can + gh - gain_can
-        scale = (
-            max_rate_can * 2.0 * float(np.max(np.abs(h), initial=0.0))
-            + float(np.max(np.abs(c_can), initial=0.0))
-            + abs(gain_can)
-        )
-        rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
-        span.attrs.update(residual=rel)
-        if rel > RESIDUAL_RTOL:
-            raise SolverError(
-                f"matrix-free policy evaluation residual {rel:.3g} exceeds "
-                f"{RESIDUAL_RTOL:g}; the induced chain is likely multichain",
-                diagnostics={
-                    "backend": "kron", "residual": rel,
-                    "residual_rtol": RESIDUAL_RTOL,
-                },
-            )
-        gain = float(np.ldexp(gain_can, shift))
-        span.attrs.update(gain=gain)
-        return gain, h
-
-
-def kron_stationary(kmdp: KroneckerCTMDP, sel: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the policy *sel*, matrix-free.
-
-    Same last-row-normalization formulation as the dense and sparse
-    stationary solvers, with ``G_pi^T`` applied through per-factor
-    transposes.
-    """
-    n = kmdp.n_states
-    shift = kmdp.canonical_shift
-    rapply = _policy_generator_rapply(kmdp, sel)
-
-    def balance(x: np.ndarray) -> np.ndarray:
-        y = np.ldexp(rapply(x), -shift)
-        y[-1] = x.sum()
-        return y
-
-    operator = LinearOperator((n, n), matvec=balance, dtype=float)
-    b = np.zeros(n)
-    b[-1] = 1.0
-    x0 = np.full(n, 1.0 / n)
-    try:
-        with obs_active().span(
-            "stationary_solve", backend="kron", n_states=n
-        ):
-            p = _gmres_solve(
-                operator, b, x0,
-                what="matrix-free stationary solve", context={},
-            )
-    except SolverError as exc:
-        raise NotIrreducibleError(
-            "stationary distribution is not unique or does not exist: "
-            + str(exc)
-        ) from exc
-    if np.min(p) < -1e-7:
-        raise NotIrreducibleError(
-            "matrix-free stationary solve produced significantly negative "
-            f"probabilities (min {np.min(p):.3g})"
-        )
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise NotIrreducibleError(
-            "matrix-free stationary solve produced a non-normalizable vector"
-        )
-    return p / total
-
-
 def kron_evaluate(
     kmdp: KroneckerCTMDP,
     policy,
@@ -686,48 +806,10 @@ def kron_evaluate(
     """Full matrix-free evaluation of *policy* on *kmdp*."""
     from repro.ctmdp.policy import PolicyEvaluation
 
-    sel = kmdp.policy_array(policy)
-    gain, bias = kron_gain_bias(kmdp, sel, reference_state)
-    stationary = kron_stationary(kmdp, sel) if compute_stationary else None
+    sel = kmdp.selection(policy)
+    gain, bias = kmdp.evaluate(sel, reference_state)
+    stationary = kmdp.stationary(sel) if compute_stationary else None
     return PolicyEvaluation(gain=gain, bias=bias, stationary=stationary)
-
-
-def _improve_kron(
-    kmdp: KroneckerCTMDP,
-    bias: np.ndarray,
-    sel: np.ndarray,
-    atol_can: float,
-    shift: int,
-) -> "tuple[np.ndarray, bool, np.ndarray]":
-    """One incumbent-rule improvement sweep, one matvec per action.
-
-    Same semantics as ``PairIndexedCTMDP.improve``: scanning actions in
-    global order, a candidate displaces the running best only when
-    smaller by more than ``atol_can``; unavailable actions sit at +inf.
-    Returns ``(new sel, changed, test values (n_actions, n))``.
-    """
-    n = kmdp.n_states
-    test = np.full((kmdp.n_actions, n), np.inf)
-    for a in range(kmdp.n_actions):
-        mask = kmdp.available[a]
-        if not mask.any():
-            continue
-        _count_matvecs()
-        values = np.ldexp(
-            kmdp.costs[a] + kmdp.generators[a].matvec(bias), -shift
-        )
-        test[a, mask] = values[mask]
-    state_range = np.arange(n)
-    best_val = test[sel, state_range]
-    best = sel.copy()
-    for a in range(kmdp.n_actions):
-        column = test[a]
-        better = (column < best_val - atol_can) & (sel != a)
-        if np.any(better):
-            best_val = np.where(better, column, best_val)
-            best = np.where(better, a, best)
-    changed = bool(np.any(best != sel))
-    return best, changed, test
 
 
 def policy_iteration_kron(
@@ -738,276 +820,11 @@ def policy_iteration_kron(
     reference_state: int = 0,
     time_budget_s: "Optional[float]" = None,
 ):
-    """Howard policy iteration with matrix-free evaluation sweeps."""
-    from repro.ctmdp.policy_iteration import (
-        PolicyIterationResult,
-        _check_budget,
-        _convergence_series,
-        _CycleDetector,
-    )
-    import time
+    """Howard policy iteration with matrix-free evaluation sweeps: the
+    shared loop of :mod:`repro.ctmdp.policy_iteration` on this tier."""
+    from repro.ctmdp.policy_iteration import _policy_iteration
 
-    kmdp.validate()
-    ins = obs_active()
-    metrics = ins.metrics
-    if metrics is not None:
-        metrics.counter("solver.policy_iteration.solves").inc()
-    n = kmdp.n_states
-    if initial_policy is None:
-        sel = kmdp.default_action_index()
-    else:
-        sel = kmdp.policy_array(initial_policy)
-    shift = kmdp.canonical_shift
-    atol_can = float(np.ldexp(atol * kmdp.rate_scale, -shift))
-    started = time.perf_counter()
-    cycles = _CycleDetector()
-    gain_history: List[float] = []
-    series = _convergence_series(metrics) if metrics is not None else None
-    if ins.enabled:
-        sweep_start = time.perf_counter()
-    gain, bias = kron_gain_bias(kmdp, sel, reference_state)
-    gain_history.append(gain)
-    if series is not None:
-        series.append(
-            backend="kron", iteration=0, gain=gain, residual=None,
-            policy_changes=None,
-            sweep_s=time.perf_counter() - sweep_start,
-        )
-    cycles.check(sel.tobytes(), 0, gain_history, None)
-    with ins.span("policy_iteration", backend="kron", n_states=n) as span:
-        for iteration in range(1, max_iterations + 1):
-            _check_budget(started, time_budget_s, iteration, gain_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-            previous_sel = sel
-            previous_gain = gain
-            sel, changed, _ = _improve_kron(kmdp, bias, sel, atol_can, shift)
-            if changed:
-                cycles.check(sel.tobytes(), iteration, gain_history, None)
-                gain, bias = kron_gain_bias(
-                    kmdp, sel, reference_state, x0=bias
-                )
-            gain_history.append(gain)
-            if series is not None:
-                series.append(
-                    backend="kron", iteration=iteration, gain=gain,
-                    residual=abs(gain - previous_gain),
-                    policy_changes=int(np.count_nonzero(sel != previous_sel)),
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            if not changed:
-                if ins.enabled:
-                    span.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.policy_iteration.iterations"
-                        ).observe(iteration)
-                return PolicyIterationResult(
-                    policy=ArrayPolicy(kmdp, sel),
-                    gain=gain,
-                    bias=bias,
-                    stationary=kron_stationary(kmdp, sel),
-                    iterations=iteration,
-                    gain_history=gain_history,
-                )
-    raise SolverError(
-        f"policy iteration did not converge in {max_iterations} iterations",
-        diagnostics={
-            "reason": "max_iterations_exhausted",
-            "iteration": max_iterations,
-            "backend": "kron",
-            "gain_history": gain_history[-10:],
-        },
-    )
-
-
-def relative_value_iteration_kron(
-    kmdp: KroneckerCTMDP,
-    span_tolerance: float = 1e-10,
-    max_iterations: int = 1_000_000,
-    uniformization_rate: "Optional[float]" = None,
-    time_budget_s: "Optional[float]" = None,
-):
-    """Relative value iteration with matrix-free uniformized backups.
-
-    Mirrors the compiled implementation sweep for sweep: uniformization
-    rate ``APERIODICITY_SLACK * max exit rate`` (or the explicit
-    override), strict first-wins greedy argmin in global action order,
-    span-seminorm stopping, gain from the midpoint of the final
-    difference vector.
-    """
-    from repro.ctmdp.uniformization import APERIODICITY_SLACK
-    from repro.ctmdp.value_iteration import (
-        CONVERGENCE_SERIES,
-        ValueIterationResult,
-        _budget_error,
-        _nonconvergence_error,
-    )
-    import time
-
-    kmdp.validate()
-    ins = obs_active()
-    metrics = ins.metrics
-    series = (
-        metrics.series(CONVERGENCE_SERIES, profiling_fields=("sweep_s",))
-        if metrics is not None
-        else None
-    )
-    if metrics is not None:
-        metrics.counter("solver.value_iteration.solves").inc()
-    n = kmdp.n_states
-    max_rate = kmdp.max_exit_rate()
-    if uniformization_rate is not None:
-        lam = float(uniformization_rate)
-        if lam < max_rate:
-            raise ValueError(
-                f"uniformization rate {lam:g} is below the max exit rate "
-                f"{max_rate:g}"
-            )
-    else:
-        lam = APERIODICITY_SLACK * max_rate if max_rate > 0 else 1.0
-    if metrics is not None:
-        metrics.gauge(UNIFORMIZATION_GAUGE).set(lam)
-    state_range = np.arange(n)
-    w = np.zeros(n)
-    span_history: List[float] = []
-    started = time.perf_counter()
-    with ins.span("value_iteration", backend="kron", n_states=n) as span_rec:
-        for iteration in range(1, max_iterations + 1):
-            _budget_error(started, time_budget_s, iteration, span_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-            # One uniformized backup per action: c/lam + w + (G w)/lam,
-            # +inf where unavailable, then a first-wins argmin.
-            best_val = np.full(n, np.inf)
-            best_act = np.zeros(n, dtype=np.intp)
-            for a in range(kmdp.n_actions):
-                mask = kmdp.available[a]
-                if not mask.any():
-                    continue
-                _count_matvecs()
-                values = (
-                    kmdp.costs[a] / lam
-                    + w
-                    + kmdp.generators[a].matvec(w) / lam
-                )
-                values = np.where(mask, values, np.inf)
-                better = values < best_val
-                if np.any(better):
-                    best_val = np.where(better, values, best_val)
-                    best_act = np.where(better, a, best_act)
-            diff = best_val - w
-            span_value = float(diff.max() - diff.min())
-            span_history.append(span_value)
-            if series is not None:
-                series.append(
-                    backend="kron", iteration=iteration, span=span_value,
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            if span_value < span_tolerance:
-                gain = float(lam * 0.5 * (diff.max() + diff.min()))
-                if ins.enabled:
-                    span_rec.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.value_iteration.iterations"
-                        ).observe(iteration)
-                values = best_val - best_val[0]
-                return ValueIterationResult(
-                    policy=ArrayPolicy(kmdp, best_act),
-                    gain=gain,
-                    values=values,
-                    iterations=iteration,
-                    span_history=span_history,
-                )
-            w = best_val - best_val[0]
-    raise _nonconvergence_error(span_tolerance, max_iterations, span_history)
-
-
-def discounted_policy_iteration_kron(
-    kmdp: KroneckerCTMDP,
-    discount: float,
-    initial_policy=None,
-    max_iterations: int = 1000,
-    atol: float = 1e-9,
-):
-    """Discounted policy iteration with matrix-free evaluation.
-
-    Evaluation solves ``(a I - G_pi) v = c_pi`` by GMRES (the operator
-    is strictly diagonally dominant for ``a > 0``, so unpreconditioned
-    Krylov converges reliably); improvement mirrors the dense incumbent
-    rule, one matvec per action.
-    """
-    from repro.ctmdp.discounted import DiscountedResult
-
-    kmdp.validate()
-    n = kmdp.n_states
-    if initial_policy is None:
-        sel = kmdp.default_action_index()
-    else:
-        sel = kmdp.policy_array(initial_policy)
-    state_range = np.arange(n)
-
-    def evaluate(sel: np.ndarray, x0) -> np.ndarray:
-        g_apply = _policy_generator_apply(kmdp, sel)
-        operator = LinearOperator(
-            (n, n), matvec=lambda x: discount * x - g_apply(x), dtype=float
-        )
-        c = kmdp.costs[sel, state_range]
-        v = _gmres_solve(
-            operator, c, x0,
-            what="matrix-free discounted evaluation",
-            context={"discount": discount},
-        )
-        residual = c + g_apply(v) - discount * v
-        scale = (
-            (kmdp.max_exit_rate() * 2.0 + discount)
-            * float(np.max(np.abs(v), initial=0.0))
-            + float(np.max(np.abs(c), initial=0.0))
-        )
-        rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
-        if rel > RESIDUAL_RTOL:
-            raise SolverError(
-                f"matrix-free discounted evaluation residual {rel:.3g} "
-                f"exceeds {RESIDUAL_RTOL:g}",
-                diagnostics={
-                    "backend": "kron", "residual": rel,
-                    "residual_rtol": RESIDUAL_RTOL, "discount": discount,
-                },
-            )
-        return v
-
-    values = evaluate(sel, None)
-    for iteration in range(1, max_iterations + 1):
-        # Raw-unit test quantities and threshold, like the dense path.
-        test = np.full((kmdp.n_actions, n), np.inf)
-        for a in range(kmdp.n_actions):
-            mask = kmdp.available[a]
-            if not mask.any():
-                continue
-            _count_matvecs()
-            vals = kmdp.costs[a] + kmdp.generators[a].matvec(values)
-            test[a, mask] = vals[mask]
-        best_val = test[sel, state_range]
-        best = sel.copy()
-        for a in range(kmdp.n_actions):
-            column = test[a]
-            better = (column < best_val - atol) & (sel != a)
-            if np.any(better):
-                best_val = np.where(better, column, best_val)
-                best = np.where(better, a, best)
-        changed = bool(np.any(best != sel))
-        sel = best
-        if changed:
-            values = evaluate(sel, values)
-        if not changed:
-            return DiscountedResult(
-                policy=ArrayPolicy(kmdp, sel),
-                values=values,
-                discount=discount,
-                iterations=iteration,
-            )
-    raise SolverError(
-        f"discounted policy iteration did not converge in {max_iterations} "
-        "iterations"
+    return _policy_iteration(
+        kmdp, "kron", initial_policy, max_iterations, atol, reference_state,
+        time_budget_s,
     )

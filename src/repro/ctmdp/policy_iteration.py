@@ -16,6 +16,15 @@ For finite unichain CTMDPs this converges to the gain-optimal stationary
 policy in finitely many iterations, and each iteration is one dense
 linear solve -- the efficiency advantage over the LP approach that the
 paper highlights.
+
+The loop is written once for the array tiers (dense, CSR, Kronecker).
+It runs on the tier's lowered model -- ``CompiledCTMDP``,
+``SparseCTMDP`` or ``KroneckerCTMDP`` -- which supplies only linear
+algebra: ``selection(policy)``, ``evaluate(sel, ref, x0) -> (gain,
+bias)`` in canonical units, ``q_values(v)`` and ``improve(q, sel,
+atol)`` (the incumbent-rule sweep on ``c + G v``), ``stationary(sel)``
+and ``policy(mdp, sel)``. The dict-based ``reference`` loop is kept as
+an independent implementation the tests compare against bit for bit.
 """
 
 from __future__ import annotations
@@ -27,13 +36,11 @@ from typing import Callable, Hashable, List, Optional
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ctmdp.backends import BACKENDS, resolve_backend
-from repro.ctmdp.compiled import CompiledCTMDP, compile_ctmdp
+from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy, PolicyEvaluation, evaluate_policy
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
-from repro.robust.guardrails import solve_with_fallback
 
 logger = get_logger(__name__)
 
@@ -126,7 +133,8 @@ class _CycleDetector:
     rendering every state costs ~0.3 s per round at 10^5 states.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, backend: "Optional[str]" = None) -> None:
+        self._backend = backend
         self._seen: "dict" = {}
 
     def check(self, key, iteration: int, gain_history: "List[float]",
@@ -139,6 +147,7 @@ class _CycleDetector:
                 diagnostics={
                     "reason": "policy_cycle",
                     "iteration": iteration,
+                    "backend": self._backend,
                     "first_seen": first,
                     "cycle_length": iteration - first,
                     "gain_history": gain_history[-10:],
@@ -186,284 +195,66 @@ def _improve(
     return Policy(mdp, assignment), changed
 
 
-def _solve_gain_bias(
-    comp: CompiledCTMDP, sel: np.ndarray, reference_state: int
-) -> "tuple[float, np.ndarray]":
-    """Gain and bias of the policy selecting compiled rows *sel*.
-
-    Solves the same ``c + G h = g 1``, ``h[ref] = 0`` system as
-    :func:`repro.ctmdp.policy.evaluate_policy`, assembled from the
-    compiled arrays; gains and biases agree bit-for-bit.
-    """
-    from repro.errors import InvalidPolicyError
-
-    n = comp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    g_all, c_all, shift = comp.canonical()
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = g_all[sel]
-    a[:n, n] = -1.0
-    a[n, reference_state] = 1.0
-    b = np.concatenate([-c_all[sel], [0.0]])
-    solution = solve_with_fallback(
-        a, b, what="policy evaluation system",
-        context={"reference_state": reference_state},
-    )
-    # The system was assembled in canonical units; the gain carries a
-    # unit of [cost/time] and is shifted back exactly, while the bias
-    # (a pure cost) is scale-invariant.
-    return float(np.ldexp(solution[n], shift)), solution[:n]
-
-
-def evaluate_rows(
-    comp: CompiledCTMDP, sel: np.ndarray, reference_state: int = 0
-) -> PolicyEvaluation:
-    """Full evaluation (gain, bias, stationary) of compiled rows *sel*."""
-    from repro.markov.generator import stationary_distribution
-
-    gain, bias = _solve_gain_bias(comp, sel, reference_state)
-    return PolicyEvaluation(
-        gain=gain,
-        bias=bias,
-        stationary=stationary_distribution(comp.generator[sel]),
+def _nonconvergence_error(
+    max_iterations: int, backend: str, gain_history: "List[float]",
+    assignment,
+) -> SolverError:
+    """The typed failure of a run that spent ``max_iterations``."""
+    return SolverError(
+        f"policy iteration did not converge in {max_iterations} iterations",
+        diagnostics={
+            "reason": "max_iterations_exhausted",
+            "iteration": max_iterations,
+            "backend": backend,
+            "gain_history": gain_history[-10:],
+            "policy": _policy_payload(assignment),
+        },
     )
 
 
-def _policy_iteration_compiled(
-    mdp: CTMDP,
-    initial_policy: Optional[Policy],
+def _policy_iteration(
+    mdp,
+    tier: str,
+    initial_policy,
     max_iterations: int,
     atol: float,
     reference_state: int,
-    time_budget_s: "Optional[float]" = None,
+    time_budget_s: "Optional[float]",
 ) -> PolicyIterationResult:
-    """Vectorized policy iteration over the compiled arrays.
+    """Policy iteration on *tier*'s lowering of *mdp* (module doc).
 
-    Beyond vectorizing the improvement sweep, this path defers the
-    stationary-distribution solve to convergence -- intermediate
-    policies only need gain and bias -- which the reference path pays
-    for every round.
+    The stationary-distribution solve is deferred to convergence --
+    intermediate policies only need gain and bias -- which the
+    reference loop pays for every round. Each evaluation is
+    warm-started from the previous bias (``x0``), which only the
+    Krylov tier uses.
     """
-    from repro.errors import InvalidPolicyError
-
+    mdp.validate()
     ins = obs_active()
     metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_ctmdp(mdp)
-    if ins.enabled:
-        lowering_s = time.perf_counter() - lowering_start
-        if metrics is not None:
-            metrics.histogram(
-                "profile.solver.lowering_s", profiling=True
-            ).observe(lowering_s)
-            metrics.counter("solver.policy_iteration.solves").inc()
-    n = comp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()  # first-listed action per state
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    # Bordered evaluation system, allocated once: only the top-left G
-    # block and the -c right-hand side change between rounds. Assembled
-    # from the canonical (exponent-normalized) arrays so that extreme
-    # rate magnitudes never reach the factorization and power-of-two
-    # rescalings of the model solve bit-identically; the gain is mapped
-    # back by the exact inverse shift, the bias is scale-invariant.
-    g_can, c_can, shift = comp.canonical()
-    a = np.zeros((n + 1, n + 1))
-    a[:n, n] = -1.0
-    a[n, reference_state] = 1.0
-    b = np.zeros(n + 1)
-    # Per-pair row maxima, computed once: ``max |a_ij|`` of any round's
-    # bordered system is the selected rows' maximum or the unit border
-    # entries, so the guardrail acceptance scale costs O(n) per solve
-    # instead of two O(n^2) scans.
-    row_inf = np.max(np.abs(g_can), axis=1, initial=0.0)
-
-    def solve_rows(rows: np.ndarray) -> "tuple[float, np.ndarray]":
-        a[:n, :n] = g_can[rows]
-        np.negative(c_can[rows], out=b[:n])
-        solution = solve_with_fallback(
-            a, b, what="policy evaluation system",
-            context={"reference_state": reference_state},
-            a_max=max(1.0, float(np.max(row_inf[rows]))),
-        )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
-
-    started = time.perf_counter()
-    cycles = _CycleDetector()
-    gain_history: List[float] = []
-    if ins.enabled:
-        sweep_start = time.perf_counter()
-    gain, bias = solve_rows(sel)
-    gain_history.append(gain)
-    series = _convergence_series(metrics) if metrics is not None else None
-    if series is not None:
-        series.append(
-            backend="compiled",
-            iteration=0,
-            gain=gain,
-            residual=None,
-            policy_changes=None,
-            sweep_s=time.perf_counter() - sweep_start,
-        )
-    cycles.check(sel.tobytes(), 0, gain_history, None)
-    test_values = np.empty(comp.n_pairs)
+    model = lower(mdp, tier)
+    if metrics is not None:
+        metrics.counter("solver.policy_iteration.solves").inc()
+    n = model.n_states
+    sel = model.selection(initial_policy)
     # The sweep runs on canonical-unit test quantities, so the
     # original-unit improvement threshold gets the same exact exponent
     # shift (plus the rate_scale of a repaired model). Both factors are
     # powers of two for every model this library builds, making the
     # displacement decisions bit-identical to a stored-unit sweep --
     # and, for unscaled models, to the unnormalized implementation.
-    atol_can = float(np.ldexp(atol * comp.rate_scale, -shift))
-    with ins.span("policy_iteration", backend="compiled", n_states=n) as span:
-        for iteration in range(1, max_iterations + 1):
-            _check_budget(started, time_budget_s, iteration, gain_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-                previous_sel = sel
-                previous_gain = gain
-            np.matmul(g_can, bias, out=test_values)
-            np.add(test_values, c_can, out=test_values)
-            sel, changed = comp.improve(test_values, sel, atol_can)
-            if changed:
-                cycles.check(
-                    sel.tobytes(), iteration, gain_history,
-                    lambda: _policy_payload(comp.assignment_from_rows(sel)),
-                )
-                gain, bias = solve_rows(sel)
-            # An unchanged policy selects the same rows, so re-solving would
-            # reproduce the previous (gain, bias) bit-for-bit -- reuse them.
-            gain_history.append(gain)
-            if series is not None:
-                series.append(
-                    backend="compiled",
-                    iteration=iteration,
-                    gain=gain,
-                    residual=abs(gain - previous_gain),
-                    policy_changes=int(np.count_nonzero(sel != previous_sel)),
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            if not changed:
-                from repro.markov.generator import stationary_distribution
-
-                if ins.enabled:
-                    span.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.policy_iteration.iterations"
-                        ).observe(iteration)
-                    logger.debug(
-                        "policy iteration converged: %d states, %d rounds, "
-                        "gain %.6g",
-                        n, iteration, gain,
-                    )
-                return PolicyIterationResult(
-                    policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
-                    gain=gain,
-                    bias=bias,
-                    stationary=stationary_distribution(
-                        comp.generator[sel], validate=False
-                    ),
-                    iterations=iteration,
-                    gain_history=gain_history,
-                )
-    raise SolverError(
-        f"policy iteration did not converge in {max_iterations} iterations",
-        diagnostics={
-            "reason": "max_iterations_exhausted",
-            "iteration": max_iterations,
-            "gain_history": gain_history[-10:],
-            "policy": _policy_payload(comp.assignment_from_rows(sel)),
-        },
-    )
-
-
-def _policy_iteration_sparse(
-    mdp,
-    initial_policy: Optional[Policy],
-    max_iterations: int,
-    atol: float,
-    reference_state: int,
-    time_budget_s: "Optional[float]" = None,
-) -> PolicyIterationResult:
-    """Policy iteration over the CSR lowering.
-
-    Identical round structure to the compiled path -- canonical-unit
-    bordered evaluation system, incumbent-atol improvement sweeps,
-    stationary solve deferred to convergence -- but the sweep's test
-    quantities come from one sparse matvec, and every evaluation (the
-    initial one included) assembles the bordered system as a CSC block
-    matrix and factorizes it with one fresh SuperLU through the
-    :mod:`repro.ctmdp.sparse` ladder. A seeded and a cold solve that
-    reach the same policy therefore return its values from the same
-    computation, bit for bit.
-
-    A singular round system -- the improvement step reached a
-    (numerically) multichain policy -- raises a typed
-    :class:`SolverError` (``reason: "singular_system"``) instead of
-    running the Krylov rescue; warm-started sweeps take it as a rejected
-    seed and re-solve cold.
-    """
-    from repro.errors import InvalidPolicyError
-    from repro.ctmdp.sparse import (
-        bordered_system,
-        compile_sparse_ctmdp,
-        solve_sparse_with_fallback,
-        sparse_stationary_distribution,
-    )
-
-    ins = obs_active()
-    metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_sparse_ctmdp(mdp)
-    if ins.enabled:
-        lowering_s = time.perf_counter() - lowering_start
-        if metrics is not None:
-            metrics.histogram(
-                "profile.solver.lowering_s", profiling=True
-            ).observe(lowering_s)
-            metrics.counter("solver.policy_iteration.solves").inc()
-    n = comp.n_states
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    if initial_policy is None:
-        sel = comp.pair_offset[:-1].copy()  # first-listed action per state
-    else:
-        sel = comp.policy_rows(initial_policy.as_dict())
-    g_can, c_can, shift = comp.canonical()
-    b = np.zeros(n + 1)
-    # Per-pair row maxima of the canonical generator, computed once from
-    # the CSR data: the guardrail acceptance scale of any round's system.
-    coo = g_can.tocoo()
-    row_inf = np.zeros(comp.n_pairs)
-    np.maximum.at(row_inf, coo.row, np.abs(coo.data))
-
-    def solve_rows(rows: np.ndarray) -> "tuple[float, np.ndarray]":
-        np.negative(c_can[rows], out=b[:n])
-        solution = solve_sparse_with_fallback(
-            bordered_system(g_can[rows], reference_state), b,
-            what="policy evaluation system",
-            context={"reference_state": reference_state},
-            a_max=max(1.0, float(np.max(row_inf[rows]))),
-        )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
-
+    atol_can = float(np.ldexp(atol * model.rate_scale, -model.canonical_shift))
     started = time.perf_counter()
-    cycles = _CycleDetector()
+    cycles = _CycleDetector(tier)
     gain_history: List[float] = []
     if ins.enabled:
         sweep_start = time.perf_counter()
-    gain, bias = solve_rows(sel)
+    gain, bias = model.evaluate(sel, reference_state)
     gain_history.append(gain)
     series = _convergence_series(metrics) if metrics is not None else None
     if series is not None:
         series.append(
-            backend="sparse",
+            backend=tier,
             iteration=0,
             gain=gain,
             residual=None,
@@ -471,27 +262,26 @@ def _policy_iteration_sparse(
             sweep_s=time.perf_counter() - sweep_start,
         )
     cycles.check(sel.tobytes(), 0, gain_history, None)
-    atol_can = float(np.ldexp(atol * comp.rate_scale, -shift))
-    with ins.span("policy_iteration", backend="sparse", n_states=n) as span:
+    with ins.span("policy_iteration", backend=tier, n_states=n) as span:
         for iteration in range(1, max_iterations + 1):
             _check_budget(started, time_budget_s, iteration, gain_history)
             if ins.enabled:
                 sweep_start = time.perf_counter()
                 previous_sel = sel
                 previous_gain = gain
-            test_values = g_can @ bias
-            test_values += c_can
-            sel, changed = comp.improve(test_values, sel, atol_can)
+            sel, changed = model.improve(model.q_values(bias), sel, atol_can)
             if changed:
                 cycles.check(
                     sel.tobytes(), iteration, gain_history,
-                    lambda: _policy_payload(comp.assignment_from_rows(sel)),
+                    lambda: _policy_payload(model.assignment_from_rows(sel)),
                 )
-                gain, bias = solve_rows(sel)
+                gain, bias = model.evaluate(sel, reference_state, x0=bias)
+            # An unchanged policy selects the same rows, so re-solving would
+            # reproduce the previous (gain, bias) bit-for-bit -- reuse them.
             gain_history.append(gain)
             if series is not None:
                 series.append(
-                    backend="sparse",
+                    backend=tier,
                     iteration=iteration,
                     gain=gain,
                     residual=abs(gain - previous_gain),
@@ -511,23 +301,15 @@ def _policy_iteration_sparse(
                         n, iteration, gain,
                     )
                 return PolicyIterationResult(
-                    policy=Policy._trusted(mdp, comp.assignment_from_rows(sel)),
+                    policy=model.policy(mdp, sel),
                     gain=gain,
                     bias=bias,
-                    stationary=sparse_stationary_distribution(
-                        comp.generator[sel]
-                    ),
+                    stationary=model.stationary(sel),
                     iterations=iteration,
                     gain_history=gain_history,
                 )
-    raise SolverError(
-        f"policy iteration did not converge in {max_iterations} iterations",
-        diagnostics={
-            "reason": "max_iterations_exhausted",
-            "iteration": max_iterations,
-            "gain_history": gain_history[-10:],
-            "policy": _policy_payload(comp.assignment_from_rows(sel)),
-        },
+    raise _nonconvergence_error(
+        max_iterations, tier, gain_history, model.assignment_from_rows(sel)
     )
 
 
@@ -583,29 +365,18 @@ def policy_iteration(
         a multichain model slipping through), evaluation fails even in
         the least-squares fallback of :mod:`repro.robust.guardrails`,
         or -- on the sparse tier -- a round's evaluation system is
-        singular (``reason: "singular_system"``). The exception's
-        ``diagnostics`` mapping carries the iteration count, recent
-        gain history, and the offending policy.
+        singular (``reason: "singular_system"``). On every tier, the
+        ``diagnostics`` of an exhausted or cycling run carry the
+        ``reason``, the ``iteration``, the ``backend``, the recent
+        ``gain_history`` and the offending ``policy``.
     """
     backend = resolve_backend(mdp, backend)
+    if backend != "reference":
+        return _policy_iteration(
+            mdp, backend, initial_policy, max_iterations, atol,
+            reference_state, time_budget_s,
+        )
     mdp.validate()
-    if backend == "kron":
-        from repro.ctmdp.kron import policy_iteration_kron
-
-        return policy_iteration_kron(
-            mdp, initial_policy, max_iterations, atol, reference_state,
-            time_budget_s,
-        )
-    if backend == "sparse":
-        return _policy_iteration_sparse(
-            mdp, initial_policy, max_iterations, atol, reference_state,
-            time_budget_s,
-        )
-    if backend == "compiled":
-        return _policy_iteration_compiled(
-            mdp, initial_policy, max_iterations, atol, reference_state,
-            time_budget_s,
-        )
     policy = initial_policy if initial_policy is not None else _default_initial_policy(mdp)
     ins = obs_active()
     metrics = ins.metrics
@@ -613,7 +384,7 @@ def policy_iteration(
     if metrics is not None:
         metrics.counter("solver.policy_iteration.solves").inc()
     started = time.perf_counter()
-    cycles = _CycleDetector()
+    cycles = _CycleDetector("reference")
     gain_history: List[float] = []
     if ins.enabled:
         sweep_start = time.perf_counter()
@@ -693,12 +464,6 @@ def policy_iteration(
                     iterations=iteration,
                     gain_history=gain_history,
                 )
-    raise SolverError(
-        f"policy iteration did not converge in {max_iterations} iterations",
-        diagnostics={
-            "reason": "max_iterations_exhausted",
-            "iteration": max_iterations,
-            "gain_history": gain_history[-10:],
-            "policy": _policy_payload(policy.as_dict()),
-        },
+    raise _nonconvergence_error(
+        max_iterations, "reference", gain_history, policy.as_dict()
     )

@@ -46,7 +46,12 @@ from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from repro.ctmdp.compiled import PairIndexedCTMDP
 from repro.ctmdp.model import CTMDP
-from repro.errors import InvalidModelError, NotIrreducibleError, SolverError
+from repro.errors import (
+    InvalidModelError,
+    InvalidPolicyError,
+    NotIrreducibleError,
+    SolverError,
+)
 from repro.markov.generator import DEFAULT_ATOL, canonical_shift
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
@@ -167,9 +172,9 @@ def solve_sparse_with_fallback(
 ) -> np.ndarray:
     """Solve ``a @ x = b`` through the sparse ladder (see module doc).
 
-    ``a_max`` is the caller-supplied magnitude scale of ``a`` used by
-    the relative-residual test (computing it from a sparse matrix is the
-    caller's O(nnz) job, done once per policy-iteration run).
+    ``a_max`` is an optional precomputed magnitude scale of ``a`` for
+    the relative-residual test; by default the largest ``|a_ij|``, and
+    at least 1.
 
     The LU counts as singular when SuperLU reports it or its solution is
     non-finite. Any other direct-rung failure, and a finite LU solution
@@ -676,9 +681,62 @@ class SparseCTMDP(PairIndexedCTMDP):
                 f"state {self.states[empty]!r} has no actions"
             )
 
-    def evaluation_rows(self, sel: np.ndarray):
-        """``(G, c)`` CSR rows and costs of the policy selecting *sel*."""
-        return self.generator[sel], self.cost[sel]
+    def evaluate(
+        self, sel: np.ndarray, reference_state: int, x0=None
+    ) -> "tuple[float, np.ndarray]":
+        """Gain and bias of the policy selecting rows *sel*.
+
+        The canonical-unit bordered system (:func:`bordered_system`)
+        gets one fresh SuperLU factorization through the sparse ladder,
+        so every evaluation of a policy returns the same values bit for
+        bit; a singular system raises ``reason: "singular_system"``.
+        *x0* is ignored (a direct solve).
+        """
+        n = self.n_states
+        if not 0 <= reference_state < n:
+            raise InvalidPolicyError(
+                f"reference state {reference_state} out of range"
+            )
+        g_can, c_can, shift = self.canonical()
+        solution = solve_sparse_with_fallback(
+            bordered_system(g_can[sel], reference_state),
+            np.concatenate([-c_can[sel], [0.0]]),
+            what="policy evaluation system",
+            context={"reference_state": reference_state},
+        )
+        return float(np.ldexp(solution[n], shift)), solution[:n]
+
+    def evaluate_discounted(
+        self, sel: np.ndarray, discount: float, x0=None
+    ) -> np.ndarray:
+        """Values ``v`` solving ``(a I - G) v = c`` for rows *sel*
+        through the sparse ladder (*x0* is ignored)."""
+        identity = sp.eye_array(self.n_states, format="csr")
+        a = identity * discount - self.generator[sel]
+        return solve_sparse_with_fallback(
+            a, self.cost[sel], what="discounted evaluation system",
+            context={"discount": discount},
+        )
+
+    def stationary(self, sel: np.ndarray) -> np.ndarray:
+        """Stationary distribution of the policy selecting rows *sel*."""
+        return sparse_stationary_distribution(self.generator[sel])
+
+    def uniformized_transition(self, lam: float):
+        """CSR ``(pairs, states)`` rows of ``P = I + G/lam``: the
+        generator data scaled, and the identity entries folded in
+        through a COO round-trip (duplicates sum onto the diagonals)."""
+        coo = self.generator.tocoo()
+        return sp.coo_array(
+            (
+                np.concatenate([coo.data / lam, np.ones(self.n_pairs)]),
+                (
+                    np.concatenate([coo.row, np.arange(self.n_pairs)]),
+                    np.concatenate([coo.col, self.pair_state]),
+                ),
+            ),
+            shape=self.generator.shape,
+        ).tocsr()
 
     def max_exit_rate(self) -> float:
         if self.n_pairs == 0:  # pragma: no cover - models have >= 1 pair

@@ -14,6 +14,12 @@ respect to ``w`` is gain-optimal.
 Included both as an independent cross-check of policy iteration (their
 policies must agree) and as the runtime comparison point for the solver
 ablation bench.
+
+As in :mod:`repro.ctmdp.policy_iteration`, one loop serves the dense,
+CSR and Kronecker tiers; each tier's lowering supplies the Bellman
+backup (``uniformized_backup(lam)``) and the policy object. The
+per-state dict loop of the ``reference`` backend stays as the
+independent implementation.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from typing import Hashable, List, Optional
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ctmdp.backends import BACKENDS, resolve_backend
-from repro.ctmdp.compiled import compile_ctmdp
+from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
 from repro.ctmdp.uniformization import APERIODICITY_SLACK, UniformizedMDP, uniformize_ctmdp
@@ -125,31 +130,24 @@ def _nonconvergence_error(
     )
 
 
-def _relative_value_iteration_compiled(
-    mdp: CTMDP,
+def _relative_value_iteration(
+    mdp,
+    tier: str,
     span_tolerance: float,
     max_iterations: int,
     uniformization_rate: Optional[float],
-    time_budget_s: "Optional[float]" = None,
+    time_budget_s: "Optional[float]",
 ) -> ValueIterationResult:
-    """Vectorized relative value iteration over the compiled arrays.
-
-    Uniformizes in place -- ``P = I + G / Lambda``, per-step cost
-    ``c / Lambda`` -- then runs whole-state-space Bellman backups as one
-    matrix-vector product per sweep.
-    """
+    """Relative value iteration on *tier*'s lowering of *mdp*: one
+    uniformized Bellman backup of the whole state space per sweep."""
+    mdp.validate()
     ins = obs_active()
     metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_ctmdp(mdp)
-    if ins.enabled and metrics is not None:
-        metrics.histogram("profile.solver.lowering_s", profiling=True).observe(
-            time.perf_counter() - lowering_start
-        )
+    model = lower(mdp, tier)
+    if metrics is not None:
         metrics.counter("solver.value_iteration.solves").inc()
     series = _convergence_series(metrics) if metrics is not None else None
-    max_rate = comp.max_exit_rate()
+    max_rate = model.max_exit_rate()
     if uniformization_rate is None:
         lam = APERIODICITY_SLACK * max_rate if max_rate > 0 else 1.0
     else:
@@ -158,26 +156,23 @@ def _relative_value_iteration_compiled(
             raise ValueError(
                 f"uniformization rate {lam:g} below maximal exit rate {max_rate:g}"
             )
-    transition = comp.generator / lam
-    transition[np.arange(comp.n_pairs), comp.pair_state] += 1.0
-    step_cost = comp.cost / lam
-    n = comp.n_states
+    backup = model.uniformized_backup(lam)
+    n = model.n_states
     w = np.zeros(n)
     started = time.perf_counter()
     span_history: List[float] = []
-    with ins.span("value_iteration", backend="compiled", n_states=n) as tspan:
+    with ins.span("value_iteration", backend=tier, n_states=n) as tspan:
         for iteration in range(1, max_iterations + 1):
             _budget_error(started, time_budget_s, iteration, span_history)
             if ins.enabled:
                 sweep_start = time.perf_counter()
-            values = step_cost + transition @ w
-            new_w, greedy_cols = comp.greedy(values)
+            new_w, greedy = backup(w)
             diff = new_w - w
             span = float(diff.max() - diff.min())
             span_history.append(span)
             if series is not None:
                 series.append(
-                    backend="compiled",
+                    backend=tier,
                     iteration=iteration,
                     span=span,
                     sweep_s=time.perf_counter() - sweep_start,
@@ -186,13 +181,6 @@ def _relative_value_iteration_compiled(
             w = new_w - new_w[0]
             if span < span_tolerance:
                 gain = float(lam * 0.5 * (diff.max() + diff.min()))
-                policy = Policy._trusted(
-                    mdp,
-                    {
-                        state: comp.actions[i][greedy_cols[i]]
-                        for i, state in enumerate(comp.states)
-                    },
-                )
                 if ins.enabled:
                     tspan.attrs.update(iterations=iteration, gain=gain)
                     if metrics is not None:
@@ -205,114 +193,15 @@ def _relative_value_iteration_compiled(
                         n, iteration, gain,
                     )
                 return ValueIterationResult(
-                    policy=policy,
+                    policy=model.policy(mdp, greedy),
                     gain=gain,
-                    values=w.copy(),
+                    values=w,
                     iterations=iteration,
                     span_history=span_history,
                 )
-    raise _nonconvergence_error(span_tolerance, max_iterations, span_history)
-
-
-def _relative_value_iteration_sparse(
-    mdp,
-    span_tolerance: float,
-    max_iterations: int,
-    uniformization_rate: Optional[float],
-    time_budget_s: "Optional[float]" = None,
-) -> ValueIterationResult:
-    """Relative value iteration over the CSR lowering.
-
-    Same uniformization and sweep semantics as the compiled path -- the
-    uniformized transition matrix ``P = I + G/Lambda`` is built once as
-    a ``(pairs, states)`` CSR matrix (one O(nnz) pass) and each Bellman
-    backup is a single sparse matvec plus the shared first-wins greedy
-    reduction.
-    """
-    import scipy.sparse as sp
-
-    from repro.ctmdp.sparse import compile_sparse_ctmdp
-
-    ins = obs_active()
-    metrics = ins.metrics
-    if ins.enabled:
-        lowering_start = time.perf_counter()
-    comp = compile_sparse_ctmdp(mdp)
-    if ins.enabled and metrics is not None:
-        metrics.histogram("profile.solver.lowering_s", profiling=True).observe(
-            time.perf_counter() - lowering_start
-        )
-        metrics.counter("solver.value_iteration.solves").inc()
-    series = _convergence_series(metrics) if metrics is not None else None
-    max_rate = comp.max_exit_rate()
-    if uniformization_rate is None:
-        lam = APERIODICITY_SLACK * max_rate if max_rate > 0 else 1.0
-    else:
-        lam = float(uniformization_rate)
-        if lam < max_rate:
-            raise ValueError(
-                f"uniformization rate {lam:g} below maximal exit rate {max_rate:g}"
-            )
-    # P = I + G/Lambda in pair-indexed CSR form: scale the generator
-    # data and fold the +1 identity entries in through a COO round-trip
-    # (duplicate entries sum on conversion, landing on the diagonals).
-    coo = comp.generator.tocoo()
-    transition = sp.coo_array(
-        (
-            np.concatenate([coo.data / lam, np.ones(comp.n_pairs)]),
-            (
-                np.concatenate([coo.row, np.arange(comp.n_pairs)]),
-                np.concatenate([coo.col, comp.pair_state]),
-            ),
-        ),
-        shape=comp.generator.shape,
-    ).tocsr()
-    step_cost = comp.cost / lam
-    n = comp.n_states
-    w = np.zeros(n)
-    started = time.perf_counter()
-    span_history: List[float] = []
-    with ins.span("value_iteration", backend="sparse", n_states=n) as tspan:
-        for iteration in range(1, max_iterations + 1):
-            _budget_error(started, time_budget_s, iteration, span_history)
-            if ins.enabled:
-                sweep_start = time.perf_counter()
-            values = step_cost + transition @ w
-            new_w, greedy_cols = comp.greedy(values)
-            diff = new_w - w
-            span = float(diff.max() - diff.min())
-            span_history.append(span)
-            if series is not None:
-                series.append(
-                    backend="sparse",
-                    iteration=iteration,
-                    span=span,
-                    sweep_s=time.perf_counter() - sweep_start,
-                )
-            # Renormalize to keep the values bounded (relative VI).
-            w = new_w - new_w[0]
-            if span < span_tolerance:
-                gain = float(lam * 0.5 * (diff.max() + diff.min()))
-                policy = Policy._trusted(
-                    mdp,
-                    {
-                        state: comp.actions[i][greedy_cols[i]]
-                        for i, state in enumerate(comp.states)
-                    },
-                )
-                if ins.enabled:
-                    tspan.attrs.update(iterations=iteration, gain=gain)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "solver.value_iteration.iterations"
-                        ).observe(iteration)
-                return ValueIterationResult(
-                    policy=policy,
-                    gain=gain,
-                    values=w.copy(),
-                    iterations=iteration,
-                    span_history=span_history,
-                )
+            # Let the next backup run without this sweep's arrays: on the
+            # matrix-free tier they are a measurable share of peak memory.
+            del new_w, greedy, diff
     raise _nonconvergence_error(span_tolerance, max_iterations, span_history)
 
 
@@ -359,23 +248,9 @@ def relative_value_iteration(
         count and recent span history.
     """
     backend = resolve_backend(mdp, backend)
-    if backend == "kron":
-        from repro.ctmdp.kron import relative_value_iteration_kron
-
-        return relative_value_iteration_kron(
-            mdp, span_tolerance, max_iterations, uniformization_rate,
-            time_budget_s,
-        )
-    if backend == "sparse":
-        mdp.validate()
-        return _relative_value_iteration_sparse(
-            mdp, span_tolerance, max_iterations, uniformization_rate,
-            time_budget_s,
-        )
-    if backend == "compiled":
-        mdp.validate()
-        return _relative_value_iteration_compiled(
-            mdp, span_tolerance, max_iterations, uniformization_rate,
+    if backend != "reference":
+        return _relative_value_iteration(
+            mdp, backend, span_tolerance, max_iterations, uniformization_rate,
             time_budget_s,
         )
     uni = uniformize_ctmdp(mdp, rate=uniformization_rate)

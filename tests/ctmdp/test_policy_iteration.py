@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import repro.ctmdp.kron as kron_mod
 from repro.ctmdp.compiled import PairIndexedCTMDP
+from repro.ctmdp.kron import KroneckerCTMDP, kron_farm_model
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy, evaluate_policy
 from repro.ctmdp.policy_iteration import policy_iteration
@@ -111,6 +113,35 @@ class TestPolicyIteration:
         assert 0.0 < result.gain < 50.0
 
 
+#: The class whose ``improve`` sweep each array tier runs.
+LOWERING_CLASS = {
+    "compiled": PairIndexedCTMDP,
+    "sparse": PairIndexedCTMDP,
+    "kron": KroneckerCTMDP,
+}
+
+
+def on_tier(mdp: CTMDP, backend: str):
+    """*mdp* as the model *backend* runs: Kronecker-wrapped for kron."""
+    return KroneckerCTMDP.from_ctmdp(mdp) if backend == "kron" else mdp
+
+
+def force_cycle(monkeypatch, backend: str) -> None:
+    """The first sweep improves as usual; the second returns to the
+    initial selection, a revisit of iteration 0."""
+    cls = LOWERING_CLASS[backend]
+    improve = cls.improve
+    sweeps = []
+
+    def cycling(self, pair_values, sel, atol):
+        sweeps.append(1)
+        if len(sweeps) == 1:
+            return improve(self, pair_values, sel, atol)
+        return self.selection(), True
+
+    monkeypatch.setattr(cls, "improve", cycling)
+
+
 class TestCyclePayloadIsLazy:
     """The cycle detector renders the policy only when it raises."""
 
@@ -126,33 +157,23 @@ class TestCyclePayloadIsLazy:
         monkeypatch.setattr(pi_mod, "_policy_payload", counting)
         return calls
 
-    @pytest.mark.parametrize("backend", ["compiled", "sparse"])
+    @pytest.mark.parametrize("backend", ["compiled", "sparse", "kron"])
     def test_converging_run_never_renders_the_policy(
         self, paper_model, payload_calls, backend
     ):
         result = policy_iteration(
-            paper_model.build_ctmdp(weight=1.0), backend=backend
+            on_tier(paper_model.build_ctmdp(weight=1.0), backend),
+            backend=backend,
         )
         assert result.iterations > 1  # rounds with policy changes ran
         assert payload_calls == []
 
-    @pytest.mark.parametrize("backend", ["compiled", "sparse"])
+    @pytest.mark.parametrize("backend", ["compiled", "sparse", "kron"])
     def test_cycling_run_carries_the_policy(
         self, paper_model, payload_calls, monkeypatch, backend
     ):
-        # The first sweep improves as usual; the second returns to the
-        # initial selection, a revisit of iteration 0.
-        improve = PairIndexedCTMDP.improve
-        sweeps = []
-
-        def cycling(self, pair_values, sel, atol):
-            sweeps.append(1)
-            if len(sweeps) == 1:
-                return improve(self, pair_values, sel, atol)
-            return self.pair_offset[:-1].copy(), True
-
-        monkeypatch.setattr(PairIndexedCTMDP, "improve", cycling)
-        mdp = paper_model.build_ctmdp(weight=1.0)
+        force_cycle(monkeypatch, backend)
+        mdp = on_tier(paper_model.build_ctmdp(weight=1.0), backend)
         with pytest.raises(SolverError) as err:
             policy_iteration(mdp, backend=backend)
         diagnostics = err.value.diagnostics
@@ -160,3 +181,56 @@ class TestCyclePayloadIsLazy:
         assert diagnostics["first_seen"] == 0
         assert payload_calls == [mdp.n_states]
         assert len(diagnostics["policy"]) == mdp.n_states
+
+
+class TestFailureDiagnostics:
+    """Every array tier's typed failures carry the same payload."""
+
+    KEYS = {"reason", "iteration", "backend", "gain_history", "policy"}
+
+    @pytest.fixture(params=["compiled", "sparse", "kron"])
+    def backend(self, request):
+        return request.param
+
+    def _solve_failing(self, mdp, backend, **kwargs):
+        with pytest.raises(SolverError) as err:
+            policy_iteration(mdp, backend=backend, **kwargs)
+        diagnostics = err.value.diagnostics
+        assert self.KEYS <= set(diagnostics)
+        assert diagnostics["backend"] == backend
+        return diagnostics
+
+    def test_exhausted_run(self, paper_model, backend):
+        mdp = on_tier(paper_model.build_ctmdp(weight=1.0), backend)
+        diagnostics = self._solve_failing(mdp, backend, max_iterations=0)
+        assert diagnostics["reason"] == "max_iterations_exhausted"
+        assert diagnostics["iteration"] == 0
+        assert len(diagnostics["gain_history"]) == 1
+        assert len(diagnostics["policy"]) == mdp.n_states
+
+    def test_cycling_run(self, paper_model, monkeypatch, backend):
+        force_cycle(monkeypatch, backend)
+        mdp = on_tier(paper_model.build_ctmdp(weight=1.0), backend)
+        diagnostics = self._solve_failing(mdp, backend)
+        assert diagnostics["reason"] == "policy_cycle"
+        assert diagnostics["iteration"] == 2
+        assert len(diagnostics["gain_history"]) == 2
+        assert len(diagnostics["policy"]) == mdp.n_states
+
+    @pytest.mark.parametrize("failure", ["exhausted", "cycle"])
+    def test_kron_payload_past_label_limit(self, monkeypatch, failure):
+        # Past LABEL_LIMIT the joint labels are never materialized; the
+        # payload still names each state through state_label.
+        monkeypatch.setattr(kron_mod, "LABEL_LIMIT", 4)
+        kmdp = kron_farm_model(2, 3)  # 16 states
+        kwargs = {}
+        if failure == "cycle":
+            force_cycle(monkeypatch, "kron")
+        else:
+            kwargs["max_iterations"] = 0
+        diagnostics = self._solve_failing(kmdp, "kron", **kwargs)
+        assert diagnostics["policy"][:2] == [
+            [repr((0, 0)), repr(kmdp.action_set[0])],
+            [repr((0, 1)), repr(kmdp.action_set[0])],
+        ]
+        assert len(diagnostics["policy"]) == kmdp.n_states

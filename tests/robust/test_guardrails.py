@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ctmdp.kron import KroneckerCTMDP
 from repro.ctmdp.policy import evaluate_policy
 from repro.ctmdp.policy_iteration import _CycleDetector, policy_iteration
 from repro.ctmdp.value_iteration import relative_value_iteration
@@ -135,22 +136,35 @@ class TestPolicyIterationWithFallback:
         assert degraded.gain == pytest.approx(healthy.gain, rel=1e-9)
 
 
+def on_tier(mdp, backend):
+    """*mdp* as the model *backend* runs: Kronecker-wrapped for kron."""
+    return KroneckerCTMDP.from_ctmdp(mdp) if backend == "kron" else mdp
+
+
 class TestBudgets:
-    @pytest.mark.parametrize("backend", ["compiled", "reference"])
+    @pytest.mark.parametrize(
+        "backend", ["compiled", "reference", "sparse", "kron"]
+    )
     def test_policy_iteration_time_budget(self, paper_mdp, backend):
         with pytest.raises(SolverError) as excinfo:
-            policy_iteration(paper_mdp, backend=backend, time_budget_s=0.0)
+            policy_iteration(
+                on_tier(paper_mdp, backend), backend=backend,
+                time_budget_s=0.0,
+            )
         diag = excinfo.value.diagnostics
         assert diag["reason"] == "time_budget_exceeded"
         assert diag["iteration"] == 1
         assert diag["elapsed_s"] > 0.0
         assert len(diag["gain_history"]) == 1
 
-    @pytest.mark.parametrize("backend", ["compiled", "reference"])
+    @pytest.mark.parametrize(
+        "backend", ["compiled", "reference", "sparse", "kron"]
+    )
     def test_value_iteration_time_budget(self, paper_mdp, backend):
         with pytest.raises(SolverError) as excinfo:
             relative_value_iteration(
-                paper_mdp, backend=backend, time_budget_s=0.0
+                on_tier(paper_mdp, backend), backend=backend,
+                time_budget_s=0.0,
             )
         assert excinfo.value.diagnostics["reason"] == "time_budget_exceeded"
 
