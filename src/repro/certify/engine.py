@@ -53,8 +53,10 @@ from repro.obs.runtime import active as obs_active
 #: corpus (whose gain shifts are O(0.01) and up).
 DEFAULT_TOLERANCE = 1e-6
 
-#: Exact rational arithmetic is O(n^3) Fraction operations -- run it by
-#: default only below this state count (the paper's SYS model has 23).
+#: Exact rational arithmetic eliminates over the induced chain's
+#: nonzeros, but its rationals grow with the chain: ~5 ms a call at the
+#: paper's 23 states, ~0.5 s at 199 (2-core x86 host). Run it by
+#: default only up to this state count.
 EXACT_STATE_LIMIT = 200
 
 #: The canonical check order; ``checks=`` subsets preserve it.
