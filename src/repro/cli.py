@@ -165,7 +165,7 @@ def _metrics_rows(metrics) -> "list[tuple[str, float]]":
 def cmd_solve(args: argparse.Namespace) -> int:
     model = _build_model(args)
     if args.max_queue_length is not None:
-        if args.backend not in ("auto", "dense", "compiled"):
+        if args.backend not in ("auto", "compiled"):
             raise errors.SolverError(
                 "constrained mode solves the occupation-measure LP, which "
                 f"is dense-only; --backend {args.backend} is not supported"

@@ -29,8 +29,8 @@ Implements the decision-theoretic layer of the paper:
   (factor generators, never the joint matrix); the top tier, for
   tensor-product state spaces of 10^5--10^6 states.
 - :mod:`repro.ctmdp.backends` -- the ``backend=`` ladder shared by all
-  solver entry points (``auto``/``dense``/``compiled``/``sparse``/
-  ``kron``/``reference``) and its resolution rules.
+  solver entry points (``auto``/``compiled``/``sparse``/``kron``/
+  ``reference``) and its resolution rules.
 """
 
 from repro.ctmdp.backends import BACKENDS, DENSE_STATE_LIMIT, resolve_backend

@@ -2,9 +2,9 @@
 
 Three representation tiers sit behind one API:
 
-- ``"dense"`` (alias ``"compiled"``): the dense compiled lowering --
-  O(pairs x states) memory, O(n^3) direct evaluation. Fastest on small
-  models; the bit-exactness baseline.
+- ``"compiled"``: the dense compiled lowering -- O(pairs x states)
+  memory, O(n^3) direct evaluation. Fastest on small models; the
+  bit-exactness baseline.
 - ``"sparse"``: CSR lowering (:mod:`repro.ctmdp.sparse`) -- O(nnz)
   memory, one fresh SuperLU factorization per policy-iteration round
   (ILU-GMRES as the rescue rung). The tier from a few hundred states
@@ -37,7 +37,7 @@ from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
 
 #: Every accepted ``backend=`` argument.
-BACKENDS = ("auto", "dense", "compiled", "sparse", "kron", "reference")
+BACKENDS = ("auto", "compiled", "sparse", "kron", "reference")
 
 #: ``auto`` keeps plain CTMDPs on the dense compiled tier up to this
 #: many states; beyond it CSR wins. Measured crossovers (DESIGN §10.2,
@@ -142,8 +142,6 @@ def resolve_backend(mdp, backend: str, who: str = "solver") -> str:
     n_states = mdp.n_states
     if backend == "auto":
         resolved, reason = auto_tier(n_states)
-    elif backend == "dense":
-        resolved, reason = "compiled", "explicit request (dense alias)"
     else:
         resolved, reason = backend, "explicit request"
     _record_decision(backend, resolved, n_states, reason, who)

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
-from repro.errors import InvalidPolicyError, SolverError
+from repro.errors import InvalidPolicyError
 from repro.markov.generator import canonical_shift, stationary_distribution
 from repro.robust.guardrails import solve_with_fallback
 
@@ -298,16 +298,6 @@ class CompiledCTMDP(PairIndexedCTMDP):
 
     # -- policy evaluation ---------------------------------------------------
 
-    def evaluation_system(
-        self, sel: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(G, c)`` of the deterministic policy selecting rows *sel*.
-
-        ``G`` is a fresh writable array (fancy indexing copies), so
-        callers may assemble linear systems in place.
-        """
-        return self.generator[sel], self.cost[sel]
-
     def evaluate(
         self, sel: np.ndarray, reference_state: int, x0=None
     ) -> "tuple[float, np.ndarray]":
@@ -349,12 +339,13 @@ class CompiledCTMDP(PairIndexedCTMDP):
         self, sel: np.ndarray, discount: float, x0=None
     ) -> np.ndarray:
         """Values ``v`` solving ``(a I - G) v = c`` for rows *sel*
-        (dense LU; *x0* is ignored)."""
-        a = discount * np.eye(self.n_states) - self.generator[sel]
-        try:
-            return np.linalg.solve(a, self.cost[sel])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - a>0 keeps this regular
-            raise SolverError("discounted evaluation system is singular") from exc
+        through the guardrail ladder (*x0* is ignored)."""
+        return solve_with_fallback(
+            discount * np.eye(self.n_states) - self.generator[sel],
+            self.cost[sel],
+            what="discounted evaluation system",
+            context={"discount": discount},
+        )
 
     def stationary(self, sel: np.ndarray) -> np.ndarray:
         """Stationary distribution of the policy selecting rows *sel*."""

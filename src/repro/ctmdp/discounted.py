@@ -29,6 +29,7 @@ from repro.errors import SolverError
 from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
+from repro.robust.guardrails import solve_with_fallback
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,15 @@ class DiscountedResult:
 
 
 def _evaluate_discounted(policy: Policy, discount: float) -> np.ndarray:
-    """Solve ``(a I - G) v = c`` for the policy's value vector."""
+    """Solve ``(a I - G) v = c`` for the policy's value vector through
+    the guardrail ladder."""
     g = policy.generator_matrix()
-    c = policy.cost_vector()
-    n = g.shape[0]
-    a = discount * np.eye(n) - g
-    try:
-        return np.linalg.solve(a, c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - a>0 keeps this regular
-        raise SolverError("discounted evaluation system is singular") from exc
+    return solve_with_fallback(
+        discount * np.eye(g.shape[0]) - g,
+        policy.cost_vector(),
+        what="discounted evaluation system",
+        context={"discount": discount},
+    )
 
 
 def _discounted_policy_iteration(
@@ -122,8 +123,8 @@ def discounted_policy_iteration(
         :func:`repro.ctmdp.policy_iteration.policy_iteration`.
     backend:
         ``"auto"`` (default) resolves by model type and size (see
-        :mod:`repro.ctmdp.backends`); ``"dense"``/``"compiled"``
-        (vectorized dense lowering), ``"sparse"`` (CSR lowering with the
+        :mod:`repro.ctmdp.backends`); ``"compiled"`` (vectorized
+        dense lowering), ``"sparse"`` (CSR lowering with the
         direct/Krylov evaluation ladder), ``"kron"`` (matrix-free, for
         Kronecker models), or ``"reference"`` (the original per-state
         dict loops); results agree across tiers.

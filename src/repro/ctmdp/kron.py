@@ -26,10 +26,18 @@ and :mod:`repro.ctmdp.discounted`; :class:`KroneckerCTMDP` supplies
 their linear algebra through the same methods as the dense and CSR
 lowerings.
 
+All three GMRES solves run through the shared solve ladder of
+:mod:`repro.robust.guardrails` with this tier's one rung (:data:`LADDER`):
+GMRES, warm-started from the previous round where the loop passes one.
+A non-converged GMRES exit rejects the rung and the ladder raises its
+typed :class:`~repro.errors.SolverError`.
+
 Tolerance contract: GMRES runs to :data:`repro.ctmdp.sparse.KRYLOV_RTOL`
-(1e-10) and any accepted solution passes the guardrail-style relative
-residual test; small models are cross-checked against the dense core by
-the equivalence suite.
+(1e-10). Policy and discounted evaluation then accept the solution only
+if it also solves the original equations (``c + G h = g 1``, resp.
+``(a I - G) v = c``) to a relative residual of ``RESIDUAL_RTOL``; the
+stationary solve accepts on GMRES's own convergence. Small models are
+cross-checked against the dense core by the equivalence suite.
 """
 
 from __future__ import annotations
@@ -52,10 +60,11 @@ from repro.errors import (
 )
 from repro.ctmdp.sparse import GMRES_MAXITER, GMRES_RESTART, KRYLOV_RTOL
 from repro.ctmdp.uniformization import APERIODICITY_SLACK
-from repro.markov.generator import canonical_shift
+from repro.markov.generator import canonical_shift, normalize_distribution
 from repro.markov.kron import KroneckerGenerator
+from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
-from repro.robust.guardrails import RESIDUAL_RTOL
+from repro.robust.guardrails import Ladder, Rung
 
 #: ``KroneckerCTMDP.states`` refuses to materialize joint label tuples
 #: beyond this many states -- at 10^6 states the label list would rival
@@ -454,34 +463,30 @@ class KroneckerCTMDP:
                 px = x + g_can(x) / lam
                 return x - px + px[reference_state]
 
+            def accept(h: np.ndarray):
+                # Residual of the original evaluation equations.
+                h = h - h[reference_state]
+                gh = g_can(h)
+                gain_can = c_ref + float(gh[reference_state])
+                residual = c_can + gh - gain_can
+                scale = (
+                    max_rate_can * 2.0 * float(np.max(np.abs(h), initial=0.0))
+                    + float(np.max(np.abs(c_can), initial=0.0))
+                    + abs(gain_can)
+                )
+                rel = float(np.max(np.abs(residual), initial=0.0)) / max(
+                    scale, 1e-300
+                )
+                return rel, (gain_can, h)
+
             operator = LinearOperator((n, n), matvec=elimination, dtype=float)
-            b = (c_can - c_ref) / lam
-            h = _gmres_solve(
-                operator, b, x0,
+            gain_can, h = LADDER.solve(
+                (_gmres_rung(operator, (c_can - c_ref) / lam, x0),),
+                accept,
                 what="matrix-free policy evaluation",
                 context={"reference_state": reference_state},
+                fields={"n": n},
             )
-            h = h - h[reference_state]
-            gh = g_can(h)
-            gain_can = c_ref + float(gh[reference_state])
-            # Residual of the original evaluation equations, guardrail-style.
-            residual = c_can + gh - gain_can
-            scale = (
-                max_rate_can * 2.0 * float(np.max(np.abs(h), initial=0.0))
-                + float(np.max(np.abs(c_can), initial=0.0))
-                + abs(gain_can)
-            )
-            rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
-            span.attrs.update(residual=rel)
-            if rel > RESIDUAL_RTOL:
-                raise SolverError(
-                    f"matrix-free policy evaluation residual {rel:.3g} exceeds "
-                    f"{RESIDUAL_RTOL:g}; the induced chain is likely multichain",
-                    diagnostics={
-                        "backend": "kron", "residual": rel,
-                        "residual_rtol": RESIDUAL_RTOL,
-                    },
-                )
             gain = float(np.ldexp(gain_can, shift))
             span.attrs.update(gain=gain)
             return gain, h
@@ -502,28 +507,26 @@ class KroneckerCTMDP:
             (n, n), matvec=lambda x: discount * x - g_apply(x), dtype=float
         )
         c = self.costs[sel, np.arange(n)]
-        v = _gmres_solve(
-            operator, c, x0,
+
+        def accept(v: np.ndarray):
+            residual = c + g_apply(v) - discount * v
+            scale = (
+                (self.max_exit_rate() * 2.0 + discount)
+                * float(np.max(np.abs(v), initial=0.0))
+                + float(np.max(np.abs(c), initial=0.0))
+            )
+            rel = float(np.max(np.abs(residual), initial=0.0)) / max(
+                scale, 1e-300
+            )
+            return rel, v
+
+        return LADDER.solve(
+            (_gmres_rung(operator, c, x0),),
+            accept,
             what="matrix-free discounted evaluation",
             context={"discount": discount},
+            fields={"n": n},
         )
-        residual = c + g_apply(v) - discount * v
-        scale = (
-            (self.max_exit_rate() * 2.0 + discount)
-            * float(np.max(np.abs(v), initial=0.0))
-            + float(np.max(np.abs(c), initial=0.0))
-        )
-        rel = float(np.max(np.abs(residual), initial=0.0)) / max(scale, 1e-300)
-        if rel > RESIDUAL_RTOL:
-            raise SolverError(
-                f"matrix-free discounted evaluation residual {rel:.3g} "
-                f"exceeds {RESIDUAL_RTOL:g}",
-                diagnostics={
-                    "backend": "kron", "residual": rel,
-                    "residual_rtol": RESIDUAL_RTOL, "discount": discount,
-                },
-            )
-        return v
 
     def stationary(self, sel: np.ndarray) -> np.ndarray:
         """Stationary distribution of the policy *sel*, matrix-free.
@@ -549,27 +552,19 @@ class KroneckerCTMDP:
             with obs_active().span(
                 "stationary_solve", backend="kron", n_states=n
             ):
-                p = _gmres_solve(
-                    operator, b, x0,
-                    what="matrix-free stationary solve", context={},
+                # GMRES's own convergence to KRYLOV_RTOL is the test.
+                p = LADDER.solve(
+                    (_gmres_rung(operator, b, x0),),
+                    None,
+                    what="matrix-free stationary solve",
+                    fields={"n": n},
                 )
         except SolverError as exc:
             raise NotIrreducibleError(
                 "stationary distribution is not unique or does not exist: "
                 + str(exc)
             ) from exc
-        if np.min(p) < -1e-7:
-            raise NotIrreducibleError(
-                "matrix-free stationary solve produced significantly negative "
-                f"probabilities (min {np.min(p):.3g})"
-            )
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if not np.isfinite(total) or total <= 0.0:
-            raise NotIrreducibleError(
-                "matrix-free stationary solve produced a non-normalizable vector"
-            )
-        return p / total
+        return normalize_distribution(p)
 
     # -- conversions ---------------------------------------------------------
 
@@ -748,21 +743,28 @@ def _policy_generator_rapply(kmdp: KroneckerCTMDP, sel: np.ndarray):
     return apply
 
 
-def _gmres_solve(operator, b, x0, what: str, context: "Dict") -> np.ndarray:
-    """GMRES with the documented Krylov target; typed error on failure.
+#: The Kronecker tier's one rung: warm-started GMRES on the matrix-free
+#: operator, unpreconditioned.
+LADDER = Ladder(
+    "kron",
+    (Rung("gmres", "GMRES", "solver.kron.gmres_solves"),),
+    get_logger("ctmdp.kron"),
+    span="gmres_solve",
+    series=KRYLOV_SERIES,
+)
 
-    With metrics active, each solve appends its per-iteration residual
-    trajectory to :data:`KRYLOV_SERIES` and bumps the solve counter.
-    """
-    ins = obs_active()
-    metrics = ins.metrics if ins.enabled else None
-    residuals: "List[float]" = []
-    callback = (
-        (lambda pr_norm: residuals.append(float(pr_norm)))
-        if ins.enabled
-        else None
-    )
-    with ins.span("gmres_solve", what=what, n=int(operator.shape[0])) as span:
+
+def _gmres_rung(operator, b: np.ndarray, x0: "Optional[np.ndarray]"):
+    """GMRES on *operator* to the documented Krylov target, warm-started
+    from *x0*; a non-converged exit rejects the rung."""
+
+    def solve(callback, details) -> np.ndarray:
+        details["warm_started"] = x0 is not None
+        ins = obs_active()
+        if x0 is not None and ins.enabled and ins.metrics is not None:
+            # Warm-started from a previous round's solution (the
+            # cross-solve reuse layer's matrix-free leg).
+            ins.metrics.counter("solver.reuse.gmres_warm_starts").inc()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             x, info = gmres(
@@ -770,46 +772,12 @@ def _gmres_solve(operator, b, x0, what: str, context: "Dict") -> np.ndarray:
                 restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
                 callback=callback, callback_type="pr_norm",
             )
-        converged = info == 0 and bool(np.all(np.isfinite(x)))
-        span.attrs.update(iterations=len(residuals), converged=converged)
-        if metrics is not None:
-            metrics.counter("solver.kron.gmres_solves").inc()
-            if x0 is not None:
-                # Warm-started from a previous round's solution (the
-                # cross-solve reuse layer's matrix-free leg).
-                metrics.counter("solver.reuse.gmres_warm_starts").inc()
-            metrics.series(KRYLOV_SERIES).append(
-                what=what,
-                iterations=len(residuals),
-                residuals=residuals,
-                converged=converged,
-                warm_started=x0 is not None,
-            )
-    if info != 0 or not np.all(np.isfinite(x)):
-        raise SolverError(
-            f"{what}: matrix-free GMRES failed to converge "
-            f"(info={int(info)}); the induced chain is likely multichain "
-            "or badly conditioned for Krylov iteration",
-            diagnostics={
-                "backend": "kron", "gmres_info": int(info), **context,
-            },
-        )
-    return x
+        details["gmres_info"] = int(info)
+        if info != 0:
+            raise RuntimeError(f"GMRES did not converge (info={int(info)})")
+        return x
 
-
-def kron_evaluate(
-    kmdp: KroneckerCTMDP,
-    policy,
-    reference_state: int = 0,
-    compute_stationary: bool = True,
-):
-    """Full matrix-free evaluation of *policy* on *kmdp*."""
-    from repro.ctmdp.policy import PolicyEvaluation
-
-    sel = kmdp.selection(policy)
-    gain, bias = kmdp.evaluate(sel, reference_state)
-    stationary = kmdp.stationary(sel) if compute_stationary else None
-    return PolicyEvaluation(gain=gain, bias=bias, stationary=stationary)
+    return solve
 
 
 def policy_iteration_kron(

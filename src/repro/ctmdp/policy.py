@@ -20,9 +20,11 @@ from typing import Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
-from repro.errors import InvalidPolicyError
+from repro.errors import InvalidPolicyError, SolverError
 from repro.ctmdp.model import CTMDP
 from repro.markov.chain import ContinuousTimeMarkovChain
+from repro.markov.generator import canonical_shift, stationary_distribution
+from repro.robust.guardrails import solve_with_fallback
 
 
 class Policy:
@@ -212,50 +214,45 @@ class PolicyEvaluation:
     stationary: Optional[np.ndarray]
 
 
-def _evaluate_policy_sparse(
-    policy,
-    cost_vector: Optional[np.ndarray],
-    reference_state: int,
-    compute_stationary: bool,
+def _evaluate_reference(
+    policy, reference_state: int, compute_stationary: bool
 ) -> PolicyEvaluation:
-    """Sparse-ladder twin of the dense evaluation assembly."""
-    from repro.ctmdp.sparse import (
-        bordered_system,
-        compile_sparse_ctmdp,
-        solve_sparse_with_fallback,
-        sparse_stationary_distribution,
-    )
+    """Evaluation assembled from the dict model, state by state -- the
+    ``reference`` tier, and the path randomized policies take.
 
-    smdp = compile_sparse_ctmdp(policy.mdp)
-    sel = smdp.policy_rows(policy.as_dict())
-    n = smdp.n_states
+    Unknowns: ``h_0..h_{n-1}, g``. Equations: ``G h - g 1 = -c`` (n
+    rows) plus ``h[ref] = 0``, assembled in canonical units -- G and c
+    scaled by the exact exponent shift that brings the *model-wide* max
+    exit rate into [1, 2), the same shift the compiled tier uses, so
+    both paths run the identical float computation. The gain shifts
+    back exactly; the bias is scale-invariant.
+    """
+    g_mat = policy.generator_matrix()
+    n = g_mat.shape[0]
     if not 0 <= reference_state < n:
         raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    g_can, c_can, shift = smdp.canonical()
-    rows = g_can[sel]
-    if cost_vector is None:
-        c = c_can[sel]
-    else:
-        c = np.ldexp(np.asarray(cost_vector, dtype=float), -shift)
-    if c.shape != (n,):
-        raise InvalidPolicyError(f"cost vector shape {c.shape} != ({n},)")
-    b = np.concatenate([-c, [0.0]])
-    solution = solve_sparse_with_fallback(
-        bordered_system(rows, reference_state), b,
-        what="policy evaluation system",
+    shift = canonical_shift(policy.mdp.max_exit_rate())
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = np.ldexp(g_mat, -shift)
+    a[:n, n] = -1.0
+    a[n, reference_state] = 1.0
+    b = np.concatenate([np.ldexp(-policy.cost_vector(), -shift), [0.0]])
+    solution = solve_with_fallback(
+        a, b, what="policy evaluation system",
         context={"reference_state": reference_state},
-        a_max=max(1.0, float(np.max(np.abs(rows.data), initial=0.0))),
     )
-    gain = float(np.ldexp(solution[n], shift))
-    if not compute_stationary:
-        return PolicyEvaluation(gain=gain, bias=solution[:n], stationary=None)
-    p = sparse_stationary_distribution(smdp.generator[sel])
-    return PolicyEvaluation(gain=gain, bias=solution[:n], stationary=p)
+    # Policy iteration needs only gain and bias; intermediate policies
+    # may induce multichain generators whose stationary solve would
+    # (rightly) raise, so it runs only when asked for.
+    return PolicyEvaluation(
+        gain=float(np.ldexp(solution[n], shift)),
+        bias=solution[:n],
+        stationary=stationary_distribution(g_mat) if compute_stationary else None,
+    )
 
 
 def evaluate_policy(
     policy,
-    cost_vector: Optional[np.ndarray] = None,
     reference_state: int = 0,
     backend: Optional[str] = None,
     compute_stationary: bool = True,
@@ -274,121 +271,41 @@ def evaluate_policy(
     Parameters
     ----------
     policy:
-        A :class:`Policy` or :class:`RandomizedPolicy`.
-    cost_vector:
-        Optional override for the per-state cost rates; defaults to the
-        policy's own effective costs.
+        A :class:`Policy`, a :class:`RandomizedPolicy`, or a
+        :class:`~repro.ctmdp.kron.ArrayPolicy`.
     reference_state:
         Index whose bias is pinned to zero.
     backend:
-        ``None`` (default) assembles ``G`` and ``c`` from the model's
-        compiled arrays when a dense lowering is already cached on the
-        model (and the policy is deterministic), falling back to the
-        per-state dict loops otherwise; ``"compiled"`` forces the
-        lowering; ``"reference"`` forces the dict path; ``"sparse"``
-        routes through the CSR lowering and the direct/Krylov solver
-        ladder of :mod:`repro.ctmdp.sparse`. Policies over
-        :class:`~repro.ctmdp.sparse.SparseCTMDP` and
-        :class:`~repro.ctmdp.kron.KroneckerCTMDP` models evaluate on
-        their native tier automatically. Dense paths are bit-identical
-        to each other; sparse/matrix-free results match within the
+        Resolved like the solvers' ``backend`` by
+        :func:`~repro.ctmdp.backends.resolve_backend` (``None`` means
+        ``"auto"``); an unknown name or a tier the model cannot run on
+        is a typed :class:`~repro.errors.SolverError`. A deterministic
+        policy is evaluated by the ``evaluate`` and ``stationary``
+        methods of the tier's lowering -- the same solves policy
+        iteration runs. ``"reference"`` assembles the system from the
+        dict model instead (the independent path), as do randomized
+        policies unless a tier that evaluates deterministic policies
+        only is asked for by name. The dense paths are bit-identical to
+        each other; CSR and matrix-free results match within the
         documented residual tolerance.
     """
-    from repro.ctmdp.kron import ArrayPolicy, KroneckerCTMDP, kron_evaluate
-    from repro.ctmdp.sparse import SparseCTMDP
+    from repro.ctmdp.backends import lower, resolve_backend
 
-    mdp = policy.mdp
-    if isinstance(mdp, KroneckerCTMDP) or isinstance(policy, ArrayPolicy):
-        if backend not in (None, "auto", "kron"):
-            from repro.errors import SolverError
-
-            raise SolverError(
-                f"backend {backend!r} cannot evaluate a policy over a "
-                "KroneckerCTMDP; Kronecker models are matrix-free only"
-            )
-        if cost_vector is not None:
-            from repro.errors import SolverError
-
-            raise SolverError(
-                "cost_vector overrides are not supported on the "
-                "matrix-free tier"
-            )
-        return kron_evaluate(
-            mdp, policy, reference_state=reference_state,
-            compute_stationary=compute_stationary,
+    requested = backend or "auto"
+    if isinstance(policy, RandomizedPolicy) and requested in ("auto", "compiled"):
+        requested = "reference"
+    tier = resolve_backend(policy.mdp, requested, who="evaluate_policy")
+    if tier == "reference":
+        return _evaluate_reference(policy, reference_state, compute_stationary)
+    if isinstance(policy, RandomizedPolicy):
+        raise SolverError(
+            f"backend {tier!r} evaluates deterministic policies only"
         )
-    if backend == "sparse" or isinstance(mdp, SparseCTMDP):
-        if isinstance(mdp, SparseCTMDP) and backend not in (
-            None, "auto", "sparse"
-        ):
-            from repro.errors import SolverError
-
-            raise SolverError(
-                f"backend {backend!r} cannot evaluate a policy over a "
-                "SparseCTMDP; sparse-built models never had a dict/dense "
-                "form (backend='sparse' or None)"
-            )
-        if not hasattr(policy, "as_dict"):
-            from repro.errors import SolverError
-
-            raise SolverError(
-                "sparse evaluation supports deterministic policies only"
-            )
-        return _evaluate_policy_sparse(
-            policy, cost_vector, reference_state, compute_stationary
-        )
-    comp = None
-    if backend != "reference" and isinstance(policy, Policy):
-        if backend == "compiled":
-            from repro.ctmdp.compiled import compile_ctmdp
-
-            comp = compile_ctmdp(policy.mdp)
-        else:
-            comp = getattr(policy.mdp, "_compiled", None)
-    if comp is not None:
-        g_mat, compiled_cost = comp.evaluation_system(
-            comp.policy_rows(policy.as_dict())
-        )
-        c = compiled_cost if cost_vector is None else np.asarray(cost_vector, float)
-    else:
-        g_mat = policy.generator_matrix()
-        c = policy.cost_vector() if cost_vector is None else np.asarray(cost_vector, float)
-    n = g_mat.shape[0]
-    if c.shape != (n,):
-        raise InvalidPolicyError(f"cost vector shape {c.shape} != ({n},)")
-    if not 0 <= reference_state < n:
-        raise InvalidPolicyError(f"reference state {reference_state} out of range")
-    # Unknowns: h_0..h_{n-1}, g. Equations: G h - g 1 = -c (n rows) plus
-    # h[ref] = 0. Assembled in canonical units -- G and c scaled by the
-    # exact exponent shift that brings the *model-wide* max exit rate
-    # into [1, 2), the same shift the compiled solver uses, so both
-    # paths run the identical float computation. The gain shifts back
-    # exactly; the bias is scale-invariant.
-    from repro.markov.generator import canonical_shift
-
-    shift = canonical_shift(policy.mdp.max_exit_rate())
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = np.ldexp(g_mat, -shift)
-    a[:n, n] = -1.0
-    a[n, reference_state] = 1.0
-    b = np.concatenate([np.ldexp(-c, -shift), [0.0]])
-    from repro.robust.guardrails import solve_with_fallback
-
-    solution = solve_with_fallback(
-        a, b, what="policy evaluation system",
-        context={"reference_state": reference_state},
+    model = lower(policy.mdp, tier)
+    sel = model.selection(policy)
+    gain, bias = model.evaluate(sel, reference_state)
+    return PolicyEvaluation(
+        gain=gain,
+        bias=bias,
+        stationary=model.stationary(sel) if compute_stationary else None,
     )
-    h = solution[:n]
-    gain = float(np.ldexp(solution[n], shift))
-
-    if not compute_stationary:
-        # Policy iteration's improvement step needs only gain and bias;
-        # intermediate policies may induce multichain generators whose
-        # stationary solve would (rightly) raise, so the solve is
-        # deferred to the converged policy.
-        return PolicyEvaluation(gain=gain, bias=h, stationary=None)
-
-    from repro.markov.generator import stationary_distribution
-
-    p = stationary_distribution(g_mat)
-    return PolicyEvaluation(gain=gain, bias=h, stationary=p)

@@ -38,7 +38,7 @@ import numpy as np
 from repro.errors import SolverError
 from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
-from repro.ctmdp.policy import Policy, PolicyEvaluation, evaluate_policy
+from repro.ctmdp.policy import Policy, PolicyEvaluation, _evaluate_reference
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
 
@@ -345,13 +345,14 @@ def policy_iteration(
         sparse models run sparse, and plain CTMDPs run the dense
         compiled tier up to
         :data:`~repro.ctmdp.backends.DENSE_STATE_LIMIT` states, CSR
-        beyond. ``"dense"`` / ``"compiled"`` force the dense lowering,
+        beyond. ``"compiled"`` forces the dense lowering,
         ``"sparse"`` the CSR lowering (one fresh SuperLU factorization
         per improvement round), ``"kron"`` the matrix-free Kronecker
         solvers, and ``"reference"`` the original per-state dict loops.
         All tiers produce the same policies and matching gains (the
-        equivalence suite asserts it; dense vs. compiled is bit-exact,
-        Krylov rungs are held to the documented residual tolerance).
+        equivalence suite asserts it; compiled vs. reference is
+        bit-exact, Krylov rungs are held to the documented residual
+        tolerance).
     time_budget_s:
         Optional wall-clock budget; exceeding it raises a structured
         :class:`SolverError` (``reason: time_budget_exceeded``) instead
@@ -388,9 +389,8 @@ def policy_iteration(
     gain_history: List[float] = []
     if ins.enabled:
         sweep_start = time.perf_counter()
-    evaluation = evaluate_policy(
-        policy, reference_state=reference_state, backend="reference",
-        compute_stationary=False,
+    evaluation = _evaluate_reference(
+        policy, reference_state, compute_stationary=False
     )
     gain_history.append(evaluation.gain)
     cycles.check(
@@ -421,9 +421,8 @@ def policy_iteration(
                     iteration, gain_history,
                     lambda: _policy_payload(policy.as_dict()),
                 )
-            evaluation = evaluate_policy(
-                policy, reference_state=reference_state, backend="reference",
-                compute_stationary=False,
+            evaluation = _evaluate_reference(
+                policy, reference_state, compute_stationary=False
             )
             gain_history.append(evaluation.gain)
             if series is not None:

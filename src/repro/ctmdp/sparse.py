@@ -1,4 +1,4 @@
-"""CSR sparse lowering of a CTMDP and its Krylov solver ladder.
+"""CSR sparse lowering of a CTMDP and its rungs of the solve ladder.
 
 The dense compiled core (:mod:`repro.ctmdp.compiled`) stores one full
 length-``n`` generator row per ``(state, action)`` pair -- ``O(pairs x
@@ -7,16 +7,18 @@ Both walls fall around a few thousand states. This module is the middle
 tier of the solver backend ladder: the same pair-indexed layout and
 sweep semantics (shared via :class:`PairIndexedCTMDP`), but the
 generator held as one ``(pairs, states)`` CSR matrix, improvement
-sweeps as a single sparse matvec, and policy evaluation through a
-direct-then-iterative sparse ladder:
+sweeps as a single sparse matvec, and policy evaluation through the
+shared solve ladder of :mod:`repro.robust.guardrails` with this tier's
+two rungs (:data:`LADDER`):
 
 1. sparse LU (SuperLU ``splu``) on the bordered canonical system,
-   accepted under the same relative-residual test the dense guardrails
-   use (``RESIDUAL_RTOL``);
+   accepted under the relative-residual test (``RESIDUAL_RTOL``);
 2. GMRES with an ILU preconditioner (Jacobi when the ILU factorization
    itself fails), targeting :data:`KRYLOV_RTOL`;
-3. a typed :class:`~repro.errors.SolverError` carrying residual
-   diagnostics -- never a silent NaN.
+
+and, when both are rejected, the ladder's typed
+:class:`~repro.errors.SolverError` carrying residual diagnostics --
+never a silent NaN.
 
 A singular LU skips rung 2 and fails typed at once (``reason:
 "singular_system"``): GMRES cannot converge on a singular matrix, and on
@@ -25,7 +27,8 @@ the solution family. An evaluation system is singular exactly when the
 policy's chain is (numerically) multichain. Policy iteration runs every
 improvement round through this ladder -- one fresh SuperLU factorization
 per round -- and warm-started sweeps take the typed failure as a
-rejected seed.
+rejected seed. The stationary solve is not a ladder: it is SuperLU
+alone (see :func:`sparse_stationary_distribution`).
 
 Tolerance contract: direct sparse solves agree with the dense core to
 solver roundoff (policies exactly, in practice); any solution accepted
@@ -50,12 +53,22 @@ from repro.errors import (
     InvalidModelError,
     InvalidPolicyError,
     NotIrreducibleError,
-    SolverError,
 )
-from repro.markov.generator import DEFAULT_ATOL, canonical_shift
+from repro.markov.generator import (
+    DEFAULT_ATOL,
+    canonical_shift,
+    normalize_distribution,
+)
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
-from repro.robust.guardrails import RESIDUAL_RTOL, _relative_residual
+from repro.robust.faultinject import numerical_fault
+from repro.robust.guardrails import (
+    RESIDUAL_RTOL,
+    Ladder,
+    Rung,
+    SingularSystem,
+    _relative_residual,
+)
 
 #: Relative-residual target for Krylov (GMRES) policy-evaluation solves.
 #: This is the documented accuracy contract of the iterative rungs: on
@@ -91,31 +104,23 @@ KRYLOV_SERIES = "solver.sparse.krylov.residuals"
 logger = get_logger("ctmdp.sparse")
 
 
-class _SingularLU(RuntimeError):
-    """SuperLU's exactly-singular signal, told apart from other
-    direct-rung failures, which still fall through to GMRES."""
-
-
 def _direct_solve(a_csc, b: np.ndarray) -> np.ndarray:
     """Direct sparse LU solve (module-level so tests can force the
     Krylov rung by monkeypatching, mirroring ``guardrails._dense_solve``).
 
-    A factorization failure raises :class:`_SingularLU`: ``splu``
-    raises ``RuntimeError`` exactly when it finds the matrix singular.
-    With metrics active, records the LU fill-in -- ``(nnz(L) +
-    nnz(U)) / nnz(A)`` -- the number that explains why a direct solve
-    suddenly got slow or memory-hungry on a new model family.
+    A factorization failure raises
+    :class:`~repro.robust.guardrails.SingularSystem`: ``splu`` raises
+    ``RuntimeError`` exactly when it finds the matrix singular. With
+    metrics active, records the LU fill-in -- ``(nnz(L) + nnz(U)) /
+    nnz(A)`` -- the number that explains why a direct solve suddenly
+    got slow or memory-hungry on a new model family.
     """
-    from repro.robust.faultinject import numerical_fault
-
-    if numerical_fault("direct-fail"):
-        raise RuntimeError("injected direct sparse-LU failure")
     try:
         if numerical_fault("singular-lu"):
             raise RuntimeError("injected singular factorization")
         lu = splu(a_csc)
     except RuntimeError as exc:
-        raise _SingularLU(str(exc)) from exc
+        raise SingularSystem(str(exc)) from exc
     ins = obs_active()
     if ins.enabled and ins.metrics is not None:
         ins.metrics.histogram("solver.sparse.lu_fill_factor").observe(
@@ -132,8 +137,6 @@ def _ilu_preconditioner(a_csc) -> "Tuple[LinearOperator, Dict[str, object]]":
     :data:`ILU_FILL_FACTOR` knobs it was built with, which the ladder
     copies into its telemetry rows and error diagnostics.
     """
-    from repro.robust.faultinject import numerical_fault
-
     try:
         if numerical_fault("ilu-breakdown"):
             raise RuntimeError("injected ILU factorization breakdown")
@@ -162,19 +165,30 @@ def _ilu_preconditioner(a_csc) -> "Tuple[LinearOperator, Dict[str, object]]":
         )
 
 
+#: The CSR tier's rungs: SuperLU, whose singular signal stops the
+#: ladder, then ILU-preconditioned GMRES.
+LADDER = Ladder(
+    "sparse",
+    (
+        Rung("direct", "sparse LU", "solver.sparse.direct_solves"),
+        Rung("gmres", "ILU-GMRES", "solver.sparse.gmres_fallbacks"),
+    ),
+    logger,
+    span="sparse_solve",
+    series=KRYLOV_SERIES,
+    failure_counter="solver.sparse.ladder_failures",
+)
+
+
 def solve_sparse_with_fallback(
     a,
     b: np.ndarray,
     what: str = "sparse linear system",
-    residual_rtol: float = RESIDUAL_RTOL,
     context: "Optional[Dict]" = None,
-    a_max: "Optional[float]" = None,
 ) -> np.ndarray:
-    """Solve ``a @ x = b`` through the sparse ladder (see module doc).
-
-    ``a_max`` is an optional precomputed magnitude scale of ``a`` for
-    the relative-residual test; by default the largest ``|a_ij|``, and
-    at least 1.
+    """Solve ``a @ x = b`` through the sparse :data:`LADDER` (see module
+    doc), accepting on the relative residual scaled by the largest
+    ``|a_ij|`` (at least 1).
 
     The LU counts as singular when SuperLU reports it or its solution is
     non-finite. Any other direct-rung failure, and a finite LU solution
@@ -182,74 +196,21 @@ def solve_sparse_with_fallback(
     falls through to GMRES.
     """
     a_csc = sp.csc_array(a)
-    if a_max is None:
-        a_max = float(np.max(np.abs(a_csc.data), initial=1.0))
-    nnz = int(a_csc.nnz)
-    ins = obs_active()
-    metrics = ins.metrics if ins.enabled else None
-    with ins.span(
-        "sparse_solve", what=what, n=int(a_csc.shape[0]), nnz=nnz
-    ) as span:
-        direct_error: "Optional[str]" = None
-        direct_residual: "Optional[float]" = None
-        singular_error: "Optional[str]" = None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                x = _direct_solve(a_csc, b)
-        except _SingularLU as exc:
-            singular_error = str(exc)
-        except (RuntimeError, ValueError) as exc:
-            direct_error = str(exc)
-        else:
-            if not np.all(np.isfinite(x)):
-                singular_error = "LU solution has non-finite entries"
-            else:
-                direct_residual = _relative_residual(
-                    a_csc, x, b, a_max=a_max
-                )
-                if direct_residual <= residual_rtol:
-                    span.attrs.update(
-                        rung="direct", residual=direct_residual
-                    )
-                    if metrics is not None:
-                        metrics.counter("solver.sparse.direct_solves").inc()
-                        metrics.series(KRYLOV_SERIES).append(
-                            what=what,
-                            rung="direct",
-                            nnz=nnz,
-                            reason="direct residual within tolerance",
-                            iterations=0,
-                            residuals=[direct_residual],
-                            residual=direct_residual,
-                        )
-                    return x
-        if singular_error is not None:
-            span.attrs.update(rung="singular")
-            raise SolverError(
-                f"{what} is singular (sparse LU: {singular_error}); the "
-                "induced chain is (numerically) multichain",
-                diagnostics={
-                    "reason": "singular_system",
-                    "what": what,
-                    "backend": "sparse",
-                    "direct_error": singular_error,
-                    **(context or {}),
-                },
-            )
+    a_max = float(np.max(np.abs(a_csc.data), initial=1.0))
 
-        # Krylov rung: ILU-preconditioned GMRES run to the documented
-        # KRYLOV_RTOL target, accepted under the ladder's residual_rtol.
-        fallback_reason = direct_error or (
-            f"direct residual {direct_residual:.3g} > {residual_rtol:g}"
-        )
-        residuals: "List[float]" = []
-        callback = (
-            (lambda pr_norm: residuals.append(float(pr_norm)))
-            if ins.enabled
-            else None
-        )
+    def direct(callback, details) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            x = _direct_solve(a_csc, b)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystem("LU solution has non-finite entries")
+        return x
+
+    def krylov(callback, details) -> np.ndarray:
+        # Run to the documented KRYLOV_RTOL target; the ladder accepts
+        # under RESIDUAL_RTOL.
         precond, precond_info = _ilu_preconditioner(a_csc)
+        details.update(precond_info)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             x, info = gmres(
@@ -263,84 +224,15 @@ def solve_sparse_with_fallback(
                 callback=callback,
                 callback_type="pr_norm",
             )
-        from repro.robust.faultinject import numerical_fault
+        details["gmres_info"] = int(info)
+        return x
 
-        if numerical_fault("krylov-stall"):
-            # Modeled non-convergence: the vector is poisoned exactly as
-            # a stalled GMRES would leave it, so the acceptance test
-            # below -- not this hook -- decides the failure.
-            x = np.full_like(x, np.nan)
-        gmres_residual = (
-            _relative_residual(a_csc, x, b, a_max=a_max)
-            if np.all(np.isfinite(x))
-            else float("inf")
-        )
-        converged = gmres_residual <= residual_rtol
-        span.attrs.update(
-            rung="gmres" if converged else "failed",
-            residual=gmres_residual,
-            gmres_iterations=len(residuals),
-            **precond_info,
-        )
-        if metrics is not None:
-            metrics.series(KRYLOV_SERIES).append(
-                what=what,
-                rung="gmres" if converged else "failed",
-                nnz=nnz,
-                reason=fallback_reason,
-                iterations=len(residuals),
-                # GMRES can return before its first pr_norm callback
-                # (a zero right-hand side); the accepted residual keeps
-                # the row's trajectory non-empty either way.
-                residuals=residuals or [gmres_residual],
-                residual=gmres_residual,
-                **precond_info,
-            )
-        if converged:
-            if metrics is not None:
-                metrics.counter("solver.sparse.gmres_fallbacks").inc()
-            logger.info(
-                "sparse solve fell back to ILU-GMRES what=%s nnz=%d "
-                "reason=%s iterations=%d residual=%.3g",
-                what,
-                nnz,
-                fallback_reason,
-                len(residuals),
-                gmres_residual,
-            )
-            return x
-        if metrics is not None:
-            metrics.counter("solver.sparse.ladder_failures").inc()
-        logger.warning(
-            "sparse solve ladder exhausted what=%s nnz=%d reason=%s "
-            "gmres_residual=%.3g",
-            what,
-            nnz,
-            fallback_reason,
-            gmres_residual,
-        )
-
-    diagnostics: "Dict[str, object]" = {
-        "what": what,
-        "backend": "sparse",
-        "shape": tuple(int(s) for s in a_csc.shape),
-        "nnz": int(a_csc.nnz),
-        "direct_error": direct_error,
-        "direct_residual": direct_residual,
-        "gmres_info": int(info),
-        "gmres_residual": gmres_residual,
-        "residual_rtol": residual_rtol,
-    }
-    diagnostics.update(precond_info)
-    if context:
-        diagnostics.update(context)
-    raise SolverError(
-        f"{what} defeated both the direct sparse solve and "
-        f"ILU-preconditioned GMRES (residual {gmres_residual:.3g} > "
-        f"{residual_rtol:g}); the induced chain is likely multichain or "
-        "the system is numerically singular -- check the model's action "
-        "constraints",
-        diagnostics=diagnostics,
+    return LADDER.solve(
+        (direct, krylov),
+        lambda x: (_relative_residual(a_csc, x, b, a_max=a_max), x),
+        what=what,
+        context=context,
+        fields={"n": int(a_csc.shape[0]), "nnz": int(a_csc.nnz)},
     )
 
 
@@ -433,19 +325,7 @@ def _stationary_balance_solve(gen, n: int, span) -> np.ndarray:
             f"balance-system residual {residual:.3g} exceeds "
             f"{RESIDUAL_RTOL:g}; the chain is likely not unichain"
         )
-    if np.min(p) < -1e-7:
-        raise NotIrreducibleError(
-            "stationary solve produced significantly negative "
-            f"probabilities (min {np.min(p):.3g}); the chain is not "
-            "irreducible"
-        )
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise NotIrreducibleError(
-            "stationary solve produced a non-normalizable vector"
-        )
-    return p / total
+    return normalize_distribution(p)
 
 
 class SparseCTMDP(PairIndexedCTMDP):

@@ -229,7 +229,7 @@ def relative_value_iteration(
         Optional explicit ``Lambda``; must exceed the maximal exit rate.
     backend:
         ``"auto"`` (default) resolves by model type and size (see
-        :mod:`repro.ctmdp.backends`). ``"dense"``/``"compiled"`` sweep
+        :mod:`repro.ctmdp.backends`). ``"compiled"`` sweeps
         the dense lowering with one matrix-vector product per Bellman
         backup; ``"sparse"`` sweeps the CSR lowering (one sparse matvec
         per backup); ``"kron"`` runs matrix-free uniformized backups on

@@ -76,7 +76,7 @@ class OptimizationResult:
 
 def _build_backend(backend: str) -> str:
     """Map a solver-backend request to the model-build representation."""
-    if backend in ("dense", "compiled", "reference"):
+    if backend in ("compiled", "reference"):
         return "dense"
     # "auto" and "sparse" build what they name; "kron" propagates so
     # build_ctmdp raises its typed SYS-has-no-tensor-structure error.
@@ -144,9 +144,7 @@ def optimize_weighted(
     if ins.metrics is not None:
         ins.metrics.counter("optimizer.weighted_solves").inc()
     with ins.span("optimize_weighted", weight=float(weight), solver=solver) as span:
-        if solver == "linear_program" and backend not in (
-            "auto", "dense", "compiled"
-        ):
+        if solver == "linear_program" and backend not in ("auto", "compiled"):
             raise SolverError(
                 "the occupation-measure LP is dense-only; backend "
                 f"{backend!r} is not supported (use policy_iteration or "
@@ -306,7 +304,7 @@ def sweep_weights(
     from repro.sim.parallel import parallel_map
 
     weights = list(weights)
-    if checkpoint is not None and backend not in ("auto", "dense", "compiled"):
+    if checkpoint is not None and backend not in ("auto", "compiled"):
         raise SolverError(
             "checkpointed sweeps rebuild policies on the dense model "
             f"representation; backend {backend!r} cannot be combined with "

@@ -124,7 +124,7 @@ def deterministic_frontier(
     """
     if max_weight <= 0:
         raise SolverError(f"max_weight must be positive, got {max_weight}")
-    if checkpoint is not None and backend not in ("auto", "dense", "compiled"):
+    if checkpoint is not None and backend not in ("auto", "compiled"):
         raise SolverError(
             "checkpointed frontiers rebuild policies on the dense model "
             f"representation; backend {backend!r} cannot be combined with "

@@ -10,7 +10,9 @@ This module provides:
 
 - :func:`validate_generator` -- structural checks.
 - :func:`stationary_distribution` -- the limiting distribution, i.e. the
-  unique solution of ``pG = 0``, ``sum(p) = 1`` (Theorem 2.1).
+  unique solution of ``pG = 0``, ``sum(p) = 1`` (Theorem 2.1), and
+  :func:`normalize_distribution`, the clip-and-normalize tail every
+  stationary solver shares.
 - :func:`transient_distribution` -- ``p(t) = p(0) expm(G t)``.
 - :func:`uniformize` -- the uniformized DTMC ``P = I + G / Lambda``.
 - :func:`embedded_jump_chain` -- the jump-chain transition matrix.
@@ -152,15 +154,34 @@ def stationary_distribution(
         raise NotIrreducibleError(
             "stationary distribution is not unique; chain is reducible"
         ) from exc
-    if np.any(p < -1e-7):
+    return normalize_distribution(p)
+
+
+def normalize_distribution(p: np.ndarray) -> np.ndarray:
+    """The probability vector of a stationary solve's solution *p*.
+
+    The tail every tier's stationary solve shares: significantly
+    negative mass (below ``-1e-7``) means the chain is not irreducible,
+    round-off negatives are clipped to zero, and the rest is normalized.
+
+    Raises
+    ------
+    NotIrreducibleError
+        On significantly negative entries or a vector with no finite
+        positive mass.
+    """
+    if np.min(p) < -1e-7:
         raise NotIrreducibleError(
-            "stationary solve produced negative probabilities; "
-            "chain is likely reducible or ill-conditioned"
+            "stationary solve produced significantly negative probabilities "
+            f"(min {np.min(p):.3g}); the chain is likely reducible or "
+            "ill-conditioned"
         )
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if not np.isfinite(total) or total <= 0.0:
-        raise NotIrreducibleError("stationary solve produced a degenerate solution")
+        raise NotIrreducibleError(
+            "stationary solve produced a non-normalizable vector"
+        )
     return p / total
 
 

@@ -703,7 +703,7 @@ def _admit_ctmdp_impl(
         if mdp.n_states <= KRON_DENSIFY_LIMIT:
             diagnostics["admission_view"] = "densified-kron"
             # Stays inside the caller's admission.gate span/counters.
-            inner = _admit_ctmdp_impl(mdp.to_ctmdp(), level, "dense")
+            inner = _admit_ctmdp_impl(mdp.to_ctmdp(), level, "compiled")
             inner.diagnostics.update(diagnostics)
             return inner
         diagnostics["admission_view"] = "matrix-free-kron"
@@ -828,7 +828,7 @@ def admit_model(
         raise InvalidModelError(f"unknown admission level {level!r}; use {LEVELS}")
 
     build_backend = (
-        "dense" if backend in ("dense", "compiled", "reference") else backend
+        "dense" if backend in ("compiled", "reference") else backend
     )
     is_sys = isinstance(model, PowerManagedSystemModel)
     if is_sys:

@@ -135,10 +135,6 @@ class TestEvaluatePolicy:
         g1 = evaluate_policy(cycling_policy, reference_state=1).gain
         assert g0 == pytest.approx(g1)
 
-    def test_cost_override(self, cycling_policy):
-        ev = evaluate_policy(cycling_policy, cost_vector=np.array([1.0, 1.0]))
-        assert ev.gain == pytest.approx(1.0)
-
     def test_unichain_with_transient_state(self):
         # "trap" drains into the recurrent pair; evaluation still works.
         mdp = CTMDP(["a", "b", "trap"])

@@ -144,7 +144,7 @@ class TestSparseLadderTelemetry:
         assert registry.counter("solver.sparse.gmres_fallbacks").value == 1
         (span,) = [r for r in tracer.records if r.name == "sparse_solve"]
         assert span.attrs["rung"] == "gmres"
-        assert span.attrs["gmres_iterations"] == row["iterations"]
+        assert span.attrs["iterations"] == row["iterations"]
         assert any(
             "fell back to ILU-GMRES" in rec.message for rec in caplog.records
         )

@@ -246,7 +246,7 @@ class TestSkeletonOverlay:
     def test_sparse_solution_matches_dense(self):
         model = paper_system(capacity=8)
         model.build_ctmdp(0.25, backend="sparse")  # prime the skeleton
-        dense = optimize_weighted(model, 1.0, backend="dense")
+        dense = optimize_weighted(model, 1.0, backend="compiled")
         sparse = optimize_weighted(model, 1.0, backend="sparse")
         assert sparse.policy.as_dict() == dense.policy.as_dict()
         # Sparse evaluation is a different factorization, so metrics

@@ -1,4 +1,4 @@
-"""Numerical fault injection into the sparse solver ladder.
+"""Numerical fault injection into the solve ladder.
 
 The parallel layer's harness covers crash/hang/NaN faults; the
 numerical ladder (direct LU -> ILU-GMRES -> typed failure, plus policy
@@ -8,7 +8,9 @@ rung's injection point and assert the rescue/fallback behavior the
 ladder documents: correct results out of the surviving rungs, typed
 :class:`~repro.errors.SolverError` when the ladder is exhausted, and
 bit-identical sweep results when a warm-started solve hits an injected
-singular LU and falls back cold.
+singular LU and falls back cold. Every tier runs the same ladder, so
+the ``direct-fail`` and ``krylov-stall`` hooks reach the dense and
+Kronecker solves too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.ctmdp.sparse import solve_sparse_with_fallback
+from repro.ctmdp.kron import kron_farm_model
+from repro.ctmdp.policy import evaluate_policy
+from repro.ctmdp.policy_iteration import policy_iteration
+from repro.ctmdp.sparse import SparseCTMDP, solve_sparse_with_fallback
 from repro.dpm.optimizer import optimize_weighted, serialize_result
 from repro.dpm.presets import paper_system
 from repro.errors import SolverError
@@ -151,3 +156,47 @@ class TestReuseCacheFaults:
         assert serialize_result(warm) == serialize_result(clean)
         doc = registry.to_dict()
         assert doc["solver.reuse.warm_start_rejected"]["value"] == 1
+
+
+class TestEveryTierFaults:
+    """The shared ladder's hooks on the dense and Kronecker tiers."""
+
+    def test_direct_fail_on_dense_evaluation_rescued_by_lstsq(self):
+        mdp = paper_system().build_ctmdp(weight=1.0)
+        policy = policy_iteration(mdp).policy
+        clean = evaluate_policy(policy, backend="compiled")
+        plan = NumericalFaultPlan().arm("direct-fail")
+        registry = MetricsRegistry()
+        with inject_numerical(plan), instrument(metrics=registry):
+            rescued = evaluate_policy(policy, backend="compiled")
+        assert plan.fired == {"direct-fail": 1}
+        assert registry.counter("solver.lstsq_fallbacks").value == 1
+        assert rescued.gain == pytest.approx(clean.gain, rel=1e-9)
+        np.testing.assert_array_equal(rescued.stationary, clean.stationary)
+
+    def test_krylov_stall_on_kron_evaluation_is_typed(self):
+        kmdp = kron_farm_model(2, 3)
+        plan = NumericalFaultPlan().arm("krylov-stall")
+        with inject_numerical(plan):
+            with pytest.raises(SolverError) as kron_err:
+                kmdp.evaluate(kmdp.selection(), 0)
+        assert plan.fired == {"krylov-stall": 1}
+        # The same chain exhausted on the CSR tier.
+        smdp = SparseCTMDP.from_ctmdp(kmdp.to_ctmdp())
+        plan = NumericalFaultPlan().arm("direct-fail").arm("krylov-stall")
+        with inject_numerical(plan):
+            with pytest.raises(SolverError) as csr_err:
+                smdp.evaluate(smdp.selection(), 0)
+        kron, csr = kron_err.value.diagnostics, csr_err.value.diagnostics
+        assert kron["reason"] == csr["reason"] == "ladder_exhausted"
+        assert (kron["backend"], csr["backend"]) == ("kron", "sparse")
+        assert kron["gmres_residual"] == csr["gmres_residual"] == float("inf")
+        assert kron["reference_state"] == csr["reference_state"] == 0
+        # One payload layout: the CSR tier adds only its direct rung, its
+        # preconditioner and its nnz; the Kronecker rung adds only
+        # whether GMRES was warm-started.
+        assert set(csr) - set(kron) == {
+            "direct_error", "direct_residual", "nnz", "preconditioner",
+            "ilu_drop_tol", "ilu_fill_factor",
+        }
+        assert set(kron) - set(csr) == {"warm_started"}

@@ -17,6 +17,7 @@ import repro.ctmdp.sparse as sparse_mod
 from repro.ctmdp.backends import BACKENDS, DENSE_STATE_LIMIT, resolve_backend
 from repro.ctmdp.discounted import discounted_policy_iteration
 from repro.ctmdp.kron import KroneckerCTMDP, kron_farm_model
+from repro.ctmdp.policy import Policy, evaluate_policy
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.ctmdp.value_iteration import relative_value_iteration
 from repro.dpm.presets import paper_system
@@ -75,14 +76,6 @@ class TestPolicyIteration:
         np.testing.assert_allclose(
             sparse.stationary, dense.stationary, atol=1e-10
         )
-
-    def test_dense_alias_is_compiled_bitwise(self):
-        mdp = paper_mdp()
-        a = policy_iteration(mdp, backend="dense")
-        b = policy_iteration(mdp, backend="compiled")
-        assert a.gain == b.gain
-        assert a.policy.as_dict() == b.policy.as_dict()
-        np.testing.assert_array_equal(a.bias, b.bias)
 
     def test_kron_matches_compiled_on_paper_sys(self):
         mdp = paper_mdp()
@@ -233,7 +226,7 @@ class TestKrylovResidualContract:
 class TestBackendResolution:
     def test_backends_tuple(self):
         assert set(
-            ("auto", "dense", "compiled", "sparse", "kron", "reference")
+            ("auto", "compiled", "sparse", "kron", "reference")
         ) == set(BACKENDS)
 
     def test_auto_picks_compiled_below_limit(self):
@@ -262,6 +255,44 @@ class TestBackendResolution:
     def test_sys_build_rejects_kron(self):
         with pytest.raises(SolverError):
             paper_system().build_ctmdp(1.0, backend="kron")
+
+    @pytest.mark.parametrize("backend", ["bogus", "kron"])
+    def test_evaluate_policy_resolves_backend(self, backend):
+        # evaluate_policy resolves like the solvers: an unknown name, or
+        # a tier the plain model cannot run on, is a typed error rather
+        # than a silent evaluation on the dict path.
+        policy = policy_iteration(paper_mdp()).policy
+        with pytest.raises(SolverError):
+            evaluate_policy(policy, backend=backend)
+
+
+class TestEvaluatePolicyTiers:
+    """``evaluate_policy`` on each tier's lowering against the dict
+    ``reference`` assembly, at the PI optimum."""
+
+    @pytest.mark.parametrize("backend", ["compiled", "sparse", "kron"])
+    def test_optimum_matches_reference(self, backend):
+        if backend == "kron":
+            kmdp = kron_farm_model(3, 3)
+            policy = policy_iteration(kmdp).policy
+            oracle = Policy(kmdp.to_ctmdp(), policy.as_dict())
+        else:
+            policy = oracle = policy_iteration(paper_mdp()).policy
+        got = evaluate_policy(policy, backend=backend)
+        ref = evaluate_policy(oracle, backend="reference")
+        if backend == "compiled":
+            assert got.gain == ref.gain
+            np.testing.assert_array_equal(got.bias, ref.bias)
+            np.testing.assert_array_equal(got.stationary, ref.stationary)
+            return
+        if backend == "sparse":
+            tol = 1e-10
+        else:
+            tol = KRON_GAIN_RTOL * max(abs(ref.gain), 1.0)
+        assert abs(got.gain - ref.gain) < tol
+        scale = max(float(np.max(np.abs(ref.bias))), 1.0)
+        np.testing.assert_allclose(got.bias, ref.bias, atol=tol * scale)
+        np.testing.assert_allclose(got.stationary, ref.stationary, atol=tol)
 
 
 class TestReuseEquivalence:

@@ -689,7 +689,7 @@ class TestBackendInCheckpointConfig:
                 "--checkpoint", str(ck)]
         assert main(base) == 0
         capsys.readouterr()
-        assert main(base + ["--backend", "dense", "--resume"]) == 7
+        assert main(base + ["--backend", "compiled", "--resume"]) == 7
         assert "different configuration" in capsys.readouterr().err
 
     def test_simulate_resume_different_backend_rejected(self, tmp_path, capsys):
@@ -700,7 +700,7 @@ class TestBackendInCheckpointConfig:
         ]
         assert main(base) == 0
         capsys.readouterr()
-        assert main(base + ["--backend", "dense", "--resume"]) == 7
+        assert main(base + ["--backend", "compiled", "--resume"]) == 7
         assert "different configuration" in capsys.readouterr().err
 
 
