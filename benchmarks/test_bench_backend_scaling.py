@@ -8,15 +8,16 @@ sparse policy iteration at each size, measuring peak memory with
 tracemalloc (in a separate untimed run) against the dense lowering's
 ``pairs x states x 8`` byte footprint -- measured where the dense core
 is feasible, estimated above that. A genuinely tensor-structured
-server-farm model then runs matrix-free value iteration at 8^6 states.
+server-farm model then runs matrix-free value iteration at 8^6 and
+10^6 states.
 
 The scaling curve lands in ``BENCH_solver_core.json`` under
 ``backend_scaling``; the acceptance assertions hold at the ~10^5-state
 point: the sparse solve's peak memory is >= 10x below the dense
 footprint, and the SYS build takes no longer than its solve.
-``REPRO_SCALE_MAX_STATES`` (default 300000) gates the largest points so
-a nightly job can push to 10^6 states while the default run stays a
-sub-minute smoke.
+``REPRO_SCALE_MAX_STATES`` (default 1100000, which includes the
+10^6-state farm) gates the largest points; lower it for a quicker local
+run.
 
 A second leg measures where ``auto`` should switch tiers
 (``DENSE_STATE_LIMIT``): dense vs CSR wall time from 23 to 1003 states
@@ -50,9 +51,9 @@ BENCH_JSON = Path(__file__).parent / "BENCH_solver_core.json"
 #: SYS queue capacities; state counts are 4*Q + 3 (203 ... 100003).
 CAPACITIES = (50, 500, 5000, 25000)
 
-#: Largest state count the default run attempts. Nightly CI raises this
-#: (e.g. to 1_100_000) to cover the 10^6-state matrix-free point.
-SCALE_MAX_STATES = int(os.environ.get("REPRO_SCALE_MAX_STATES", "300000"))
+#: Largest state count the default run attempts: by default every
+#: point, the 10^6-state matrix-free farm included.
+SCALE_MAX_STATES = int(os.environ.get("REPRO_SCALE_MAX_STATES", "1100000"))
 
 #: Dense solves are only *measured* below the ladder's dense comfort
 #: zone; larger points carry the arithmetic footprint estimate instead.
@@ -61,8 +62,8 @@ DENSE_MEASURE_LIMIT = 2500
 #: The headline memory claim at the ~10^5-state point.
 MEMORY_ADVANTAGE = 10.0
 
-#: (n_queues, queue_capacity) farm models: 8^6 = 262144 states by
-#: default; the gated second point is 10^6 states (nightly).
+#: (n_queues, queue_capacity) farm models: 8^6 = 262144 and 10^6
+#: states.
 FARM_POINTS = ((6, 7), (6, 9))
 
 #: SYS capacities of the crossover leg: 23, 103, 203, 403, 1003 states.

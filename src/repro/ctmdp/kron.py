@@ -9,8 +9,8 @@ solver needs is expressed through ``G_a @ x`` matvecs:
 
 - **value iteration** -- the uniformized backup
   ``w <- min_a [ c_a/L + w + (G_a w)/L ]`` costs one matvec per action
-  per sweep, so 10^6-state models fit easily (the operand vectors are
-  the only O(n) objects);
+  per sweep, so 10^6-state models fit easily (the operand vectors,
+  allocated once per solve, are the only O(n) objects);
 - **policy evaluation** -- the bordered dense/sparse system is replaced
   by the uniformized elimination form: with ``P = I + G_pi/L``, solve
   ``(I - P + 1 (P . )_ref) h = (c_pi - c_ref)/L`` by GMRES (the
@@ -109,7 +109,10 @@ class ArrayPolicy:
 
     def __init__(self, kmdp: "KroneckerCTMDP", action_index: np.ndarray) -> None:
         self._mdp = kmdp
-        self.action_index = np.asarray(action_index, dtype=np.intp)
+        # A private copy: freezing the caller's array would make it
+        # read-only for them, and sharing it would let them (or a
+        # solver reusing it as a buffer) change the policy.
+        self.action_index = np.array(action_index, dtype=np.intp)
         self.action_index.setflags(write=False)
 
     @property
@@ -392,30 +395,47 @@ class KroneckerCTMDP:
         """The Bellman backup ``w -> min_a [c_a/lam + w + (G_a w)/lam]``
         at uniformization rate *lam*, as a function returning ``(new
         values, greedy action indices)``: one matvec per action, +inf
-        where unavailable, strict first-wins argmin in global order."""
+        where unavailable, strict first-wins argmin in global order.
+
+        The function writes into vectors allocated here, once per solve,
+        so a sweep allocates nothing of size ``n``; the two arrays it
+        returns are those buffers, overwritten by its next call.
+        """
         ins = obs_active()
         if ins.metrics is not None:
             ins.metrics.gauge(UNIFORMIZATION_GAUGE).set(lam)
         n = self.n_states
+        actions = [
+            (a, self.generators[a], self.costs[a],
+             None if mask.all() else ~mask)
+            for a, mask in enumerate(self.available)
+            if mask.any()
+        ]
+        work = np.empty(
+            (max(gen.work_vectors for _, gen, _, _ in actions), n)
+        )
+        gw = np.empty(n)
+        values = np.empty(n)
+        better = np.empty(n, dtype=bool)
+        best_val = np.empty(n)
+        best_act = np.empty(n, dtype=np.intp)
 
         def backup(w: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-            best_val = np.full(n, np.inf)
-            best_act = np.zeros(n, dtype=np.intp)
-            for a in range(self.n_actions):
-                mask = self.available[a]
-                if not mask.any():
-                    continue
+            best_val.fill(np.inf)
+            best_act.fill(0)
+            for a, gen, cost, unavailable in actions:
                 _count_matvecs()
-                values = (
-                    self.costs[a] / lam
-                    + w
-                    + self.generators[a].matvec(w) / lam
-                )
-                values = np.where(mask, values, np.inf)
-                better = values < best_val
-                if np.any(better):
-                    best_val = np.where(better, values, best_val)
-                    best_act = np.where(better, a, best_act)
+                gen.matvec(w, out=gw, work=work)
+                np.divide(gw, lam, out=gw)
+                np.divide(cost, lam, out=values)
+                np.add(values, w, out=values)
+                np.add(values, gw, out=values)
+                if unavailable is not None:
+                    np.copyto(values, np.inf, where=unavailable)
+                np.less(values, best_val, out=better)
+                if better.any():
+                    np.copyto(best_val, values, where=better)
+                    np.copyto(best_act, a, where=better)
             return best_val, best_act
 
         return backup

@@ -159,6 +159,7 @@ def _relative_value_iteration(
     backup = model.uniformized_backup(lam)
     n = model.n_states
     w = np.zeros(n)
+    diff = np.empty(n)
     started = time.perf_counter()
     span_history: List[float] = []
     with ins.span("value_iteration", backend=tier, n_states=n) as tspan:
@@ -167,7 +168,7 @@ def _relative_value_iteration(
             if ins.enabled:
                 sweep_start = time.perf_counter()
             new_w, greedy = backup(w)
-            diff = new_w - w
+            np.subtract(new_w, w, out=diff)
             span = float(diff.max() - diff.min())
             span_history.append(span)
             if series is not None:
@@ -178,7 +179,7 @@ def _relative_value_iteration(
                     sweep_s=time.perf_counter() - sweep_start,
                 )
             # Renormalize to keep the values bounded (relative VI).
-            w = new_w - new_w[0]
+            np.subtract(new_w, new_w[0], out=w)
             if span < span_tolerance:
                 gain = float(lam * 0.5 * (diff.max() + diff.min()))
                 if ins.enabled:
@@ -199,9 +200,6 @@ def _relative_value_iteration(
                     iterations=iteration,
                     span_history=span_history,
                 )
-            # Let the next backup run without this sweep's arrays: on the
-            # matrix-free tier they are a measurable share of peak memory.
-            del new_w, greedy, diff
     raise _nonconvergence_error(span_tolerance, max_iterations, span_history)
 
 

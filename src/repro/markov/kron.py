@@ -11,10 +11,23 @@ terms
 
 over a fixed axis layout ``dims = (n_1, ..., n_K)``, where each factor
 is a small dense or CSR matrix and ``None`` marks an identity factor
-(skipped entirely). Its matvec applies the factors axis by axis on the
-reshaped operand -- ``O(nnz(A_tk) * n / n_k)`` per factor instead of
-``O(n^2)`` -- so the joint generator of a 10^6-state product chain is
-applied without ever being materialized.
+(skipped entirely). Its matvec applies the factors axis by axis --
+``O(nnz(A_tk) * n / n_k)`` per factor instead of ``O(n^2)`` -- so the
+joint generator of a 10^6-state product chain is applied without ever
+being materialized.
+
+Factor ``A`` on axis ``k`` acts on the operand viewed, without a copy,
+as a ``(left, n_k, right)`` array (``left``/``right`` the products of
+the orders before/after ``k``): one batched ``np.matmul`` of the
+``(n_k, n_k)`` block with it, or a single ``(left, n_k) @ A.T`` product
+when ``right == 1``, writes straight into an output buffer. CSR factors
+up to :data:`DENSE_BLOCK_ORDER` are densified once, at construction, so
+every factor of a tensor-structured model runs as a small dense BLAS
+block; larger CSR factors (the single-axis wrappers of dict models) keep
+the move-axis-and-copy contraction. :meth:`KroneckerGenerator.matvec`
+and :meth:`~KroneckerGenerator.rmatvec` take an ``out`` vector and
+``work`` scratch from the caller, so a solver that allocates those once
+applies the operator without allocating anything of size ``n``.
 
 Tensor-sum structure (``A (+) B = A (x) I + I (x) B``) is the common
 case: one single-factor term per axis, built by
@@ -33,6 +46,10 @@ from repro.errors import InvalidGeneratorError
 #: Largest joint order :meth:`KroneckerGenerator.to_dense` materializes
 #: by default; beyond it the dense array is almost certainly a bug.
 DENSE_LIMIT = 4096
+
+#: Largest order of a CSR factor the apply loop contracts as a dense
+#: block (densified once, at construction; 64 x 64 is 32 KB).
+DENSE_BLOCK_ORDER = 64
 
 
 def _as_factor(factor, dim: int):
@@ -53,16 +70,48 @@ def _as_factor(factor, dim: int):
 def _apply_axis(factor, tensor: np.ndarray, axis: int) -> np.ndarray:
     """Contract *factor* with *tensor* along *axis* (dense or CSR factor).
 
-    Moves the axis to the front, flattens the rest, and runs one
-    ``(n_k, n_k) @ (n_k, n/n_k)`` product -- the standard reshape trick
-    that makes a Kronecker matvec a sequence of small dense/sparse
-    matmuls.
+    Moves the axis to the front, flattens the rest into a contiguous
+    copy, and runs one ``(n_k, n_k) @ (n_k, n/n_k)`` product. The apply
+    loop uses it only for CSR factors above :data:`DENSE_BLOCK_ORDER`.
     """
     moved = np.moveaxis(tensor, axis, 0)
     shape = moved.shape
     flat = np.ascontiguousarray(moved).reshape(shape[0], -1)
     out = factor @ flat
     return np.moveaxis(np.asarray(out).reshape(shape), 0, axis)
+
+
+def _contract(block, src: np.ndarray, dst: np.ndarray, left: int, m: int,
+              right: int, transpose: bool) -> None:
+    """``dst = (I_left (x) B (x) I_right) src`` with ``B`` the *block*
+    (its transpose when *transpose*), written into the buffer *dst*."""
+    if sp.issparse(block):
+        np.copyto(
+            dst.reshape(left, m, right),
+            _apply_axis(block.T if transpose else block,
+                        src.reshape(left, m, right), 1),
+        )
+    elif right == 1:
+        np.matmul(src.reshape(left, m), block if transpose else block.T,
+                  out=dst.reshape(left, m))
+    else:
+        np.matmul(block.T if transpose else block,
+                  src.reshape(left, m, right), out=dst.reshape(left, m, right))
+
+
+def _check_buffer(buf, shape: "Tuple[int, ...]", name: str, operand) -> None:
+    """An output or scratch buffer must be a C-contiguous float array of
+    *shape* (so its reshapes are views) that shares no memory with the
+    *operand*."""
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64
+            and buf.shape == shape and buf.flags.c_contiguous
+            and buf.flags.writeable):
+        raise InvalidGeneratorError(
+            f"{name} must be a writable C-contiguous float64 array of "
+            f"shape {shape}"
+        )
+    if np.may_share_memory(buf, operand):
+        raise InvalidGeneratorError(f"{name} overlaps the operand")
 
 
 class KroneckerGenerator:
@@ -98,6 +147,34 @@ class KroneckerGenerator:
                  tuple(_as_factor(f, d) for f, d in zip(factors, self.dims)))
             )
         self._terms: Tuple[Tuple[float, tuple], ...] = tuple(checked)
+        # What the apply loop runs: per term, one (block, left, m, right)
+        # step per non-identity factor, small CSR factors densified.
+        plan = []
+        for coeff, factors in checked:
+            steps = []
+            for axis, factor in enumerate(factors):
+                if factor is None:
+                    continue
+                if (sp.issparse(factor)
+                        and factor.shape[0] <= DENSE_BLOCK_ORDER):
+                    factor = factor.toarray()
+                steps.append((
+                    factor,
+                    int(np.prod(self.dims[:axis])),
+                    self.dims[axis],
+                    int(np.prod(self.dims[axis + 1:])),
+                ))
+            plan.append((coeff, tuple(steps)))
+        self._plan = tuple(plan)
+        #: Scratch n-vectors the apply loop needs: work[0] holds every
+        #: term after the first, and a term of several factors needs one
+        #: spare beside its destination (work[0] for the first term,
+        #: work[1] for later ones).
+        self.work_vectors = max(
+            (int(t > 0) + int(len(steps) > 1)
+             for t, (_, steps) in enumerate(plan)),
+            default=0,
+        )
 
     # -- constructors --------------------------------------------------------
 
@@ -144,37 +221,64 @@ class KroneckerGenerator:
     def terms(self) -> "Tuple[Tuple[float, tuple], ...]":
         return self._terms
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``G @ x`` without forming ``G``."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidGeneratorError(
-                f"operand shape {x.shape} does not match operator order {self.n}"
-            )
-        y = np.zeros(self.n)
-        for coeff, factors in self._terms:
-            t = x.reshape(self.dims)
-            for axis, factor in enumerate(factors):
-                if factor is not None:
-                    t = _apply_axis(factor, t, axis)
-            y += coeff * t.reshape(self.n)
-        return y
+    def matvec(self, x: np.ndarray, *, out: "Optional[np.ndarray]" = None,
+               work: "Optional[np.ndarray]" = None) -> np.ndarray:
+        """``G @ x`` without forming ``G``, written into and returning
+        *out* (a fresh vector when ``None``).
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """``G.T @ x`` (transposing factor by factor)."""
+        *work* is scratch of shape ``(k, n)`` with ``k >=``
+        :attr:`work_vectors`, allocated per call when ``None``. *out*
+        and *work* must be C-contiguous float arrays sharing no memory
+        with *x* or each other; a caller that keeps them across calls
+        applies the operator without allocating anything of size ``n``.
+        """
+        return self._apply(x, out, work, transpose=False)
+
+    def rmatvec(self, x: np.ndarray, *, out: "Optional[np.ndarray]" = None,
+                work: "Optional[np.ndarray]" = None) -> np.ndarray:
+        """``G.T @ x`` (transposing factor by factor); buffers as in
+        :meth:`matvec`."""
+        return self._apply(x, out, work, transpose=True)
+
+    def _apply(self, x, out, work, transpose: bool) -> np.ndarray:
+        """The apply loop shared by :meth:`matvec` and :meth:`rmatvec`."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise InvalidGeneratorError(
                 f"operand shape {x.shape} does not match operator order {self.n}"
             )
-        y = np.zeros(self.n)
-        for coeff, factors in self._terms:
-            t = x.reshape(self.dims)
-            for axis, factor in enumerate(factors):
-                if factor is not None:
-                    t = _apply_axis(factor.T, t, axis)
-            y += coeff * t.reshape(self.n)
-        return y
+        if out is None:
+            out = np.empty(self.n)
+        else:
+            _check_buffer(out, (self.n,), "out", x)
+        if work is None:
+            work = np.empty((self.work_vectors, self.n))
+        else:
+            # Any number of rows from work_vectors up.
+            _check_buffer(work, (max(len(work), self.work_vectors), self.n),
+                          "work", x)
+            if np.may_share_memory(work, out):
+                raise InvalidGeneratorError("work overlaps out")
+        x = np.ascontiguousarray(x)
+        if not self._plan:
+            out.fill(0.0)
+        for t, (coeff, steps) in enumerate(self._plan):
+            # Term 0 is built in `out`, later terms in work[0] and then
+            # added; intermediates alternate with the spare so that the
+            # last step writes the destination.
+            dest = work[0] if t else out
+            if not steps:
+                np.multiply(x, coeff, out=dest)
+            src = x
+            for k, (block, left, m, right) in enumerate(steps):
+                dst = dest if (len(steps) - k) % 2 else work[int(t > 0)]
+                _contract(block, src, dst, left, m, right, transpose)
+                src = dst
+            if steps and coeff != 1.0:
+                np.multiply(dest, coeff, out=dest)
+            if t:
+                np.add(out, dest, out=out)
+        return out
 
     def __matmul__(self, x):
         return self.matvec(x)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.ctmdp.kron import kron_farm_model
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy_iteration import policy_iteration
+from repro.ctmdp.uniformization import APERIODICITY_SLACK
 from repro.ctmdp.value_iteration import relative_value_iteration
 from repro.errors import SolverError
 
@@ -76,3 +80,37 @@ class TestRelativeValueIteration:
         vi = relative_value_iteration(mdp, span_tolerance=1e-9)
         pi = policy_iteration(mdp)
         assert vi.gain == pytest.approx(pi.gain, rel=1e-5)
+
+
+class TestKronBackup:
+    def test_exact_ties_go_to_the_first_action(self):
+        # Two identical actions: the strict first-wins argmin keeps the
+        # first in global order in every state.
+        kmdp = kron_farm_model(2, 3, speeds=(1.0, 1.0), powers=(1.0, 1.0))
+        vi = relative_value_iteration(kmdp, span_tolerance=1e-9)
+        assert not vi.policy.action_index.any()
+
+    def test_steady_state_backups_allocate_no_n_vector(self):
+        # The matrix-free backup writes into buffers allocated once per
+        # solve, so after a warm-up sweep five more (renormalized in
+        # place, as the loop does) allocate less than one n-vector.
+        kmdp = kron_farm_model(4, 9)  # 10^4 states
+        n = kmdp.n_states
+        backup = kmdp.uniformized_backup(
+            APERIODICITY_SLACK * kmdp.max_exit_rate()
+        )
+        w = np.zeros(n)
+
+        def sweep():
+            new_w, _ = backup(w)
+            np.subtract(new_w, new_w[0], out=w)
+
+        sweep()
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
