@@ -12,7 +12,13 @@ Three measurements, recorded in ``BENCH_serving.json``:
   re-solve;
 - **swap cost**: in-memory install (pointer rebind) and full persisted
   swap (``ArtifactStore.save``: temp + fsync + rename), the downtime a
-  client could observe being bounded by the former.
+  client could observe being bounded by the former;
+- **the artifact path at 10^5 states**: after one CSR solve at
+  Q = 25000 (100,003 states), one timed ``compile_artifact``,
+  ``ArtifactStore.save``, ``ArtifactStore.load`` and
+  ``PolicyServer(model)`` each, plus the file's size -- the steps
+  between a solved policy and an installed table, asserted to round
+  trip the table and checksum.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ P99_BUDGET_S = 1e-3
 
 #: Swaps timed per run.
 N_SWAPS = 200
+
+#: Queue capacity of the artifact-path bench: 100,003 joint states.
+SCALE_CAPACITY = 25_000
 
 
 def _request_mix(model, n, seed):
@@ -137,3 +146,47 @@ def test_bench_hot_swap(benchmark, tmp_path):
     )
     # A client-observable swap is the pointer rebind, not the fsync.
     assert install_s < persist_s
+
+
+def test_bench_artifact_at_scale(benchmark, tmp_path):
+    """Compile, save, load and heuristic-table construction at 10^5 states."""
+    model = paper_system(capacity=SCALE_CAPACITY)
+    result = optimize_weighted(model, 1.0)
+    store = ArtifactStore(tmp_path)
+
+    def measure():
+        timings = {}
+        t0 = time.perf_counter()
+        artifact = compile_artifact(model, result, version=1)
+        timings["compile_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        store.save(artifact)
+        timings["save_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        loaded = store.load()
+        timings["load_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        PolicyServer(model)
+        timings["server_construct_s"] = time.perf_counter() - t0
+        return artifact, loaded, timings
+
+    artifact, loaded, timings = once(benchmark, measure)
+    assert loaded.checksum == artifact.checksum
+    assert loaded.states == artifact.states
+    assert loaded.actions == artifact.actions
+    file_bytes = store.path.stat().st_size
+    record_suite(
+        BENCH_JSON,
+        "artifact_at_scale",
+        {
+            "capacity": model.capacity,
+            "n_states": model.n_states,
+            **timings,
+            "file_bytes": file_bytes,
+        },
+    )
+    print(
+        f"\nartifact at {model.n_states} states: "
+        + ", ".join(f"{k} {v * 1e3:.1f} ms" for k, v in timings.items())
+        + f", {file_bytes:,} bytes"
+    )

@@ -11,7 +11,7 @@ measures; Figure 4's accompanying claim is that they agree closely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class AnalyticMetrics:
 def evaluate_dpm_policy(
     model: PowerManagedSystemModel,
     policy: Union[Policy, RandomizedPolicy],
+    *,
+    stationary: Optional[np.ndarray] = None,
 ) -> AnalyticMetrics:
     """Compute :class:`AnalyticMetrics` for *policy* on *model*.
 
@@ -63,21 +65,31 @@ def evaluate_dpm_policy(
     the weight-independent power and delay rates). Policies over the
     sparse SYS build (``build_ctmdp(..., backend="sparse")``) evaluate
     through the CSR stationary solver without densifying anything.
+
+    *stationary* is the policy's stationary distribution when the
+    caller already solved for it -- policy iteration returns it with
+    its converged policy, from the same rows and the same solver this
+    function would use -- and skips that solve. The dense branch still
+    validates the induced generator.
     """
     from repro.ctmdp.sparse import SparseCTMDP, sparse_stationary_distribution
+    from repro.markov.generator import stationary_distribution, validate_generator
 
+    p = stationary
     if isinstance(policy.mdp, SparseCTMDP):
         smdp = policy.mdp
         sel = smdp.policy_rows(policy.as_dict())
-        p = sparse_stationary_distribution(smdp.generator[sel])
+        if p is None:
+            p = sparse_stationary_distribution(smdp.generator[sel])
         power = float(p @ smdp.extra[cost_channels.POWER][sel])
         queue_length = float(p @ smdp.extra[cost_channels.QUEUE_LENGTH][sel])
         loss = float(p @ smdp.extra[cost_channels.LOSS][sel])
     else:
         chain_generator = policy.generator_matrix()
-        from repro.markov.generator import stationary_distribution
-
-        p = stationary_distribution(chain_generator)
+        if p is None:
+            p = stationary_distribution(chain_generator)
+        else:
+            validate_generator(chain_generator)
         power = float(p @ policy.extra_cost_vector(cost_channels.POWER))
         queue_length = float(p @ policy.extra_cost_vector(cost_channels.QUEUE_LENGTH))
         loss = float(p @ policy.extra_cost_vector(cost_channels.LOSS))

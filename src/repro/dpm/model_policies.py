@@ -15,7 +15,9 @@ same model.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
@@ -55,6 +57,63 @@ def _complete(
     return assignment
 
 
+def n_policy_actions(
+    model: PowerManagedSystemModel,
+    n: int,
+    sleep_mode: Optional[str] = None,
+    active_mode: Optional[str] = None,
+) -> "List[str]":
+    """The N-policy's action in every state, in ``model.states`` order.
+
+    Computed over the model's state grid
+    (:meth:`~repro.dpm.system.PowerManagedSystemModel.validity_grid`)
+    with NumPy: a transfer state powers down into *sleep_mode* when the
+    system just emptied (``q_{1 -> 0}``) and keeps serving otherwise; a
+    powered-down stable state wakes into *active_mode* at the
+    threshold; every other state stays put when that is valid, else
+    targets the fastest active mode (:func:`default_valid_action`).
+    An assigned power-down, keep-serving or wake-up action the model
+    rejects raises :class:`InvalidPolicyError` naming the first such
+    state; the default is not re-checked. Arguments as in
+    :func:`n_policy_assignment`.
+    """
+    if not 1 <= n <= model.capacity:
+        raise InvalidPolicyError(
+            f"N must be in 1..{model.capacity} for capacity {model.capacity}, got {n}"
+        )
+    sp = model.provider
+    sleep = sleep_mode if sleep_mode is not None else sp.deepest_sleep_mode()
+    active = active_mode if active_mode is not None else sp.fastest_active_mode()
+    if sp.is_active(sleep):
+        raise InvalidPolicyError(f"sleep mode {sleep!r} is active")
+    if not sp.is_active(active):
+        raise InvalidPolicyError(f"active mode {active!r} is inactive")
+    modes = sp.modes
+    mode, level, in_transfer, invalid = model.validity_grid()
+    rows = np.arange(len(mode))
+    s_active = np.array([sp.is_active(m) for m in modes])[mode]
+    action = np.where(
+        invalid[rows, mode], sp.index_of(sp.fastest_active_mode()), mode
+    )
+    # Active transfer states: power down when the system just emptied,
+    # keep serving otherwise.
+    serving = in_transfer & s_active
+    action[serving] = np.where(level[serving] == 1, sp.index_of(sleep),
+                               mode[serving])
+    # Powered down: wake at the threshold (or when forced by the
+    # full-queue constraint); below it, stay when staying is valid.
+    waking = ~in_transfer & ~s_active & (level >= n)
+    action[waking] = sp.index_of(active)
+    bad = (serving | waking) & invalid[rows, action]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidPolicyError(
+            f"heuristic assigns invalid action {modes[action[i]]!r} to "
+            f"{model.states[i]!r}"
+        )
+    return np.array(modes, dtype=object)[action].tolist()
+
+
 def n_policy_assignment(
     model: PowerManagedSystemModel,
     n: int,
@@ -81,34 +140,8 @@ def n_policy_assignment(
     active_mode:
         Wakeup target; defaults to the fastest active mode.
     """
-    if not 1 <= n <= model.capacity:
-        raise InvalidPolicyError(
-            f"N must be in 1..{model.capacity} for capacity {model.capacity}, got {n}"
-        )
-    sp = model.provider
-    sleep = sleep_mode if sleep_mode is not None else sp.deepest_sleep_mode()
-    active = active_mode if active_mode is not None else sp.fastest_active_mode()
-    if sp.is_active(sleep):
-        raise InvalidPolicyError(f"sleep mode {sleep!r} is active")
-    if not sp.is_active(active):
-        raise InvalidPolicyError(f"active mode {active!r} is inactive")
-    partial: Dict[SystemState, str] = {}
-    for state in model.states:
-        q = state.queue
-        if q.is_transfer:
-            if sp.is_active(state.mode):
-                # Power down when the system just emptied, keep serving
-                # otherwise.
-                partial[state] = sleep if q.waiting_count == 0 else state.mode
-        elif not sp.is_active(state.mode):
-            # Powered down: wake at the threshold (or when forced by the
-            # full-queue constraint), otherwise stay.
-            if q.index >= n:
-                partial[state] = active
-            elif model.is_valid_action(state, state.mode):
-                partial[state] = state.mode
-        # Active mode in a stable state: keep serving (default handles it).
-    return _complete(model, partial)
+    actions = n_policy_actions(model, n, sleep_mode, active_mode)
+    return dict(zip(model.states, actions))
 
 
 def greedy_assignment(

@@ -150,6 +150,9 @@ def optimize_weighted(
                 f"{backend!r} is not supported (use policy_iteration or "
                 "value_iteration for sparse models)"
             )
+        # Policy iteration returns its policy's stationary distribution;
+        # the metrics reuse it instead of solving the same rows again.
+        stationary = None
         if solver == "linear_program":
             mdp = model.build_ctmdp(weight)
             policy: Union[Policy, RandomizedPolicy] = solve_average_cost_lp(
@@ -167,9 +170,9 @@ def optimize_weighted(
                         if seed is not None
                         else {}
                     )
-                    policy = policy_iteration(
+                    solved = policy_iteration(
                         mdp, initial_policy=seed, backend=backend, **kwargs
-                    ).policy
+                    )
                 except (InvalidPolicyError, KeyError, SolverError):
                     if seed is None:
                         raise
@@ -187,14 +190,15 @@ def optimize_weighted(
                         ins.metrics.counter(
                             "solver.reuse.warm_start_rejected"
                         ).inc()
-                    policy = policy_iteration(mdp, backend=backend).policy
+                    solved = policy_iteration(mdp, backend=backend)
+                policy, stationary = solved.policy, solved.stationary
             elif solver == "value_iteration":
                 policy = relative_value_iteration(
                     mdp, span_tolerance=1e-9, backend=backend
                 ).policy
             else:
                 raise SolverError(f"unknown solver {solver!r}; choose from {SOLVERS}")
-        metrics = evaluate_dpm_policy(model, policy)
+        metrics = evaluate_dpm_policy(model, policy, stationary=stationary)
         if ins.enabled:
             span.attrs.update(
                 average_power=metrics.average_power,

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.dpm.analysis import evaluate_dpm_policy
 from repro.dpm.optimizer import (
     find_weight_for_constraint,
     optimize_constrained,
     optimize_weighted,
     sweep_weights,
 )
+from repro.dpm.presets import paper_system
 from repro.errors import InfeasibleConstraintError, SolverError
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import instrument
 
 
 class TestOptimizeWeighted:
@@ -35,6 +42,90 @@ class TestOptimizeWeighted:
 
     def test_result_carries_weight(self, paper_model):
         assert optimize_weighted(paper_model, 2.5).weight == 2.5
+
+
+class TestMetricsFromTheSolve:
+    """Policy iteration's stationary distribution feeds the metrics:
+    no second stationary solve, and the same floats as a fresh
+    evaluation of the returned policy."""
+
+    @staticmethod
+    def assert_same_floats(got, want):
+        for field in dataclasses.fields(got):
+            assert float(getattr(got, field.name)).hex() == float(
+                getattr(want, field.name)
+            ).hex(), field.name
+
+    @pytest.mark.parametrize(
+        "backend, capacity",
+        [
+            ("compiled", 5),
+            ("reference", 5),
+            ("sparse", 5),
+            ("auto", 5),  # dense tier
+            ("auto", 100),  # 403 states: the CSR tier
+        ],
+    )
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 25.0])
+    def test_metrics_equal_a_fresh_evaluation(self, backend, capacity, weight):
+        model = paper_system(capacity=capacity)
+        result = optimize_weighted(model, weight, backend=backend)
+        self.assert_same_floats(
+            result.metrics, evaluate_dpm_policy(model, result.policy)
+        )
+
+    def test_given_stationary_still_validates_the_dense_generator(self):
+        from repro.ctmdp.policy import Policy
+        from repro.errors import InvalidGeneratorError
+
+        class NonConservative(Policy):
+            def generator_matrix(self):
+                g = super().generator_matrix()
+                g[0, 0] -= 1.0
+                return g
+
+        model = paper_system(capacity=5)
+        result = optimize_weighted(model, 1.0, backend="compiled")
+        tampered = NonConservative._trusted(
+            result.policy.mdp, result.policy.as_dict()
+        )
+        with pytest.raises(InvalidGeneratorError, match="row 0 sums"):
+            evaluate_dpm_policy(model, tampered)
+        # A given distribution skips the solve, not the check.
+        uniform = np.full(model.n_states, 1.0 / model.n_states)
+        with pytest.raises(InvalidGeneratorError, match="row 0 sums"):
+            evaluate_dpm_policy(model, tampered, stationary=uniform)
+
+    def test_seeded_solve_metrics_equal_a_fresh_evaluation(self):
+        model = paper_system(capacity=100)
+        seed = optimize_weighted(model, 1.0).policy
+        result = optimize_weighted(model, 2.0, initial_policy=seed)
+        self.assert_same_floats(
+            result.metrics, evaluate_dpm_policy(model, result.policy)
+        )
+
+    @pytest.mark.parametrize("backend", ["sparse", "auto"])
+    def test_one_stationary_solve_per_csr_policy(self, backend):
+        model = paper_system(capacity=100)
+        weights = [0.5, 1.0, 2.0]
+        with instrument(metrics=MetricsRegistry()) as ins:
+            for weight in weights:
+                optimize_weighted(model, weight, backend=backend)
+            solves = ins.metrics.counter("solver.sparse.stationary_solves")
+            assert solves.value == len(weights)
+
+    def test_value_iteration_keeps_its_own_evaluation(self):
+        # A moderate self-switch stand-in keeps value iteration unstiff.
+        model = paper_system(capacity=5, self_switch_rate=50.0)
+        with instrument(metrics=MetricsRegistry()) as ins:
+            result = optimize_weighted(
+                model, 1.0, solver="value_iteration", backend="sparse"
+            )
+            solves = ins.metrics.counter("solver.sparse.stationary_solves")
+            assert solves.value == 1
+        self.assert_same_floats(
+            result.metrics, evaluate_dpm_policy(model, result.policy)
+        )
 
 
 class TestSweepWeights:
