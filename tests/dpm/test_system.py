@@ -438,6 +438,15 @@ class TestVectorizedAssembly:
             "active", "waiting", "sleeping",
         ]
 
+    @pytest.mark.parametrize("name", list(ASSEMBLY_MODELS))
+    def test_state_keys_match_states(self, name):
+        model = ASSEMBLY_MODELS[name]
+        keys = model.state_keys()
+        assert keys == [
+            (x.mode, x.queue.kind, x.queue.index) for x in model.states
+        ]
+        assert all(type(index) is int for _, _, index in keys)
+
     def test_state_without_valid_action_raises(self, monkeypatch):
         # Constraints III.1-III.3 always leave an active mode valid, and
         # admission refuses providers without one. A provider that loses
