@@ -3,7 +3,7 @@
 The serving PR's promise is that the decision path is a dictionary
 lookup away from the admitted table -- no solver, no allocation storm --
 and that a hot-swap is a pointer rebind plus one atomic file write.
-Three measurements, recorded in ``BENCH_serving.json``:
+Five measurements, recorded in ``BENCH_serving.json``:
 
 - **decisions/sec** through :meth:`PolicyServer.decide` over a seeded
   request mix (informational -- absolute throughput is hardware-bound);
@@ -18,7 +18,13 @@ Three measurements, recorded in ``BENCH_serving.json``:
   ``ArtifactStore.save``, ``ArtifactStore.load`` and
   ``PolicyServer(model)`` each, plus the file's size -- the steps
   between a solved policy and an installed table, asserted to round
-  trip the table and checksum.
+  trip the table and checksum;
+- **the supervised re-solve**: the median time of a certified
+  ``Supervisor.resolve`` at the paper's Q = 5 point (23 states) over a
+  fixed rate cycle -- solve, compile, admission gate, certificate,
+  persisted swap -- and the SYS assemblies per re-solve, asserted to
+  be one (the solve, the gate and the certificate share one re-rated
+  model).
 """
 
 from __future__ import annotations
@@ -31,8 +37,11 @@ from benchmarks.conftest import BENCH_SEED, once
 from repro.dpm.optimizer import optimize_weighted
 from repro.dpm.presets import paper_system
 from repro.obs.benchtrack import record_suite
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import instrument
 from repro.serve.artifact import ArtifactStore, compile_artifact
 from repro.serve.server import PolicyServer
+from repro.serve.supervisor import Supervisor
 
 BENCH_JSON = Path(__file__).parent / "BENCH_serving.json"
 
@@ -47,6 +56,14 @@ N_SWAPS = 200
 
 #: Queue capacity of the artifact-path bench: 100,003 joint states.
 SCALE_CAPACITY = 25_000
+
+#: Arrival rates the supervised re-solve bench cycles through, in
+#: [1/8, 1/3] like the paper-serve workload; no rate follows itself,
+#: so every re-solve is at a new rate.
+RESOLVE_RATES = (1 / 8, 1 / 6, 0.2, 0.25, 1 / 3, 0.2)
+
+#: Passes over RESOLVE_RATES timed per run (60 re-solves).
+RESOLVE_CYCLES = 10
 
 
 def _request_mix(model, n, seed):
@@ -190,3 +207,49 @@ def test_bench_artifact_at_scale(benchmark, tmp_path):
         + ", ".join(f"{k} {v * 1e3:.1f} ms" for k, v in timings.items())
         + f", {file_bytes:,} bytes"
     )
+
+
+def test_bench_supervised_resolve(benchmark, tmp_path):
+    """A certified, persisted re-solve at the paper's Q=5 point."""
+    model = paper_system(capacity=5)
+    supervisor = Supervisor(model, 1.0, ArtifactStore(tmp_path))
+    # The bootstrap solve: later re-solves are seeded from its table.
+    assert supervisor.resolve(model.requestor.rate).ok
+    rates = RESOLVE_RATES * RESOLVE_CYCLES
+
+    def measure():
+        times = []
+        for rate in rates:
+            t0 = time.perf_counter()
+            report = supervisor.resolve(rate)
+            times.append(time.perf_counter() - t0)
+            assert report.ok, report.error
+        return sorted(times)
+
+    times = once(benchmark, measure)
+    # One instrumented pass, outside the timing: SYS assemblies.
+    with instrument(metrics=MetricsRegistry()) as ins:
+        for rate in RESOLVE_RATES:
+            assert supervisor.resolve(rate).ok
+    builds = ins.metrics.to_dict()["solver.reuse.skeleton_builds"]["value"]
+    assemblies = builds / len(RESOLVE_RATES)
+    record_suite(
+        BENCH_JSON,
+        "supervised_resolve",
+        {
+            "capacity": model.capacity,
+            "n_resolves": len(times),
+            "resolve_median_s": times[len(times) // 2],
+            "sys_assemblies_per_resolve": assemblies,
+        },
+        # A ~20-40 ms median sits under the seconds unit's 0.05 s noise
+        # floor; the assembly count must not move at all.
+        tolerances={"supervised_resolve.sys_assemblies_per_resolve": 0.0},
+        floors={"supervised_resolve.resolve_median_s": 0.005},
+    )
+    print(
+        f"\nsupervised re-solve (Q={model.capacity}): median "
+        f"{times[len(times) // 2] * 1e3:.1f} ms over {len(times)}, "
+        f"{assemblies:g} SYS assemblies each"
+    )
+    assert assemblies == 1

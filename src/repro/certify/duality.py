@@ -24,7 +24,10 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 from repro.certify.report import CertFinding, CheckResult
-from repro.ctmdp.linear_program import solve_average_cost_lp, solve_constrained_lp
+from repro.ctmdp.linear_program import (
+    average_cost_lp_optimum,
+    constrained_lp_optimum,
+)
 
 
 def _policy_average(mdp, policy, cost_vector, reference_state_index=0) -> float:
@@ -55,7 +58,7 @@ def check_lp(
 ) -> CheckResult:
     """Weighted-mode duality certificate: policy gain vs LP optimum."""
     findings = []
-    lp = solve_average_cost_lp(mdp)
+    lp = average_cost_lp_optimum(mdp)
     gap = policy_gain - lp.gain
     data: "Dict[str, Any]" = {
         "lp_gain": lp.gain,
@@ -101,7 +104,7 @@ def check_lp_constrained(
 ) -> CheckResult:
     """Constrained-mode certificate: objective gap + bound satisfaction."""
     findings = []
-    lp = solve_constrained_lp(mdp, objective, dict(constraints))
+    lp = constrained_lp_optimum(mdp, objective, dict(constraints))
     objective_value = _policy_average(
         mdp, policy, policy.extra_cost_vector(objective)
     )

@@ -117,6 +117,8 @@ def certify_solution(
         What the solver under test reported (an ``AnalyticMetrics`` or
         a mapping with ``average_power`` / ``average_queue_length``);
         certification checks the claim against independent evidence.
+        Claims are in original units, also on a model built with a
+        ``rate_scale``; the checks convert them.
     constraints:
         ``{extra_cost_name: bound}`` for Section-IV constrained solves.
     checks:
@@ -195,15 +197,23 @@ def certify_solution(
         return report
 
     scale = max(1.0, abs(claimed_gain)) if claimed_gain is not None else 1.0
+    # A model built with rate_scale stores every rate and cost rate
+    # multiplied by it, so gains evaluated on mdp are in stored units,
+    # while the claims and the extra-cost channels the constrained LP
+    # reads are in original units. Checks on stored-unit gains get the
+    # claim and the tolerance band in stored units; for the power-of-two
+    # scales of the admission remediation the conversion is exact.
+    unit = mdp.rate_scale
     gain_cache: "Dict[str, float]" = {}
 
     def policy_gain() -> float:
-        """Independent evaluation of the policy's own objective (cached)."""
+        """Independent evaluation of the policy's own objective, in
+        stored units (cached)."""
         if "gain" not in gain_cache:
             if mode == "weighted":
                 gain, _, _ = _bellman.independent_evaluation(mdp, policy_obj)
             else:
-                gain = _duality._policy_average(
+                gain = unit * _duality._policy_average(
                     mdp, policy_obj, policy_obj.extra_cost_vector(POWER)
                 )
             gain_cache["gain"] = gain
@@ -225,6 +235,7 @@ def certify_solution(
                         constraints,
                         tolerance,
                         scale,
+                        unit,
                         exact_state_limit,
                         policy_gain,
                     )
@@ -269,9 +280,11 @@ def _run_check(
     constraints: "Optional[Mapping[str, float]]",
     tolerance: float,
     scale: float,
+    unit: float,
     exact_state_limit: int,
     policy_gain,
 ) -> CheckResult:
+    stored_scale = scale * unit
     if name == "bellman":
         if mode == "constrained":
             return CheckResult(
@@ -283,11 +296,13 @@ def _run_check(
                     "LP is the oracle instead"
                 },
             )
+        stored_claim = None if claimed_gain is None else claimed_gain * unit
         return _bellman.check_bellman(
-            mdp, policy_obj, claimed_gain, tolerance, scale
+            mdp, policy_obj, stored_claim, tolerance, stored_scale
         )
     if name == "lp":
         if mode == "constrained":
+            # Extra-cost averages: original units on both sides.
             return _duality.check_lp_constrained(
                 mdp,
                 policy_obj,
@@ -297,7 +312,9 @@ def _run_check(
                 tolerance,
                 scale,
             )
-        return _duality.check_lp(mdp, policy_obj, policy_gain(), tolerance, scale)
+        return _duality.check_lp(
+            mdp, policy_obj, policy_gain(), tolerance, stored_scale
+        )
     if name == "exact":
         if mdp.n_states > exact_state_limit:
             return CheckResult(
@@ -309,10 +326,12 @@ def _run_check(
                 },
             )
         return _exact.check_exact(
-            mdp, policy_obj, policy_gain(), tolerance, scale
+            mdp, policy_obj, policy_gain(), tolerance, stored_scale
         )
     if name == "consensus":
-        return _consensus.check_consensus(mdp, policy_obj, tolerance, scale)
+        return _consensus.check_consensus(
+            mdp, policy_obj, tolerance, stored_scale
+        )
     raise CertificationError(f"unknown check {name!r}")  # pragma: no cover
 
 

@@ -23,7 +23,7 @@ Solved with ``scipy.optimize.linprog`` (HiGHS).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -94,6 +94,24 @@ class LinearProgramResult:
             object.__setattr__(self, "diagnostics", {})
 
 
+@dataclass(frozen=True)
+class LinearProgramOptimum:
+    """The LP's optimum before any policy is read off it.
+
+    What the certificates read (``gain``, ``status``, ``diagnostics``,
+    as on :class:`LinearProgramResult`) plus the ``(state, action)``
+    pairs and the optimal occupation vector ``x`` over them, from which
+    :func:`solve_average_cost_lp` and :func:`solve_constrained_lp`
+    build their policies and per-channel averages.
+    """
+
+    pairs: "List[Tuple[Hashable, Hashable]]"
+    x: np.ndarray
+    gain: float
+    status: str
+    diagnostics: "Dict[str, object]"
+
+
 def _status_name(status: int) -> str:
     return LP_STATUS_NAMES.get(status, f"unknown({status})")
 
@@ -148,17 +166,13 @@ def _build_lp(mdp: CTMDP):
 
 
 def _extract_result(
-    mdp: CTMDP,
-    pairs,
-    x: np.ndarray,
-    gain: float,
-    status: str = "optimal",
-    diagnostics: "Optional[Dict[str, object]]" = None,
+    mdp: CTMDP, optimum: LinearProgramOptimum
 ) -> LinearProgramResult:
     """Turn an optimal occupation vector into policies and summaries."""
+    pairs = optimum.pairs
     occupation: Dict[Tuple[Hashable, Hashable], float] = {}
     state_mass: Dict[Hashable, float] = {s: 0.0 for s in mdp.states}
-    for (state, action), value in zip(pairs, x):
+    for (state, action), value in zip(pairs, optimum.x):
         if value > OCCUPATION_EPS:
             occupation[(state, action)] = float(value)
             state_mass[state] += float(value)
@@ -192,23 +206,22 @@ def _extract_result(
     return LinearProgramResult(
         policy=randomized,
         deterministic_policy=randomized.deterministic_rounding(),
-        gain=float(gain),
+        gain=optimum.gain,
         occupation=occupation,
         extra_cost_values=extra_values,
-        status=status,
-        diagnostics=dict(diagnostics or {}),
+        status=optimum.status,
+        diagnostics=dict(optimum.diagnostics),
     )
 
 
-def solve_average_cost_lp(mdp: CTMDP) -> LinearProgramResult:
+def average_cost_lp_optimum(mdp: CTMDP) -> LinearProgramOptimum:
     """Minimize the long-run average cost rate over stationary policies.
 
-    For unichain models the optimal basic solution is deterministic and
-    agrees with policy iteration. The returned result carries the HiGHS
-    termination status and duality diagnostics; non-optimal statuses
-    (iteration limit, infeasibility, numerical trouble) raise
-    :class:`~repro.errors.SolverError` with the same diagnostics
-    attached instead of silently returning a partial answer.
+    Runs HiGHS and returns the optimum without extracting a policy.
+    Non-optimal statuses (iteration limit, infeasibility, numerical
+    trouble) raise :class:`~repro.errors.SolverError` with the HiGHS
+    diagnostics attached instead of silently returning a partial
+    answer.
     """
     pairs, costs, a_eq, b_eq = _build_lp(mdp)
     tolerances = {"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
@@ -222,38 +235,38 @@ def solve_average_cost_lp(mdp: CTMDP) -> LinearProgramResult:
             f"{_status_name(result.status)}: {result.message}",
             diagnostics=diagnostics,
         )
-    return _extract_result(
-        mdp, pairs, result.x, result.fun, _status_name(result.status), diagnostics
+    return LinearProgramOptimum(
+        pairs, result.x, float(result.fun), _status_name(result.status),
+        diagnostics,
     )
 
 
-def solve_constrained_lp(
+def solve_average_cost_lp(mdp: CTMDP) -> LinearProgramResult:
+    """Minimize the long-run average cost rate over stationary policies.
+
+    For unichain models the optimal basic solution is deterministic and
+    agrees with policy iteration. The returned result carries the HiGHS
+    termination status and duality diagnostics; non-optimal statuses
+    raise :class:`~repro.errors.SolverError`
+    (:func:`average_cost_lp_optimum`).
+    """
+    return _extract_result(mdp, average_cost_lp_optimum(mdp))
+
+
+def constrained_lp_optimum(
     mdp: CTMDP,
     objective: str,
     constraints: Mapping[str, float],
-) -> LinearProgramResult:
-    """Minimize one named cost subject to bounds on other named costs.
-
-    This solves the paper's Section-IV constrained formulation directly::
-
-        min  avg rate of ``objective``
-        s.t. avg rate of name <= bound   for each (name, bound)
-
-    Parameters
-    ----------
-    mdp:
-        Model whose state-action pairs carry ``extra_costs`` entries for
-        ``objective`` and every constraint name (e.g. ``"power"`` and
-        ``"queue_length"``).
-    objective:
-        Name of the extra cost to minimize.
-    constraints:
-        ``{name: upper_bound}`` on average rates.
+) -> LinearProgramOptimum:
+    """The optimum of :func:`solve_constrained_lp`'s LP, without
+    extracting a policy.
 
     Raises
     ------
     InfeasibleConstraintError
         If no stationary policy satisfies the bounds.
+    SolverError
+        On any other non-optimal HiGHS status.
     """
     pairs, _, a_eq, b_eq = _build_lp(mdp)
     obj = np.array([mdp.extra_cost(s, a, objective) for s, a in pairs])
@@ -285,6 +298,40 @@ def solve_constrained_lp(
             f"{_status_name(result.status)}: {result.message}",
             diagnostics=diagnostics,
         )
+    return LinearProgramOptimum(
+        pairs, result.x, float(result.fun), _status_name(result.status),
+        diagnostics,
+    )
+
+
+def solve_constrained_lp(
+    mdp: CTMDP,
+    objective: str,
+    constraints: Mapping[str, float],
+) -> LinearProgramResult:
+    """Minimize one named cost subject to bounds on other named costs.
+
+    This solves the paper's Section-IV constrained formulation directly::
+
+        min  avg rate of ``objective``
+        s.t. avg rate of name <= bound   for each (name, bound)
+
+    Parameters
+    ----------
+    mdp:
+        Model whose state-action pairs carry ``extra_costs`` entries for
+        ``objective`` and every constraint name (e.g. ``"power"`` and
+        ``"queue_length"``).
+    objective:
+        Name of the extra cost to minimize.
+    constraints:
+        ``{name: upper_bound}`` on average rates.
+
+    Raises
+    ------
+    InfeasibleConstraintError
+        If no stationary policy satisfies the bounds.
+    """
     return _extract_result(
-        mdp, pairs, result.x, result.fun, _status_name(result.status), diagnostics
+        mdp, constrained_lp_optimum(mdp, objective, constraints)
     )

@@ -198,18 +198,35 @@ def rated_model(
 ) -> PowerManagedSystemModel:
     """A clone of *base_model* with the arrival rate replaced.
 
-    The single re-rating primitive shared by the banded adaptive solver
-    and the serving supervisor: provider, capacity, and transfer-state
-    choice are preserved, only the requestor changes.
+    The single re-rating primitive shared by the banded adaptive solver,
+    the serving supervisor, artifact validation and certification:
+    provider, capacity, and transfer-state choice are preserved, only
+    the requestor changes. The clone is never *base_model* itself, even
+    at its own rate.
+
+    The last clone is kept in a one-entry slot on *base_model*, so
+    repeated calls at one rate return the *same* model -- with it its
+    assembly, built CTMDPs, lowerings and row caches. One supervised
+    re-solve (solve, compile, admission gate, certificate) therefore
+    assembles the SYS once. A new rate replaces the slot;
+    ``clear_caches()`` and pickling drop it. Models are immutable, and
+    their lazy caches are computed before they are published, so
+    threads sharing a clone (an attempt abandoned by the supervisor's
+    watchdog beside its retry) read the same numbers.
     """
     if rate <= 0:
         raise InvalidModelError(f"rate must be positive, got {rate}")
-    return PowerManagedSystemModel(
+    slot = base_model._rated
+    if slot is not None and slot[0] == rate:
+        return slot[1]
+    sibling = PowerManagedSystemModel(
         provider=base_model.provider,
         requestor=base_model.requestor.with_rate(rate),
         capacity=base_model.capacity,
         include_transfer_states=base_model.include_transfer_states,
     )
+    base_model._rated = (sibling.requestor.rate, sibling)
+    return sibling
 
 
 def solve_rated(
@@ -222,6 +239,8 @@ def solve_rated(
 ) -> OptimizationResult:
     """Solve *base_model* re-rated to *rate*, optionally warm-started.
 
+    The solve runs on :func:`rated_model`'s sibling, whose build later
+    calls at the same rate (compile, admission, certificate) reuse.
     The seed is advisory exactly as in
     :func:`repro.dpm.optimizer.optimize_weighted`: a converged policy
     from a neighboring rate usually starts at or near its own fixed

@@ -155,6 +155,11 @@ class PowerManagedSystemModel:
         self._ctmdp_cache: "OrderedDict[Tuple[float, str], CTMDP]" = (
             OrderedDict()
         )
+        # One-entry slot of ``(rate, sibling)``: the last re-rated clone
+        # handed out by repro.dpm.adaptive.rated_model, so one supervised
+        # re-solve's solve, admission gate and certificate share its
+        # assembly, built CTMDPs and lowerings.
+        self._rated: "tuple | None" = None
 
     # -- state space -----------------------------------------------------------
 
@@ -595,12 +600,13 @@ class PowerManagedSystemModel:
 
     def clear_caches(self) -> None:
         """Drop every derived cache: built CTMDPs, the dense structure,
-        and the sparse skeleton. Subsequent builds pay the full
-        construction cost -- what benchmarks use to measure a genuinely
-        cold leg against the reuse layer."""
+        the sparse skeleton and the re-rated sibling. Subsequent builds
+        pay the full construction cost -- what benchmarks use to
+        measure a genuinely cold leg against the reuse layer."""
         self._structure = None
         self._sparse_skeleton = None
         self._ctmdp_cache = OrderedDict()
+        self._rated = None
 
     def __getstate__(self) -> dict:
         """Pickle without the derived caches (rebuilt lazily on demand)."""
@@ -608,6 +614,7 @@ class PowerManagedSystemModel:
         state["_structure"] = None
         state["_sparse_skeleton"] = None
         state["_ctmdp_cache"] = OrderedDict()
+        state["_rated"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -185,6 +185,7 @@ def record_suite(
     payload: "Dict[str, Any]",
     manifest: "Optional[Dict[str, Any]]" = None,
     tolerances: "Optional[Dict[str, Optional[float]]]" = None,
+    floors: "Optional[Dict[str, float]]" = None,
 ) -> "Dict[str, Any]":
     """Merge one suite's payload into a canonical bench file.
 
@@ -193,7 +194,9 @@ def record_suite(
     re-flattened into ``metrics`` (replacing stale entries under the
     same ``key.`` prefix), and the document manifest is refreshed.
     *tolerances* overrides the per-unit default threshold for specific
-    flattened names (``None`` demotes a metric to informational).
+    flattened names (``None`` demotes a metric to informational), and
+    *floors* their noise floor (a median timing well under the unit's
+    default floor is otherwise never compared).
     """
     path = Path(path)
     if path.exists():
@@ -213,10 +216,13 @@ def record_suite(
         if not (name == key or name.startswith(prefix))
     }
     overrides = tolerances or {}
+    floor_overrides = floors or {}
     for name, value in flatten(payload, key).items():
         record = default_record(name, value)
         if name in overrides:
             record.tolerance = overrides[name]
+        if name in floor_overrides:
+            record.floor = floor_overrides[name]
         doc["metrics"][name] = record.to_dict()
     if manifest is None:
         # Imported lazily: export pulls in subprocess/platform, which

@@ -381,7 +381,11 @@ def validate_artifact(
 
     Any failure raises :class:`~repro.errors.ArtifactRejectedError`
     (carrying the admission report when one exists); success returns
-    the re-rated model so callers can reuse the build.
+    the re-rated model so callers can reuse the build. That model is
+    :func:`repro.dpm.adaptive.rated_model`'s sibling for the artifact's
+    rate, the one a supervised solve and its certificate also run on:
+    after a solve at that rate, steps 2 and 3 read its cached CTMDP and
+    lowering instead of assembling the SYS again.
     """
     from repro.dpm.adaptive import rated_model
     from repro.robust.admission import admit_model

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.dpm.adaptive import DriftDetector, solve_rated
+from repro.dpm.adaptive import DriftDetector, rated_model, solve_rated
 from repro.dpm.system import PowerManagedSystemModel
 from repro.errors import ArtifactError, ReproError
 from repro.obs.runtime import active as obs_active
@@ -205,7 +205,11 @@ class Supervisor:
     Parameters
     ----------
     base_model:
-        The SYS model at its nominal rate; re-solves re-rate it.
+        The SYS model at its nominal rate; re-solves re-rate it. One
+        re-solve's solve, compile, admission gate and certificate all
+        run on the same re-rated sibling
+        (:func:`repro.dpm.adaptive.rated_model`), which assembles the
+        SYS once.
     weight:
         Performance weight of the objective, fixed for the runtime's
         lifetime (drift is in the arrival rate, not the objective).
@@ -224,10 +228,20 @@ class Supervisor:
         attempt is *abandoned*, not killed; its eventual result is
         discarded. CPython cannot safely kill a thread, so an abandoned
         attempt costs a core until it finishes; the breaker bounds how
-        many such attempts can pile up.
+        many such attempts can pile up. It may still be solving on the
+        re-rated model its retry shares
+        (:func:`repro.dpm.adaptive.rated_model`); it only reads that
+        immutable model and publishes complete caches, so it cannot
+        change what the retry installs.
     solve:
         Injectable solve callable ``(rate, initial_policy) -> result``
         for the chaos harness; defaults to the real pipeline.
+        ``initial_policy`` is ``None`` on the first re-solve and then
+        the last-good artifact's ``{state: action}`` table -- the
+        advisory warm start of
+        :func:`repro.dpm.optimizer.optimize_weighted`, which rebinds it
+        to the solve's model and falls back to a cold start when it is
+        stale.
     admission_level:
         Forwarded to :func:`repro.serve.artifact.validate_artifact`.
     certify:
@@ -344,7 +358,9 @@ class Supervisor:
             return report
         seed = seed_policy
         if seed is None and self.last_artifact is not None:
-            seed = self._seed_from_artifact(self.last_artifact)
+            # The served table is the warm start; a stale one falls
+            # back to a cold start inside optimize_weighted.
+            seed = self.last_artifact.assignment()
         with ins.span("serve.resolve", rate=rate):
             result = None
             for attempt in range(1, self.retry.attempts + 1):
@@ -388,7 +404,7 @@ class Supervisor:
             )
             try:
                 artifact = compile_artifact(
-                    result_model(self, rate),
+                    rated_model(self.base_model, rate),
                     result,
                     version=version,
                     solver=self.solver,
@@ -448,28 +464,3 @@ class Supervisor:
                 metrics.counter("serve.resolve.successes").inc()
                 metrics.counter("serve.swaps").inc()
             return report
-
-    def _seed_from_artifact(self, artifact: PolicyArtifact):
-        """Rebuild a warm-start seed Policy from the last-good artifact.
-
-        Best-effort: any failure (e.g. the artifact predates a model
-        change) degrades to a cold start, mirroring the optimizer's own
-        advisory-seed contract.
-        """
-        from repro.ctmdp.policy import Policy
-        from repro.dpm.adaptive import rated_model
-
-        try:
-            rated = rated_model(self.base_model, artifact.rate)
-            return Policy(
-                rated.build_ctmdp(artifact.weight), artifact.assignment()
-            )
-        except ReproError:
-            return None
-
-
-def result_model(supervisor: Supervisor, rate: float):
-    """The model a supervised solve belongs to (the re-rated clone)."""
-    from repro.dpm.adaptive import rated_model
-
-    return rated_model(supervisor.base_model, rate)

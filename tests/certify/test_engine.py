@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.certify import (
@@ -11,11 +12,15 @@ from repro.certify import (
     certify_solution,
     require_certified,
 )
+from repro.certify.corpus import build_corpus
 from repro.dpm.optimizer import (
     optimize_constrained,
     optimize_weighted,
 )
 from repro.dpm.presets import paper_system
+from repro.dpm.service_requestor import ServiceRequestor
+from repro.dpm.system import PowerManagedSystemModel
+from repro.robust.admission import admit_model
 from repro.errors import CertificationError, CertificationFailedError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import instrument
@@ -220,3 +225,60 @@ class TestArtifactCertification:
         other = paper_system(capacity=4)
         with pytest.raises(CertificationError, match="fingerprint"):
             certify_artifact(artifact, other)
+
+
+def _rescaled(rate_scale):
+    """The paper's 23-state model with its time unit rescaled."""
+    base = paper_system()
+    return PowerManagedSystemModel(
+        base.provider, base.requestor, base.capacity, rate_scale=rate_scale
+    )
+
+
+class TestRescaledModels:
+    """A rescaled model's CTMDP stores gains x rate_scale while claims
+    stay in original units; the checks must compare in one system."""
+
+    @pytest.mark.parametrize("exponent", (-4, 4))
+    def test_honest_weighted_solve_certifies(self, exponent):
+        model = _rescaled(2.0 ** exponent)
+        report = certify_result(model, optimize_weighted(model, 1.0))
+        assert report.certified, report.finding_codes
+        assert [(c.name, c.status) for c in report.checks] == [
+            (name, "passed") for name in CHECK_NAMES
+        ]
+
+    @pytest.mark.parametrize("exponent", (-4, 4))
+    def test_gain_perturbation_still_rejected(self, exponent):
+        model = _rescaled(2.0 ** exponent)
+        (member,) = build_corpus(
+            model, weight=1.0, seed=0, kinds=("gain-perturbation",)
+        )
+        report = member.certify(model)
+        assert not report.certified
+        assert "claimed-gain-mismatch" in report.finding_codes
+
+    @pytest.mark.parametrize("exponent", (-4, 4))
+    def test_honest_constrained_solve_certifies(self, exponent):
+        model = _rescaled(2.0 ** exponent)
+        result = optimize_constrained(model, 1.0)
+        report = certify_result(
+            model, result, constraints={"queue_length": 1.0}
+        )
+        assert report.certified, report.finding_codes
+        assert report.check("lp").status == "passed"
+        assert report.check("exact").status == "passed"
+
+    def test_remediated_model_certifies(self):
+        # admit_model repairs extreme magnitudes by returning the model
+        # rebuilt at a power-of-two rate_scale; its solve must certify.
+        base = paper_system(capacity=3)
+        misscaled = PowerManagedSystemModel(
+            base.provider.rescaled(40),
+            ServiceRequestor(np.ldexp(base.requestor.rate, 40)),
+            base.capacity,
+        )
+        repaired = admit_model(misscaled, weight=2.0).repaired_model
+        assert repaired is not None and repaired.rate_scale != 1.0
+        report = certify_result(repaired, optimize_weighted(repaired, 2.0))
+        assert report.certified, report.finding_codes

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.dpm.adaptive import AdaptivePolicySolver, AdaptiveRateEstimator
+from repro.dpm.adaptive import (
+    AdaptivePolicySolver,
+    AdaptiveRateEstimator,
+    rated_model,
+)
 from repro.dpm.presets import paper_system
 from repro.errors import InvalidModelError
 
@@ -92,3 +98,60 @@ class TestAdaptivePolicySolver:
         solver = AdaptivePolicySolver(paper_system(), weight=1.0)
         with pytest.raises(InvalidModelError):
             solver.policy_for_rate(0.0)
+
+
+class TestRatedModel:
+    """One re-rated sibling per (base model, rate), held in a slot."""
+
+    def test_same_rate_returns_the_same_sibling(self):
+        base = paper_system()
+        sibling = rated_model(base, 0.2)
+        assert rated_model(base, 0.2) is sibling
+        assert sibling.requestor.rate == 0.2
+        # The sibling's builds are shared by every caller at that rate.
+        mdp = sibling.build_ctmdp(1.0)
+        assert rated_model(base, 0.2).build_ctmdp(1.0) is mdp
+
+    def test_new_rate_evicts_the_old_sibling(self):
+        base = paper_system()
+        old = rated_model(base, 0.2)
+        new = rated_model(base, 0.25)
+        assert new is not old
+        assert new.requestor.rate == 0.25
+        assert rated_model(base, 0.25) is new
+        assert rated_model(base, 0.2) is not old  # one slot, not a cache
+
+    def test_never_the_base(self):
+        base = paper_system()
+        sibling = rated_model(base, base.requestor.rate)
+        assert sibling is not base
+        assert rated_model(base, base.requestor.rate) is sibling
+        assert sibling.requestor.rate == base.requestor.rate
+        assert sibling.provider is base.provider
+        assert sibling.capacity == base.capacity
+        assert sibling.include_transfer_states == base.include_transfer_states
+
+    def test_clear_caches_drops_the_slot(self):
+        base = paper_system()
+        old = rated_model(base, 0.2)
+        base.clear_caches()
+        fresh = rated_model(base, 0.2)
+        assert fresh is not old
+        assert fresh.requestor.rate == 0.2
+
+    def test_pickle_drops_the_slot(self):
+        base = paper_system()
+        sibling = rated_model(base, 0.2)
+        sibling.build_ctmdp(1.0)
+        clone = pickle.loads(pickle.dumps(base))
+        assert clone._rated is None
+        assert rated_model(base, 0.2) is sibling  # the original keeps it
+        again = rated_model(clone, 0.2)
+        assert again is not sibling
+        assert again.states == sibling.states
+
+    def test_rejects_non_positive_rates(self):
+        base = paper_system()
+        for rate in (0.0, -0.2):
+            with pytest.raises(InvalidModelError):
+                rated_model(base, rate)

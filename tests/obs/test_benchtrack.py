@@ -85,6 +85,21 @@ class TestRecordSuite:
         assert records["s.solve_s"].tolerance is None
         assert records["s.gain"].tolerance == 0.01
 
+    def test_floor_overrides(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        record_suite(
+            path, "s", {"resolve_s": 0.02, "solve_s": 0.02}, manifest={},
+            floors={"s.resolve_s": 0.002},
+        )
+        records = load_bench(path)
+        assert records["s.resolve_s"].floor == 0.002
+        assert records["s.solve_s"].floor == 0.05  # the unit default
+        # Under its own floor a 2x slowdown of a 20 ms timing is caught.
+        slower = dict(records, **{"s.resolve_s": _rec(
+            "s.resolve_s", 0.04, floor=0.002)})
+        statuses = {d.name: d.status for d in compare(records, slower)}
+        assert statuses["s.resolve_s"] == "regressed"
+
     def test_legacy_file_loads_with_default_specs(self, tmp_path):
         path = tmp_path / "BENCH_legacy.json"
         path.write_text(json.dumps({"suite": {"solve_s": 2.0, "n": 4}}))

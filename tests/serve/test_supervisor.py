@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
-from repro.dpm.adaptive import DriftDetector, solve_rated
+from repro.certify import certify_solution
+from repro.dpm.adaptive import DriftDetector, rated_model, solve_rated
+from repro.dpm.optimizer import optimize_weighted
 from repro.dpm.presets import paper_system
+from repro.dpm.system import PowerManagedSystemModel
 from repro.errors import ArtifactError, SolverError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import instrument
@@ -294,9 +298,11 @@ class TestSupervisorResolve:
 
         sup = make_supervisor(model, tmp_path, solve=recording)
         sup.resolve(1 / 6)
+        served = sup.last_artifact
         sup.resolve(0.2)
         assert seeds[0] is None
-        assert seeds[1] is not None  # warm-started from artifact v1
+        # Warm-started from the served table itself, not a rebuilt Policy.
+        assert seeds[1] == served.assignment()
 
     def test_failure_keeps_last_good_artifact(self, model, tmp_path):
         sup = make_supervisor(model, tmp_path)
@@ -318,3 +324,131 @@ class TestSupervisorResolve:
         sup.resolve(0.2)
         assert len(sup.history) == 2
         assert all(r.ok for r in sup.history)
+
+
+def _fresh_clone(model, rate):
+    """The re-rated model built directly, sharing nothing with *model*."""
+    return PowerManagedSystemModel(
+        model.provider,
+        model.requestor.with_rate(rate),
+        model.capacity,
+        include_transfer_states=model.include_transfer_states,
+    )
+
+
+def _reference(model, rate, weight, version):
+    """Artifact checksum and check statuses of a cold solve, compile and
+    certificate on a fresh clone."""
+    clone = _fresh_clone(model, rate)
+    artifact = compile_artifact(
+        clone, optimize_weighted(clone, weight), version=version
+    )
+    report = certify_solution(
+        clone,
+        artifact.assignment(),
+        weight=artifact.weight,
+        claimed_metrics=artifact.metrics,
+        artifact_checksum=artifact.checksum,
+    )
+    return artifact.checksum, [(c.name, c.status) for c in report.checks]
+
+
+def _stored_statuses(store):
+    return [
+        (check["name"], check["status"])
+        for check in store.load_certificate()["checks"]
+    ]
+
+
+class TestOneSiblingPerResolve:
+    """A re-solve's solve, admission gate and certificate share one
+    re-rated model, so the SYS is assembled once per new rate."""
+
+    def test_one_assembly_per_new_rate(self, tmp_path):
+        model = paper_system(capacity=3)
+        sup = make_supervisor(model, tmp_path)
+
+        def builds(rate):
+            with instrument(metrics=MetricsRegistry()) as ins:
+                assert sup.resolve(rate).ok
+            counter = ins.metrics.to_dict().get(
+                "solver.reuse.skeleton_builds", {"value": 0}
+            )
+            return counter["value"]
+
+        assert builds(1 / 6) == 1  # cold: no seed
+        assert builds(0.2) == 1  # seeded from the served table
+        assert builds(0.2) == 0  # the rate repeats: everything is cached
+
+    def test_artifacts_and_certificates_match_fresh_clones(self, tmp_path):
+        model = paper_system(capacity=3)
+        sup = make_supervisor(model, tmp_path)
+        for version, rate in enumerate(
+            (1 / 6, 0.2, 0.25, 0.2, 1 / 8, 1 / 3), start=1
+        ):
+            report = sup.resolve(rate)
+            assert report.ok and report.artifact_version == version
+            checksum, statuses = _reference(model, rate, 0.5, version)
+            assert sup.last_artifact.checksum == checksum
+            assert _stored_statuses(sup.store) == statuses
+            assert all(status == "passed" for _, status in statuses)
+
+    def test_stale_seed_falls_back_to_cold_start(self, tmp_path):
+        model = paper_system(capacity=3)
+        cold = make_supervisor(model, tmp_path / "cold")
+        assert cold.resolve(0.2).ok
+        stale = cold.last_artifact.assignment()
+        state = next(iter(stale))
+        stale[state] = "__retired-mode__"  # a mode the model lost
+        sup = make_supervisor(model, tmp_path / "stale")
+        with instrument(metrics=MetricsRegistry()) as ins:
+            report = sup.resolve(0.2, seed_policy=stale)
+        assert report.ok
+        assert sup.last_artifact.checksum == cold.last_artifact.checksum
+        doc = ins.metrics.to_dict()
+        assert doc["solver.reuse.warm_start_rejected"]["value"] == 1
+
+    def test_abandoned_attempt_cannot_change_the_retry(self, tmp_path):
+        model = paper_system(capacity=3)
+        rate = 0.25
+        release, stop = threading.Event(), threading.Event()
+        shared, abandoned_solves, done = [], [], threading.Event()
+
+        def solve(rate, seed=None):
+            if not shared:
+                # The first attempt takes the sibling before any of its
+                # caches exist, outlives the watchdog, then keeps solving
+                # on it while the retry solves, admits and certifies.
+                shared.append(rated_model(model, rate))
+                try:
+                    release.wait(10)
+                    while not stop.is_set() and len(abandoned_solves) < 200:
+                        abandoned_solves.append(
+                            solve_rated(model, rate, 0.5).policy
+                        )
+                finally:
+                    done.set()
+                raise AssertionError("the abandoned result must be discarded")
+            assert rated_model(model, rate) is shared[0]
+            release.set()
+            return solve_rated(model, rate, 0.5, initial_policy=seed)
+
+        sup = make_supervisor(
+            model,
+            tmp_path,
+            solve=solve,
+            retry=RetryPolicy(attempts=2, base_delay=0.0, sleep=lambda s: None),
+            attempt_timeout=0.3,
+        )
+        try:
+            report = sup.resolve(rate)
+        finally:
+            stop.set()
+            assert done.wait(30)
+        assert report.ok, report.error
+        assert report.attempts == 2
+        assert abandoned_solves  # it did run beside the retry
+        checksum, statuses = _reference(model, rate, 0.5, 1)
+        assert sup.last_artifact.checksum == checksum
+        assert _stored_statuses(sup.store) == statuses
+        assert sup.store.load().checksum == checksum
