@@ -24,16 +24,26 @@ Five measurements, recorded in ``BENCH_serving.json``:
   fixed rate cycle -- solve, compile, admission gate, certificate,
   persisted swap -- and the SYS assemblies per re-solve, asserted to
   be one (the solve, the gate and the certificate share one re-rated
-  model).
+  model);
+- **the certificate by size**: ``certify_artifact`` of the PI optimum
+  (w = 1) at Q = 250 and Q = 1000 (1,003 and 4,003 states), each on a
+  cold model: the median seconds, the ``tracemalloc`` peak, the verdict
+  and the failing checks' finding codes. 4,003 states must certify in
+  under 9.6 s (the dense certificate's time there) with a peak below
+  one ``(pairs x n)`` float array; its verdict is recorded as it is --
+  HiGHS stops ``numerical`` there, an ``lp-error``.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_SEED, once
+from repro.certify import certify_artifact
 from repro.dpm.optimizer import optimize_weighted
 from repro.dpm.presets import paper_system
 from repro.obs.benchtrack import record_suite
@@ -64,6 +74,16 @@ RESOLVE_RATES = (1 / 8, 1 / 6, 0.2, 0.25, 1 / 3, 0.2)
 
 #: Passes over RESOLVE_RATES timed per run (60 re-solves).
 RESOLVE_CYCLES = 10
+
+#: Queue capacities of the certificate-by-size bench: 1,003 and 4,003
+#: joint states, both above the 256-state dense-tier crossover.
+CERTIFY_CAPACITIES = (250, 1000)
+
+#: Cold certifications timed per size (the median is recorded).
+CERTIFY_REPEATS = 3
+
+#: The dense certificate's time at 4,003 states (ROADMAP item 2).
+CERTIFY_4K_BUDGET_S = 9.6
 
 
 def _request_mix(model, n, seed):
@@ -253,3 +273,63 @@ def test_bench_supervised_resolve(benchmark, tmp_path):
         f"{assemblies:g} SYS assemblies each"
     )
     assert assemblies == 1
+
+
+def test_bench_certify_at_scale(benchmark):
+    """``certify_artifact`` of the PI optimum at 1,003 and 4,003 states."""
+
+    def certify_cold(model, artifact):
+        model.clear_caches()  # the certificate pays for its own builds
+        t0 = time.perf_counter()
+        report = certify_artifact(artifact, model)
+        return report, time.perf_counter() - t0
+
+    def measure():
+        sizes = {}
+        for capacity in CERTIFY_CAPACITIES:
+            model = paper_system(capacity=capacity)
+            artifact = compile_artifact(
+                model, optimize_weighted(model, 1.0), version=1
+            )
+            seconds = [certify_cold(model, artifact)[1]
+                       for _ in range(CERTIFY_REPEATS)]
+            tracemalloc.start()
+            try:
+                report, _ = certify_cold(model, artifact)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes[f"q{capacity}"] = {
+                "n_states": model.n_states,
+                "n_pairs": len(model.build_ctmdp(1.0).state_action_pairs()),
+                "certify_median_s": statistics.median(seconds),
+                "peak_bytes": peak,
+                "verdict": report.verdict,
+                "failed_codes": report.finding_codes,
+            }
+        return sizes
+
+    sizes = once(benchmark, measure)
+    record_suite(
+        BENCH_JSON,
+        "certify_at_scale",
+        sizes,
+        # ~60 ms at 1,003 states sits near the seconds unit's 0.05 s
+        # noise floor.
+        floors={"certify_at_scale.q250.certify_median_s": 0.01},
+    )
+    for name, size in sizes.items():
+        print(
+            f"\ncertify at {size['n_states']} states: median "
+            f"{size['certify_median_s']:.3f} s, peak "
+            f"{size['peak_bytes'] / 1e6:.1f} MB, {size['verdict']} "
+            f"{size['failed_codes']}"
+        )
+        # Below one (pairs x n) float array: no dense rows anywhere.
+        assert size["peak_bytes"] < size["n_pairs"] * size["n_states"] * 8, name
+    small, large = (sizes[f"q{c}"] for c in CERTIFY_CAPACITIES)
+    assert small["verdict"] == "certified", small["failed_codes"]
+    assert large["certify_median_s"] < CERTIFY_4K_BUDGET_S
+    # HiGHS stops "numerical" on this LP from 4,003 states up (ROADMAP
+    # item 2(c)); every other check passes.
+    assert large["failed_codes"] == ["lp-error"]

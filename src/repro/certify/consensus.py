@@ -1,15 +1,31 @@
 """Cross-backend N-version consensus certificates.
 
 Independent evidence source #4: the repo carries several policy
-evaluation lowerings -- the reference dict-loop path, the dense
-compiled lowering, and the CSR sparse path -- that share no numerical
-kernel beyond BLAS. Each one evaluates the certified policy's gain on
-the same model; the votes are compared against their median so a
-single wandering backend cannot shift the consensus it is judged
-against. Certification demands *unanimity*: any backend straying
-beyond tolerance is a typed ``backend-disagreement`` finding, because
-a split vote means at least one production code path would serve a
-different number than the one being certified.
+evaluation lowerings that share no numerical kernel beyond BLAS. Each
+one evaluates the certified policy's gain on the same model; the votes
+are compared against their median so a single wandering backend cannot
+shift the consensus it is judged against. Certification demands
+*unanimity*: any backend straying beyond tolerance is a typed
+``backend-disagreement`` finding, because a split vote means at least
+one production code path would serve a different number than the one
+being certified.
+
+Which votes run follows the solver's own tiers
+(:func:`~repro.ctmdp.backends.auto_tier`):
+
+- At or below the dense-tier crossover, the reference dict-loop path,
+  the dense compiled lowering and the CSR path all vote.
+- Above it, ``auto`` never runs the reference or compiled tiers, and
+  each of their votes would allocate an ``n x n`` array. Two CSR votes
+  run instead: the dict model's rows lowered by
+  :meth:`~repro.ctmdp.sparse.SparseCTMDP.from_ctmdp` (``sparse``) and
+  the solve's COO-direct build, ``build_ctmdp(w, backend="sparse")``
+  (``sparse-build``). Both read the SYS assembly, so a deterministic
+  sample of at most :data:`ASSEMBLY_SAMPLE_PAIRS` rows is also checked
+  against the model's per-state methods (``transition_rates``,
+  ``effective_power_rate``, ``delay_cost``), which share no code with
+  the vectorized assembly; a mismatch is a typed ``assembly-mismatch``
+  finding.
 
 Randomized policies are out of scope (the sparse path evaluates
 deterministic policies only), and the Kronecker backend evaluates
@@ -19,10 +35,11 @@ limits are recorded on the check rather than silently narrowing it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.certify.bellman import uses_sparse_arithmetic
 from repro.certify.report import CertFinding, CheckResult
 from repro.ctmdp.policy import evaluate_policy
 
@@ -31,14 +48,25 @@ from repro.ctmdp.policy import evaluate_policy
 #: out of scope on every report.
 CONSENSUS_BACKENDS = ("reference", "compiled", "sparse")
 
+#: Rows of the assembly sample checked above the crossover: the policy
+#: action and one other action in each of up to half as many states.
+ASSEMBLY_SAMPLE_PAIRS = 64
+
 
 def check_consensus(
     mdp,
     policy,
     tolerance: float,
     scale: float,
+    model,
+    weight: float,
 ) -> CheckResult:
-    """Evaluate *policy* on every backend and demand unanimous gains."""
+    """Evaluate *policy* on every backend and demand unanimous gains.
+
+    *model* is the SYS model *mdp* was built from at *weight*; above
+    the crossover it supplies the COO-direct vote and the per-state
+    oracles of the assembly sample.
+    """
     if hasattr(policy, "distribution"):
         return CheckResult(
             name="consensus",
@@ -48,19 +76,28 @@ def check_consensus(
                 "deterministic policies only"
             },
         )
+    def tier_vote(backend: str) -> "Callable[[], float]":
+        return lambda: evaluate_policy(
+            policy, backend=backend, compute_stationary=False).gain
+
+    at_scale = uses_sparse_arithmetic(mdp)
+    if at_scale:
+        votes = {
+            "sparse": tier_vote("sparse"),
+            "sparse-build": lambda: _coo_direct_gain(model, weight, policy),
+        }
+    else:
+        votes = {backend: tier_vote(backend) for backend in CONSENSUS_BACKENDS}
     findings: "List[CertFinding]" = []
     gains: "Dict[str, float]" = {}
     errors: "Dict[str, str]" = {}
-    for backend in CONSENSUS_BACKENDS:
+    for backend, vote in votes.items():
         try:
-            evaluation = evaluate_policy(
-                policy, backend=backend, compute_stationary=False
-            )
-            gains[backend] = float(evaluation.gain)
+            gains[backend] = float(vote())
         except Exception as exc:  # one dead backend is itself a finding
             errors[backend] = f"{type(exc).__name__}: {exc}"
     data: "Dict[str, Any]" = {
-        "backends": list(CONSENSUS_BACKENDS),
+        "backends": list(votes),
         "gains": dict(gains),
         "kron": "skipped: SYS models are built dense, not Kronecker-factored",
     }
@@ -101,7 +138,78 @@ def check_consensus(
                 "consensus needs at least two",
             )
         )
+    if at_scale:
+        sample = assembly_sample(mdp, policy)
+        data["assembly_sample"] = len(sample)
+        findings.extend(
+            _assembly_findings(model, mdp, sample, weight, tolerance))
     status = "failed" if findings else "passed"
     return CheckResult(
         name="consensus", status=status, findings=findings, data=data
     )
+
+
+def _coo_direct_gain(model, weight: float, policy) -> float:
+    """The policy's gain on the solve's COO-direct build."""
+    smdp = model.build_ctmdp(weight, backend="sparse")
+    gain, _ = smdp.evaluate(smdp.policy_rows(policy.as_dict()), 0)
+    return gain
+
+
+def assembly_sample(mdp, policy) -> "List[Tuple[Any, Any]]":
+    """The ``(state, action)`` pairs the assembly check compares.
+
+    Up to ``ASSEMBLY_SAMPLE_PAIRS // 2`` states, drawn by a fixed-seed
+    generator (the same states for every report on the model); each
+    contributes its policy action and its first other action, if any.
+    """
+    states = mdp.states
+    k = min(len(states), ASSEMBLY_SAMPLE_PAIRS // 2)
+    picks = np.sort(np.random.default_rng(0).choice(len(states), k, replace=False))
+    pairs = []
+    for i in picks.tolist():
+        state = states[i]
+        chosen = policy.action(state)
+        others = [a for a in mdp.actions(state) if a != chosen]
+        pairs.extend((state, action) for action in [chosen] + others[:1])
+    return pairs
+
+
+def _assembly_findings(model, mdp, sample, weight: float, tolerance: float):
+    """Compare the sampled rows of *mdp* with the per-state oracles.
+
+    A row must hold exactly the oracle's destinations, with rates equal
+    to ``rate_scale x transition_rates`` within *tolerance* relative,
+    and the effective cost rate ``rate_scale x (effective_power_rate +
+    weight x delay_cost)`` likewise.
+    """
+    scale = mdp.rate_scale
+    findings = []
+    for state, action in sample:
+        data = mdp.data(state, action)
+        want = {model.index_of(dest): scale * rate
+                for dest, rate in model.transition_rates(state, action).items()}
+        cols = sorted(want)
+        cost = scale * (model.effective_power_rate(state, action)
+                        + weight * model.delay_cost(state))
+        got = list(zip(data.cols.tolist(), data.vals.tolist()))
+        ok = (data.cols.tolist() == cols
+              and all(_close(v, want[j], tolerance) for j, v in got)
+              and _close(data.effective_cost, cost, tolerance))
+        if not ok:
+            findings.append(
+                CertFinding(
+                    code="assembly-mismatch",
+                    message=f"row of {state!r} under {action!r} disagrees "
+                    f"with the model's per-state transition and cost "
+                    f"methods: assembled {got} at cost "
+                    f"{data.effective_cost:.12g}, expected "
+                    f"{[(j, want[j]) for j in cols]} at cost {cost:.12g}",
+                    state=repr(state),
+                )
+            )
+    return findings
+
+
+def _close(got: float, want: float, tolerance: float) -> bool:
+    return abs(got - want) <= tolerance * max(1.0, abs(want))

@@ -116,7 +116,9 @@ def _action_flip(model, mdp, base, rng, seed) -> CorruptedPolicy:
         except np.linalg.LinAlgError:
             degradation = float("inf")  # multichain: certifiably broken
         else:
-            degradation = gain - base_gain
+            # The evaluation is in the built CTMDP's stored units; the
+            # claim is in original units (exact for power-of-two scales).
+            degradation = gain / mdp.rate_scale - base_gain
         if degradation > FLIP_MARGIN * scale:
             return CorruptedPolicy(
                 kind="action-flip",

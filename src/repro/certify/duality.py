@@ -8,45 +8,28 @@ test. Certifying against it is N-version programming at the *algorithm*
 level: a bug would have to produce the same wrong number through two
 unrelated optimality theories to slip through.
 
-Weighted mode compares the policy's independently evaluated gain with
-the LP optimum ``g*``: a correct solve has ``gain - g*`` within
+Weighted mode compares the policy's independently evaluated gain (the
+Bellman check's evaluation, reused by the engine) with the LP optimum
+``g*``: a correct solve has ``gain - g*`` within
 round-off; a corrupted policy sits strictly above ``g*``, and a gain
 *below* ``g*`` is impossible, so either direction is a typed failure.
 Constrained mode (Section IV of the paper) re-solves the constrained
 LP and checks both the objective gap and every constraint bound
-against the policy's independently computed averages.
+against the policy's independently computed averages. Above the
+solver's dense-tier crossover HiGHS gets a sparse constraint matrix
+(:func:`~repro.ctmdp.linear_program.average_cost_lp_optimum`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-import numpy as np
-
+from repro.certify.bellman import PolicySystem
 from repro.certify.report import CertFinding, CheckResult
 from repro.ctmdp.linear_program import (
     average_cost_lp_optimum,
     constrained_lp_optimum,
 )
-
-
-def _policy_average(mdp, policy, cost_vector, reference_state_index=0) -> float:
-    """Long-run average of an arbitrary cost vector under *policy*.
-
-    Same bordered evaluation system as the Bellman check, but with a
-    caller-supplied cost channel -- used to recompute a constrained
-    policy's average power / average queue length without trusting the
-    solver's claimed metrics.
-    """
-    generator = policy.generator_matrix()
-    n = generator.shape[0]
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = generator
-    bordered[:n, n] = -1.0
-    bordered[n, reference_state_index] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[:n] = -np.asarray(cost_vector, dtype=float)
-    return float(np.linalg.solve(bordered, rhs)[n])
 
 
 def check_lp(
@@ -101,13 +84,23 @@ def check_lp_constrained(
     claimed_objective: "Optional[float]",
     tolerance: float,
     scale: float,
+    system: "Optional[PolicySystem]" = None,
 ) -> CheckResult:
-    """Constrained-mode certificate: objective gap + bound satisfaction."""
+    """Constrained-mode certificate: objective gap + bound satisfaction.
+
+    The policy's averages come from *system* -- its evaluation
+    equations, factored once for every channel (the engine shares one
+    with its other checks) -- or from a fresh one.
+    """
     findings = []
     lp = constrained_lp_optimum(mdp, objective, dict(constraints))
-    objective_value = _policy_average(
-        mdp, policy, policy.extra_cost_vector(objective)
-    )
+    if system is None:
+        system = PolicySystem(mdp, policy)
+
+    def average(channel: str) -> float:
+        return system.solve(system.costs(channel))[0]
+
+    objective_value = average(objective)
     gap = objective_value - lp.gain
     data: "Dict[str, Any]" = {
         "objective": objective,
@@ -143,7 +136,7 @@ def check_lp_constrained(
             )
         )
     for name, bound in constraints.items():
-        value = _policy_average(mdp, policy, policy.extra_cost_vector(name))
+        value = average(name)
         data["constraint_values"][name] = value
         if value > float(bound) + tolerance * scale:
             findings.append(

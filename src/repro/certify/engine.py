@@ -7,7 +7,10 @@ reuse the solver under test -- Bellman residuals
 (:mod:`repro.certify.duality`), exact rational arithmetic
 (:mod:`repro.certify.exact`), and cross-backend consensus
 (:mod:`repro.certify.consensus`) -- and folds them into one
-:class:`~repro.certify.report.CertificationReport`.
+:class:`~repro.certify.report.CertificationReport`. The policy's
+independent evaluation is solved once and shared by the checks that
+read it. Above the solver's 256-state dense-tier crossover every check
+runs on the model's nonzeros.
 
 Failure containment mirrors the serve pipeline: a check that *cannot
 run* (singular evaluation, LP solver failure) becomes a *failed* check
@@ -24,7 +27,7 @@ ambient :mod:`repro.obs` context.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -204,20 +207,7 @@ def certify_solution(
     # claim and the tolerance band in stored units; for the power-of-two
     # scales of the admission remediation the conversion is exact.
     unit = mdp.rate_scale
-    gain_cache: "Dict[str, float]" = {}
-
-    def policy_gain() -> float:
-        """Independent evaluation of the policy's own objective, in
-        stored units (cached)."""
-        if "gain" not in gain_cache:
-            if mode == "weighted":
-                gain, _, _ = _bellman.independent_evaluation(mdp, policy_obj)
-            else:
-                gain = unit * _duality._policy_average(
-                    mdp, policy_obj, policy_obj.extra_cost_vector(POWER)
-                )
-            gain_cache["gain"] = gain
-        return gain_cache["gain"]
+    shared = _SharedEvaluation(mdp, policy_obj, mode, unit)
 
     results: "List[CheckResult]" = []
     for name in CHECK_NAMES:
@@ -237,7 +227,9 @@ def certify_solution(
                         scale,
                         unit,
                         exact_state_limit,
-                        policy_gain,
+                        shared,
+                        model,
+                        build_weight,
                     )
                 )
             except (ReproError, np.linalg.LinAlgError) as exc:
@@ -271,6 +263,43 @@ def certify_solution(
     return report
 
 
+class _SharedEvaluation:
+    """The policy's independent evaluation, computed once per report.
+
+    The first check that needs it pays for it (so its time shows under
+    that check's span); later checks reuse it. A failure is not cached:
+    each check that needs the evaluation fails with its own typed
+    finding, as if it had solved the system itself.
+    """
+
+    def __init__(self, mdp, policy, mode: str, unit: float) -> None:
+        self._mdp, self._policy, self._mode, self._unit = mdp, policy, mode, unit
+        self._memo: "Dict[str, Any]" = {}
+
+    def system(self) -> "_bellman.PolicySystem":
+        if "system" not in self._memo:
+            self._memo["system"] = _bellman.PolicySystem(self._mdp, self._policy)
+        return self._memo["system"]
+
+    def evaluation(self) -> "_bellman.Evaluation":
+        """``(gain, bias, residual)`` of the weighted cost."""
+        if "evaluation" not in self._memo:
+            system = self.system()
+            self._memo["evaluation"] = system.solve(system.costs())
+        return self._memo["evaluation"]
+
+    def gain(self) -> float:
+        """The policy's own objective, in stored units."""
+        if "gain" not in self._memo:
+            if self._mode == "weighted":
+                gain = self.evaluation()[0]
+            else:
+                system = self.system()
+                gain = self._unit * system.solve(system.costs(POWER))[0]
+            self._memo["gain"] = gain
+        return self._memo["gain"]
+
+
 def _run_check(
     name: str,
     mode: str,
@@ -282,7 +311,9 @@ def _run_check(
     scale: float,
     unit: float,
     exact_state_limit: int,
-    policy_gain,
+    shared: _SharedEvaluation,
+    model,
+    build_weight: float,
 ) -> CheckResult:
     stored_scale = scale * unit
     if name == "bellman":
@@ -298,7 +329,8 @@ def _run_check(
             )
         stored_claim = None if claimed_gain is None else claimed_gain * unit
         return _bellman.check_bellman(
-            mdp, policy_obj, stored_claim, tolerance, stored_scale
+            mdp, policy_obj, stored_claim, tolerance, stored_scale,
+            evaluation=shared.evaluation,
         )
     if name == "lp":
         if mode == "constrained":
@@ -311,9 +343,10 @@ def _run_check(
                 claimed_gain,
                 tolerance,
                 scale,
+                system=shared.system(),
             )
         return _duality.check_lp(
-            mdp, policy_obj, policy_gain(), tolerance, stored_scale
+            mdp, policy_obj, shared.gain(), tolerance, stored_scale
         )
     if name == "exact":
         if mdp.n_states > exact_state_limit:
@@ -326,11 +359,11 @@ def _run_check(
                 },
             )
         return _exact.check_exact(
-            mdp, policy_obj, policy_gain(), tolerance, stored_scale
+            mdp, policy_obj, shared.gain(), tolerance, stored_scale
         )
     if name == "consensus":
         return _consensus.check_consensus(
-            mdp, policy_obj, tolerance, stored_scale
+            mdp, policy_obj, tolerance, stored_scale, model, build_weight
         )
     raise CertificationError(f"unknown check {name!r}")  # pragma: no cover
 

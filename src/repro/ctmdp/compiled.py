@@ -8,9 +8,9 @@ NumPy arrays over all ``(state, action)`` pairs:
 
 - ``generator``: the full generator rows (Eqn.-2.4 diagonals
   precomputed), one row per pair;
-- ``cost``: the effective cost rates (impulse costs folded in, computed
-  per pair exactly as :meth:`StateActionData.effective_cost_rate` does
-  so the compiled solvers agree bit-for-bit with the reference path);
+- ``cost``: the effective cost rates (impulse costs folded in, the
+  same :meth:`StateActionData.effective_cost_rate` numbers the
+  reference path reads, so the solvers agree bit-for-bit);
 - ``extra``: one stacked vector per named auxiliary cost channel;
 - a state-action index (pair -> owning state, pair -> action column,
   per-state pair slices) that turns per-state argmin sweeps into a
@@ -38,7 +38,7 @@ and the stationary solve.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -262,29 +262,15 @@ class CompiledCTMDP(PairIndexedCTMDP):
     """
 
     def __init__(self, mdp: CTMDP) -> None:
-        n = mdp.n_states
+        table = mdp.pair_table()
         self.states: Tuple[Hashable, ...] = mdp.states
-        self.n_states = n
-        actions: List[Tuple[Hashable, ...]] = []
-        rows: List[np.ndarray] = []
-        costs: List[float] = []
-        extra_names: set = set()
-        for state in mdp.states:
-            state_actions = tuple(mdp.actions(state))
-            actions.append(state_actions)
-            for action in state_actions:
-                rows.append(mdp.generator_row(state, action))
-                data = mdp.data(state, action)
-                costs.append(data.effective_cost_rate())
-                extra_names.update(data.extra_costs)
-        self._index_pairs(actions)
-        self.generator = np.vstack(rows) if rows else np.zeros((0, n))
-        self.cost = np.asarray(costs, dtype=float)
+        self.n_states = mdp.n_states
+        self._index_pairs(table.actions)
+        self.generator = table.dense()
+        self.cost = table.cost.copy()
         self.extra: Dict[str, np.ndarray] = {}
-        for name in sorted(extra_names, key=repr):
-            channel = np.zeros(self.n_pairs)
-            for p, (state, action) in enumerate(mdp.state_action_pairs()):
-                channel[p] = mdp.data(state, action).extra_costs.get(name, 0.0)
+        for name, channel in table.extra.items():
+            channel = channel.copy()
             channel.setflags(write=False)
             self.extra[name] = channel
         self.rate_scale = float(getattr(mdp, "rate_scale", 1.0))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from repro.errors import InfeasibleConstraintError, SolverError
@@ -149,20 +150,36 @@ def _lp_diagnostics(result, b_eq, b_ub=None) -> "Dict[str, object]":
 
 
 def _build_lp(mdp: CTMDP):
-    """Assemble shared LP pieces; returns (pairs, costs, A_eq, b_eq)."""
+    """Assemble shared LP pieces; returns (pairs, costs, A_eq, b_eq).
+
+    The balance rows are the transposed generator rows of the model's
+    pair table: a dense array at or below the solver's dense-tier
+    crossover (:func:`~repro.ctmdp.backends.auto_tier`), a CSR matrix
+    above it, which HiGHS takes as is.
+    """
+    from repro.ctmdp.backends import auto_tier
+
     mdp.validate()
-    pairs = mdp.state_action_pairs()
-    n_vars = len(pairs)
+    table = mdp.pair_table()
     n = mdp.n_states
-    costs = np.array([mdp.cost(s, a) for s, a in pairs])
-    # Balance rows (one per state) + normalization row.
-    a_eq = np.zeros((n + 1, n_vars))
-    for k, (state, action) in enumerate(pairs):
-        a_eq[:n, k] = mdp.generator_row(state, action)
-        a_eq[n, k] = 1.0
+    if auto_tier(n)[0] == "sparse":
+        a_eq = sp.vstack(
+            [table.generator().T, sp.csr_array(np.ones((1, table.n_pairs)))],
+            format="csr",
+        )
+    else:
+        a_eq = np.zeros((n + 1, table.n_pairs))
+        a_eq[:n] = table.dense().T
+        a_eq[n] = 1.0
     b_eq = np.zeros(n + 1)
     b_eq[n] = 1.0
-    return pairs, costs, a_eq, b_eq
+    return mdp.state_action_pairs(), table.cost, a_eq, b_eq
+
+
+def _channel(mdp: CTMDP, name: str) -> np.ndarray:
+    """A named extra-cost channel per pair, 0.0 where a pair lacks it."""
+    table = mdp.pair_table()
+    return table.extra.get(name, np.zeros(table.n_pairs))
 
 
 def _extract_result(
@@ -269,14 +286,11 @@ def constrained_lp_optimum(
         On any other non-optimal HiGHS status.
     """
     pairs, _, a_eq, b_eq = _build_lp(mdp)
-    obj = np.array([mdp.extra_cost(s, a, objective) for s, a in pairs])
-    a_ub_rows = []
-    b_ub_vals = []
-    for name, bound in constraints.items():
-        a_ub_rows.append([mdp.extra_cost(s, a, name) for s, a in pairs])
-        b_ub_vals.append(float(bound))
-    a_ub = np.array(a_ub_rows) if a_ub_rows else None
-    b_ub = np.array(b_ub_vals) if b_ub_vals else None
+    obj = _channel(mdp, objective)
+    a_ub = (np.array([_channel(mdp, name) for name in constraints])
+            if constraints else None)
+    b_ub = (np.array([float(bound) for bound in constraints.values()])
+            if constraints else None)
     result = linprog(
         obj,
         A_eq=a_eq,

@@ -41,7 +41,7 @@ run to -- and the equivalence suite asserts -- :data:`KRYLOV_RTOL`
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -403,51 +403,18 @@ class SparseCTMDP(PairIndexedCTMDP):
     def from_ctmdp(cls, mdp: CTMDP) -> "SparseCTMDP":
         """Lossless CSR re-lowering of a dict-based model.
 
-        Row values come from the same cached ``generator_row`` arrays
-        the dense compiled form stacks, so both lowerings hold
+        Reads the model's stacked pair rows (:meth:`CTMDP.pair_table`),
+        which the dense compiled form stacks too, so both lowerings hold
         bit-identical numbers.
         """
-        indptr = [0]
-        indices: List[np.ndarray] = []
-        data: List[np.ndarray] = []
-        actions: List[Tuple[Hashable, ...]] = []
-        costs: List[float] = []
-        extra_names: set = set()
-        for state in mdp.states:
-            state_actions = tuple(mdp.actions(state))
-            actions.append(state_actions)
-            for action in state_actions:
-                row = mdp.generator_row(state, action)
-                nz = np.flatnonzero(row)
-                indices.append(nz)
-                data.append(row[nz])
-                indptr.append(indptr[-1] + len(nz))
-                costs.append(mdp.data(state, action).effective_cost_rate())
-                extra_names.update(mdp.data(state, action).extra_costs)
-        n = mdp.n_states
-        generator = sp.csr_array(
-            (
-                np.concatenate(data) if data else np.zeros(0),
-                np.concatenate(indices) if indices else np.zeros(0, int),
-                np.asarray(indptr, dtype=np.intp),
-            ),
-            shape=(len(costs), n),
-        )
-        extra: Dict[str, np.ndarray] = {}
-        for name in sorted(extra_names, key=repr):
-            extra[name] = np.asarray(
-                [
-                    mdp.data(state, action).extra_costs.get(name, 0.0)
-                    for state, action in mdp.state_action_pairs()
-                ]
-            )
+        table = mdp.pair_table()
         return cls(
             mdp.states,
-            actions,
-            generator,
-            np.asarray(costs),
+            table.actions,
+            table.generator(),
+            table.cost,
             rate_scale=float(getattr(mdp, "rate_scale", 1.0)),
-            extra=extra,
+            extra=table.extra,
         )
 
     @classmethod

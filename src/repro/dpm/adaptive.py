@@ -200,8 +200,8 @@ def rated_model(
 
     The single re-rating primitive shared by the banded adaptive solver,
     the serving supervisor, artifact validation and certification:
-    provider, capacity, and transfer-state choice are preserved, only
-    the requestor changes. The clone is never *base_model* itself, even
+    provider, capacity, transfer-state choice and ``rate_scale`` are
+    preserved, only the requestor changes. The clone is never *base_model* itself, even
     at its own rate.
 
     The last clone is kept in a one-entry slot on *base_model*, so
@@ -224,6 +224,7 @@ def rated_model(
         requestor=base_model.requestor.with_rate(rate),
         capacity=base_model.capacity,
         include_transfer_states=base_model.include_transfer_states,
+        rate_scale=base_model.rate_scale,
     )
     base_model._rated = (sibling.requestor.rate, sibling)
     return sibling

@@ -53,7 +53,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.ctmdp.model import CTMDP
+from repro.ctmdp.model import CTMDP, PairTable, dense_row_sums
 from repro.dpm import cost as cost_channels
 from repro.dpm.service_provider import ServiceProvider
 from repro.dpm.service_queue import STABLE, TRANSFER, QueueState, stable, transfer
@@ -139,9 +139,9 @@ class PowerManagedSystemModel:
         admit_inputs(provider, requestor, self.capacity)
         self._states = self._enumerate_states()
         self._index = {x: i for i, x in enumerate(self._states)}
-        # Weight-independent dense rows (rates, impulses) plus the cost
-        # decomposition, derived lazily from the sparse skeleton; only
-        # the weighted cost rate differs between built dense CTMDPs.
+        # Weight-independent sparse rows (rates, impulses) of the
+        # dict-based build, sliced lazily from the sparse skeleton; only
+        # the weighted cost rate differs between built dict CTMDPs.
         self._structure: "tuple | None" = None
         # Weight-independent sparse skeleton: a structural SparseCTMDP
         # (CSR pattern, rates, extra channels) plus the per-pair cost
@@ -456,34 +456,70 @@ class PowerManagedSystemModel:
             ).inc()
         return self._sparse_skeleton
 
-    def _dense_structure(self) -> tuple:
-        """Per-pair rate and impulse rows for the dict-based build, read
-        off the skeleton's off-diagonal entries; cached and
-        write-protected (every dense CTMDP this model builds shares the
-        row views)."""
+    def _dict_rows(self) -> tuple:
+        """The weight-independent rows of the dict-based build, sliced
+        from the skeleton's CSR in O(nnz); cached, and shared by every
+        dict CTMDP this model builds.
+
+        Returns ``(table, impulses, extra, costs)``:
+
+        - ``table``: a :class:`PairTable` of the skeleton's off-diagonal
+          entries, with zero costs;
+        - ``impulses``: the switching energy at each entry (``ene`` is
+          zero on its diagonal: same-mode edges carry no impulse);
+        - ``extra``: each pair's extra-cost dict;
+        - ``costs``: the skeleton's cost decomposition
+          (:meth:`_weighted_cost`).
+
+        The exit rates are summed as NumPy sums the dense length-``n``
+        row (:func:`dense_row_sums`), not in ``from_coo``'s column
+        order, so the dict model's diagonals round as they always have.
+        """
         if self._structure is None:
-            skeleton, base_power, delay, _, _ = self._sparse_skeleton_parts()
-            coo = skeleton.generator.tocoo()
-            off = coo.col != skeleton.pair_state[coo.row]
-            row, col = coo.row[off], coo.col[off]
+            skeleton, *costs = self._sparse_skeleton_parts()
+            generator = skeleton.generator
+            if not generator.has_sorted_indices:
+                generator = generator.sorted_indices()
+            rows = np.repeat(np.arange(skeleton.n_pairs),
+                             np.diff(generator.indptr))
+            off = generator.indices != skeleton.pair_state[rows]
+            rows, cols = rows[off], generator.indices[off].astype(np.intp)
+            indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(rows, minlength=skeleton.n_pairs))])
+            vals = generator.data[off]
+            table = PairTable(
+                self._states, skeleton.actions, indptr, cols, vals,
+                dense_row_sums(indptr, cols, vals, self.n_states),
+                np.zeros(skeleton.n_pairs),
+                {name: skeleton.extra[name]
+                 for name in sorted(skeleton.extra, key=repr)},
+            )
             sp = self.provider
-            mode = np.array([sp.index_of(x.mode) for x in self._states])
+            mode = self._state_grid()[0]
             ene = np.array([[sp.switching_energy(s, a) for a in sp.modes]
                             for s in sp.modes])
-            rates = np.zeros((skeleton.n_pairs, self.n_states))
-            impulses = np.zeros_like(rates)
-            rates[row, col] = coo.data[off]
-            # ene is zero on its diagonal: same-mode edges carry no impulse.
-            impulses[row, col] = ene[mode[skeleton.pair_state[row]], mode[col]]
-            rates.setflags(write=False)
-            impulses.setflags(write=False)
-            pairs = [(state, action)
-                     for state, acts in zip(self._states, skeleton.actions)
-                     for action in acts]
+            impulses = ene[mode[skeleton.pair_state[rows]], mode[cols]]
             extra = [dict(zip(skeleton.extra, v))
                      for v in zip(*(ch.tolist() for ch in skeleton.extra.values()))]
-            self._structure = (pairs, rates, impulses, base_power, delay, extra)
+            self._structure = (table, impulses, extra, costs)
         return self._structure
+
+    def _weighted_cost(self, costs, weight: float) -> tuple:
+        """Each pair's ``c_ii`` and its effective cost rate at *weight*,
+        from the ``(base_power, delay, term_pairs, term_vals)`` cost
+        decomposition of :meth:`_assemble`.
+
+        ``c_ii = scale * power + (scale * weight) * queue``; the
+        effective rate adds each folded energy term in destination-index
+        order (``np.add.at`` accumulates in index order). A SYS row has
+        at most one mode-changing edge, so this equals the dict model's
+        ``c_ii + rates @ impulses`` bit for bit.
+        """
+        base_power, delay, term_pairs, term_vals = costs
+        cost_rate = base_power + (self.rate_scale * weight) * delay
+        cost = cost_rate.copy()
+        np.add.at(cost, term_pairs, term_vals)
+        return cost_rate, cost
 
     def _build_sparse_ctmdp(self, weight: float):
         """COO-direct sparse construction -- nothing of size
@@ -500,17 +536,11 @@ class PowerManagedSystemModel:
         for entry: the same scaled rates, and effective cost rates that
         fold the switching-energy impulses through the identical
         ``scale * power + (scale * weight) * queue + sum(rate * energy)``
-        expression. The overlay evaluates it in the dense build's order
-        -- the base-plus-weight term first, then each energy term in
-        destination-index order (``np.add.at`` accumulates in index
-        order) -- so both backends hold bit-identical costs.
+        expression (:meth:`_weighted_cost`), so both backends hold
+        bit-identical costs.
         """
-        skeleton, base_power, delay, term_pairs, term_vals = (
-            self._sparse_skeleton_parts()
-        )
-        cost = base_power + (self.rate_scale * weight) * delay
-        np.add.at(cost, term_pairs, term_vals)
-        return skeleton.with_cost(cost)
+        skeleton, *costs = self._sparse_skeleton_parts()
+        return skeleton.with_cost(self._weighted_cost(costs, weight)[1])
 
     def build_ctmdp(self, weight: float = 0.0, backend: str = "dense") -> CTMDP:
         """Build the SYS CTMDP with cost ``C_pow + weight * C_sq``.
@@ -520,9 +550,10 @@ class PowerManagedSystemModel:
         and post-hoc metric evaluation.
 
         ``backend="dense"`` (default) builds the dict-based
-        :class:`CTMDP`; ``backend="sparse"`` builds a
+        :class:`CTMDP`, its sparse rows sliced from the skeleton's CSR;
+        ``backend="sparse"`` builds a
         :class:`~repro.ctmdp.sparse.SparseCTMDP` directly from COO
-        triples, never allocating per-pair dense rows -- the only way to
+        triples, with no per-pair Python objects at all -- the way to
         build SYS models beyond ~10^4 states. ``backend="auto"`` builds
         the representation :func:`repro.ctmdp.backends.auto_tier` gives
         the state count, the tier ``auto`` then solves it on.
@@ -534,7 +565,7 @@ class PowerManagedSystemModel:
         LRU), so repeated calls with the same weight return the *same*
         model instance -- treat it as immutable, which
         :meth:`CTMDP.add_action` enforces for existing pairs anyway. The
-        weight-independent rows are additionally shared across dense
+        weight-independent rows are additionally shared across dict
         builds, so a frontier sweep assembles the layout once.
         """
         if not np.isfinite(weight):
@@ -572,34 +603,24 @@ class PowerManagedSystemModel:
             while len(self._ctmdp_cache) > self.CTMDP_CACHE_SIZE:
                 self._ctmdp_cache.popitem(last=False)
             return smdp
-        pairs, rates, impulses, base_power, delay, extra = self._dense_structure()
-        scale = self.rate_scale
+        table, impulses, extra, costs = self._dict_rows()
         # Time rescaling: rates (already scaled by _assemble) and cost
         # *rates* get the factor; the folded cost scale * power +
         # (scale * weight) * queue equals scale * (power + weight *
         # queue) bit-for-bit when the factor is a power of two. Impulse
         # energies are pure costs (their contribution scales through the
-        # rate vector they multiply), and the extra channels stay in
-        # original observable units.
-        cost = (base_power + (scale * weight) * delay).tolist()
-        mdp = CTMDP(self._states, rate_scale=scale)
-        for p, (state, action) in enumerate(pairs):
-            mdp.add_action(
-                state,
-                action,
-                rates=rates[p],
-                cost_rate=cost[p],
-                impulse_costs=impulses[p],
-                extra_costs=extra[p],
-            )
-        mdp.validate()
+        # rate they multiply), and the extra channels stay in original
+        # observable units.
+        cost_rate, cost = self._weighted_cost(costs, weight)
+        mdp = CTMDP.from_rows(table.with_cost(cost), cost_rate, impulses,
+                              extra, rate_scale=self.rate_scale)
         self._ctmdp_cache[key] = mdp
         while len(self._ctmdp_cache) > self.CTMDP_CACHE_SIZE:
             self._ctmdp_cache.popitem(last=False)
         return mdp
 
     def clear_caches(self) -> None:
-        """Drop every derived cache: built CTMDPs, the dense structure,
+        """Drop every derived cache: built CTMDPs, the dict rows,
         the sparse skeleton and the re-rated sibling. Subsequent builds
         pay the full construction cost -- what benchmarks use to
         measure a genuinely cold leg against the reuse layer."""

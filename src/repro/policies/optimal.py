@@ -150,7 +150,7 @@ class StochasticCTMDPPolicy(PowerManagementPolicy):
             dist = policy.distribution(state)
             actions = [a for a, p in dist.items() if p > 0.0]
             weights = np.array(
-                [dist[a] * float(mdp.data(state, a).rates.sum()) for a in actions]
+                [dist[a] * mdp.data(state, a).exit_rate for a in actions]
             )
             total = weights.sum()
             if total <= 0:

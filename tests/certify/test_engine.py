@@ -12,7 +12,7 @@ from repro.certify import (
     certify_solution,
     require_certified,
 )
-from repro.certify.corpus import build_corpus
+from repro.certify.corpus import CORRUPTION_KINDS, build_corpus
 from repro.dpm.optimizer import (
     optimize_constrained,
     optimize_weighted,
@@ -250,13 +250,16 @@ class TestRescaledModels:
 
     @pytest.mark.parametrize("exponent", (-4, 4))
     def test_gain_perturbation_still_rejected(self, exponent):
+        # The whole corpus builds on a rescaled model (the action flip
+        # compares gains in original units), and no member certifies.
         model = _rescaled(2.0 ** exponent)
-        (member,) = build_corpus(
-            model, weight=1.0, seed=0, kinds=("gain-perturbation",)
-        )
-        report = member.certify(model)
-        assert not report.certified
-        assert "claimed-gain-mismatch" in report.finding_codes
+        members = build_corpus(model, weight=1.0, seed=0)
+        assert [m.kind for m in members] == list(CORRUPTION_KINDS)
+        for member in members:
+            report = member.certify(model)
+            assert not report.certified, member.kind
+        perturbed = members[CORRUPTION_KINDS.index("gain-perturbation")]
+        assert "claimed-gain-mismatch" in perturbed.certify(model).finding_codes
 
     @pytest.mark.parametrize("exponent", (-4, 4))
     def test_honest_constrained_solve_certifies(self, exponent):

@@ -120,3 +120,79 @@ class TestStateActionData:
             impulse_costs=np.array([0.0, 5.0]),
         )
         assert data.effective_cost_rate() == pytest.approx(13.0)
+
+    def test_row_is_held_sparsely(self):
+        data = StateActionData(
+            rates=np.array([0.0, 2.0, 0.0, 0.5]),
+            cost_rate=1.0,
+            impulse_costs=np.array([7.0, 5.0, 0.0, 1.0]),
+        )
+        np.testing.assert_array_equal(data.cols, [1, 3])
+        np.testing.assert_array_equal(data.vals, [2.0, 0.5])
+        np.testing.assert_array_equal(data.impulses, [5.0, 1.0])
+        assert data.exit_rate == 2.5
+        # The dense forms are rebuilt on demand.
+        np.testing.assert_array_equal(data.rates, [0.0, 2.0, 0.0, 0.5])
+        np.testing.assert_array_equal(data.impulse_costs, [0.0, 5.0, 0.0, 1.0])
+
+
+class TestPairTable:
+    def test_stacks_rows_in_pair_order(self, toy_mdp):
+        table = toy_mdp.pair_table()
+        assert table.actions == (("stay", "power_down"), ("stay", "power_up"))
+        np.testing.assert_array_equal(table.pair_state, [0, 0, 1, 1])
+        np.testing.assert_array_equal(table.cost, [10.0, 18.0, 1.0, 16.0])
+        np.testing.assert_array_equal(table.extra["power"], [0.0, 10.0, 0.0, 0.0])
+        dense = np.vstack([toy_mdp.generator_row(s, a)
+                           for s, a in toy_mdp.state_action_pairs()])
+        np.testing.assert_array_equal(table.dense(), dense)
+        np.testing.assert_array_equal(table.generator().toarray(), dense)
+
+    def test_from_rows_round_trips(self, toy_mdp):
+        table = toy_mdp.pair_table()
+        rebuilt = CTMDP.from_rows(
+            table,
+            [toy_mdp.data(s, a).cost_rate for s, a in toy_mdp.state_action_pairs()],
+        )
+        assert rebuilt.state_action_pairs() == toy_mdp.state_action_pairs()
+        for state, action in toy_mdp.state_action_pairs():
+            np.testing.assert_array_equal(
+                rebuilt.generator_row(state, action),
+                toy_mdp.generator_row(state, action),
+            )
+            assert rebuilt.cost(state, action) == toy_mdp.cost(state, action)
+
+    def test_from_rows_rejects_self_rates(self, toy_mdp):
+        from repro.ctmdp.model import PairTable
+
+        table = toy_mdp.pair_table()
+        bad = PairTable(table.states, table.actions, [0, 1, 1, 1, 1], [0],
+                        [1.0], [1.0, 0.0, 0.0, 0.0], np.zeros(4), {})
+        with pytest.raises(InvalidModelError, match="self-rates"):
+            CTMDP.from_rows(bad, np.zeros(4))
+
+
+class TestDenseRowSums:
+    """Sparse row sums round exactly as the dense length-n row sums."""
+
+    @pytest.mark.parametrize("n", [3, 7, 8, 9, 100, 128, 129, 257, 1003, 4003])
+    def test_matches_numpy_dense_sum(self, n):
+        from repro.ctmdp.model import dense_row_sums
+
+        rng = np.random.default_rng(n)
+        dense = np.zeros((200, n))
+        for row in dense:
+            k = int(rng.integers(0, min(n, 6) + 1))
+            cols = rng.choice(n, size=k, replace=False)
+            row[cols] = rng.random(k) * 10.0 ** rng.integers(-3, 5, size=k)
+        indptr = np.concatenate([[0], np.cumsum((dense != 0).sum(axis=1))])
+        rows, cols = np.nonzero(dense)
+        got = dense_row_sums(indptr, cols, dense[rows, cols], n)
+        want = np.array([row.sum() for row in dense])
+        np.testing.assert_array_equal(got, want)
+        # A sequential sum over the nonzeros rounds differently on some
+        # of these rows: the dense order is what is reproduced.
+        if n == 1003:
+            sequential = np.zeros(len(dense))
+            np.add.at(sequential, rows, dense[rows, cols])
+            assert np.any(sequential != want)

@@ -131,6 +131,18 @@ class TestRatedModel:
         assert sibling.capacity == base.capacity
         assert sibling.include_transfer_states == base.include_transfer_states
 
+    def test_sibling_keeps_the_rate_scale(self):
+        # A repaired model's siblings stay in its rescaled time unit.
+        from repro.dpm.system import PowerManagedSystemModel
+
+        base = paper_system()
+        scaled = PowerManagedSystemModel(
+            base.provider, base.requestor, base.capacity, rate_scale=2.0 ** -4
+        )
+        sibling = rated_model(scaled, 0.2)
+        assert sibling.rate_scale == scaled.rate_scale
+        assert sibling.build_ctmdp(1.0).rate_scale == 2.0 ** -4
+
     def test_clear_caches_drops_the_slot(self):
         base = paper_system()
         old = rated_model(base, 0.2)

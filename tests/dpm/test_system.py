@@ -423,6 +423,29 @@ class TestVectorizedAssembly:
         mdp = model.build_ctmdp(weight, backend="dense")
         assert_dense_equal(mdp, model, weight, reference_layout(model))
 
+    @pytest.mark.parametrize("name", list(ASSEMBLY_MODELS))
+    def test_dict_lowerings_round_as_dense_rows(self, name):
+        # The dict build holds sparse rows, yet both of its lowerings
+        # equal the dense-row formulas bit for bit: diagonals -rates.sum()
+        # (NumPy's pairwise order) and costs c_ii + rates @ impulses.
+        from repro.ctmdp.compiled import compile_ctmdp
+        from repro.ctmdp.sparse import compile_sparse_ctmdp
+
+        model = ASSEMBLY_MODELS[name]
+        mdp = model.build_ctmdp(1.0)
+        rows, costs = [], []
+        for state, action, rates, impulses in reference_layout(model)[-1]:
+            row = rates.copy()
+            row[model.index_of(state)] = -rates.sum()
+            rows.append(row)
+            costs.append(mdp.data(state, action).cost_rate + float(rates @ impulses))
+        dense = compile_ctmdp(mdp)
+        np.testing.assert_array_equal(dense.generator, np.vstack(rows))
+        np.testing.assert_array_equal(dense.cost, costs)
+        csr = compile_sparse_ctmdp(mdp).generator
+        np.testing.assert_array_equal(csr.toarray(), dense.generator)
+        assert csr.nnz == np.count_nonzero(dense.generator)
+
     def test_subclass_validity_is_honoured(self):
         # The fuzzer drops III.1-III.3 by overriding is_valid_action; the
         # assembly must build exactly the actions that override allows.

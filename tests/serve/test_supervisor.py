@@ -360,6 +360,33 @@ def _stored_statuses(store):
     ]
 
 
+class TestRepairedModel:
+    def test_resolve_over_repaired_model_certifies_and_installs(self, tmp_path):
+        # admit_model repairs extreme magnitudes with a power-of-two
+        # rate_scale; the supervisor's re-rated siblings keep it, so the
+        # re-solve admits, certifies and installs.
+        import numpy as np
+
+        from repro.dpm.service_requestor import ServiceRequestor
+        from repro.robust.admission import admit_model
+
+        base = paper_system(capacity=3)
+        misscaled = PowerManagedSystemModel(
+            base.provider.rescaled(40),
+            ServiceRequestor(np.ldexp(base.requestor.rate, 40)),
+            base.capacity,
+        )
+        repaired = admit_model(misscaled, weight=0.5).repaired_model
+        assert repaired is not None and repaired.rate_scale != 1.0
+        sup = make_supervisor(repaired, tmp_path)
+        installed = []
+        report = sup.resolve(repaired.requestor.rate, install=installed.append)
+        assert report.ok, report.failure
+        assert installed and installed[0] is sup.last_artifact
+        assert _stored_statuses(sup.store)
+        assert all(status != "failed" for _, status in _stored_statuses(sup.store))
+
+
 class TestOneSiblingPerResolve:
     """A re-solve's solve, admission gate and certificate share one
     re-rated model, so the SYS is assembled once per new rate."""
