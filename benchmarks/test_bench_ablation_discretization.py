@@ -20,7 +20,6 @@ from benchmarks.conftest import ResultCache
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.dpm.presets import paper_system
 from repro.dtmdp.discretize import discretize_ctmdp, slice_metric_rates
-from repro.dtmdp.solvers import dt_policy_iteration
 
 WEIGHT = 1.0
 SLICES = (4.0, 2.0, 1.0, 0.5, 0.1, 0.02)
@@ -32,8 +31,8 @@ def run_discretization_sweep():
     rows = []
     for slice_length in SLICES:
         d = discretize_ctmdp(model, slice_length, weight=WEIGHT)
-        result = dt_policy_iteration(d.mdp)
-        rates = slice_metric_rates(d, result.assignment)
+        result = policy_iteration(d.mdp)
+        rates = slice_metric_rates(d, result.policy.as_dict())
         rows.append(
             {
                 "slice": slice_length,

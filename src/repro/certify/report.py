@@ -16,12 +16,12 @@ whose every check was skipped certifies nothing.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import CertificationError
+from repro.robust.checkpoint import canonical_checksum
+from repro.robust.checkpoint import document_checksum as _checksum
 
 #: Schema tag stamped on every certificate document.
 CERT_SCHEMA = "repro-cert/v1"
@@ -29,15 +29,6 @@ CERT_SCHEMA = "repro-cert/v1"
 #: Check states. ``skipped`` records *why* in the check's data and
 #: never contributes to the verdict.
 CHECK_STATUSES = ("passed", "failed", "skipped")
-
-
-def _canonical_json(payload: "Dict[str, Any]") -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(payload: "Dict[str, Any]") -> str:
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -275,6 +266,4 @@ def policy_table_checksum(mdp, policy) -> str:
         assignment = policy.as_dict() if hasattr(policy, "as_dict") else dict(policy)
         for state in mdp.states:
             rows.append([repr(state), repr(assignment[state])])
-    return hashlib.sha256(
-        _canonical_json({"table": rows}).encode("utf-8")
-    ).hexdigest()
+    return canonical_checksum({"table": rows})

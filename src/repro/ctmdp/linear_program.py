@@ -37,10 +37,14 @@ from repro.ctmdp.policy import Policy, RandomizedPolicy
 #: when extracting a policy.
 OCCUPATION_EPS = 1e-10
 
-#: HiGHS primal and dual feasibility tolerance of the average-cost LP.
-#: At the default 1e-7 a ~400-state SYS optimum stops ~1e-6 (relative)
-#: below the true gain, and certification rejects the optimal policy.
+#: HiGHS primal and dual feasibility tolerance of both LPs. At the
+#: default 1e-7 a ~400-state SYS optimum stops ~1e-6 (relative) below
+#: the true gain, and certification rejects the optimal policy; the
+#: constrained LP's solution at Q = 20 has entries down to -2.9e-8 and
+#: ~1e-9 masses on actions outside the optimum's support.
 LP_FEASIBILITY_TOL = 1e-10
+_TOLERANCES = {"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+               "dual_feasibility_tolerance": LP_FEASIBILITY_TOL}
 
 #: HiGHS termination codes as reported by ``scipy.optimize.linprog``.
 LP_STATUS_NAMES = {
@@ -182,6 +186,40 @@ def _channel(mdp: CTMDP, name: str) -> np.ndarray:
     return table.extra.get(name, np.zeros(table.n_pairs))
 
 
+def _cheapest(table, candidate: np.ndarray) -> np.ndarray:
+    """Per state with a *candidate* pair, its cheapest one (the first
+    listed among equals)."""
+    pairs = np.flatnonzero(candidate)
+    state = table.pair_state[pairs]
+    pairs = pairs[np.lexsort((pairs, table.cost[pairs], state))]
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = table.pair_state[pairs[1:]] != table.pair_state[pairs[:-1]]
+    return pairs[first]
+
+
+def _drain_actions(mdp: CTMDP, occupied: np.ndarray) -> np.ndarray:
+    """The pair each zero-occupancy state takes: breadth-first outward
+    from the *occupied* states, the cheapest action with a rate into the
+    previous layer, so every such state drains into the occupied ones
+    and they stay the only recurrent class. A state that reaches no
+    occupied state takes its cheapest action."""
+    table = mdp.pair_table()
+    entry_pair = table.entry_pairs()
+    choice = np.full(table.n_states, -1, dtype=np.intp)
+    reached, frontier = occupied.copy(), occupied
+    while frontier.any():
+        into = np.zeros(table.n_pairs, dtype=bool)
+        into[entry_pair[frontier[table.cols]]] = True
+        layer = _cheapest(table, into & ~reached[table.pair_state])
+        choice[table.pair_state[layer]] = layer
+        frontier = np.zeros(table.n_states, dtype=bool)
+        frontier[table.pair_state[layer]] = True
+        reached |= frontier
+    rest = _cheapest(table, ~reached[table.pair_state])
+    choice[table.pair_state[rest]] = rest
+    return choice
+
+
 def _extract_result(
     mdp: CTMDP, optimum: LinearProgramOptimum
 ) -> LinearProgramResult:
@@ -193,18 +231,20 @@ def _extract_result(
         if value > OCCUPATION_EPS:
             occupation[(state, action)] = float(value)
             state_mass[state] += float(value)
+    occupied = np.array([state_mass[s] > OCCUPATION_EPS for s in mdp.states])
+    drain = _drain_actions(mdp, occupied)
     distributions: Dict[Hashable, Dict[Hashable, float]] = {}
-    for state in mdp.states:
+    for i, state in enumerate(mdp.states):
         mass = state_mass[state]
-        if mass > OCCUPATION_EPS:
+        if occupied[i]:
             dist = {
                 a: occupation.get((state, a), 0.0) / mass for a in mdp.actions(state)
             }
         else:
-            # Zero-occupancy (transient under the optimum) state: choose
-            # the cheapest action -- any choice preserves optimality.
-            cheapest = min(mdp.actions(state), key=lambda a: mdp.cost(state, a))
-            dist = {cheapest: 1.0}
+            # Zero-occupancy (transient under the optimum) state: any
+            # action that drains into the occupied states keeps the
+            # optimum's gain.
+            dist = {pairs[drain[i]][1]: 1.0}
         total = sum(dist.values())
         distributions[state] = {a: p / total for a, p in dist.items()}
     randomized = RandomizedPolicy(mdp, distributions)
@@ -241,10 +281,8 @@ def average_cost_lp_optimum(mdp: CTMDP) -> LinearProgramOptimum:
     answer.
     """
     pairs, costs, a_eq, b_eq = _build_lp(mdp)
-    tolerances = {"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
-                  "dual_feasibility_tolerance": LP_FEASIBILITY_TOL}
     result = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                     method="highs", options=tolerances)
+                     method="highs", options=_TOLERANCES)
     diagnostics = _lp_diagnostics(result, b_eq)
     if not result.success:
         raise SolverError(
@@ -291,15 +329,8 @@ def constrained_lp_optimum(
             if constraints else None)
     b_ub = (np.array([float(bound) for bound in constraints.values()])
             if constraints else None)
-    result = linprog(
-        obj,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=(0, None),
-        method="highs",
-    )
+    result = linprog(obj, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
+                     bounds=(0, None), method="highs", options=_TOLERANCES)
     diagnostics = _lp_diagnostics(result, b_eq, b_ub)
     if result.status == 2:
         raise InfeasibleConstraintError(

@@ -11,10 +11,10 @@ This subpackage provides that entire formulation so the paper's
 comparison can be made concrete:
 
 - :mod:`repro.dtmdp.model` -- the DTMDP value type (per-state actions,
-  transition probability rows, per-step costs);
-- :mod:`repro.dtmdp.solvers` -- average-cost policy iteration, relative
-  value iteration and the occupation-measure LP ([11]'s solver) for
-  discrete chains;
+  transition probability rows, per-step costs), stored as the CTMDP
+  with unit-rate generator rows ``P - I`` so that :mod:`repro.ctmdp`'s
+  policy iteration, relative value iteration and occupation-measure LP
+  ([11]'s solver) solve it unchanged, with per-step gains;
 - :mod:`repro.dtmdp.discretize` -- the principled time-slicing of a
   CTMDP: ``P_a = expm(G_a L)`` per action with per-slice costs, i.e.
   exactly the chain a per-slice controller experiences when it holds
@@ -29,19 +29,9 @@ where the per-slice PM overhead blows up (see the asynchrony bench).
 
 from repro.dtmdp.discretize import DiscretizedDPM, discretize_ctmdp
 from repro.dtmdp.model import DTMDP
-from repro.dtmdp.solvers import (
-    DTPolicyIterationResult,
-    dt_policy_iteration,
-    dt_relative_value_iteration,
-    dt_solve_average_cost_lp,
-)
 
 __all__ = [
     "DTMDP",
-    "DTPolicyIterationResult",
     "DiscretizedDPM",
     "discretize_ctmdp",
-    "dt_policy_iteration",
-    "dt_relative_value_iteration",
-    "dt_solve_average_cost_lp",
 ]

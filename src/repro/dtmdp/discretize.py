@@ -25,11 +25,12 @@ quantitative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 from scipy.linalg import expm
 
+from repro.ctmdp.policy import Policy, evaluate_policy
 from repro.dpm import cost as cost_channels
 from repro.dpm.model_policies import default_valid_action
 from repro.dpm.system import PowerManagedSystemModel
@@ -148,11 +149,8 @@ def slice_metric_rates(
     Computed from the stationary distribution of the policy's slice
     chain and the per-slice extra-cost integrals.
     """
-    from repro.dtmdp.solvers import dt_evaluate_policy
-
-    evaluation = dt_evaluate_policy(discretized.mdp, assignment)
-    pi = evaluation.stationary
     mdp = discretized.mdp
+    pi = evaluate_policy(Policy(mdp, assignment)).stationary
     rates = {}
     for name in (
         cost_channels.POWER,

@@ -5,42 +5,37 @@ The discrete analogue of :class:`repro.ctmdp.model.CTMDP`: per state
 per-step cost ``c(i, a)``. This is the object [11] optimizes over; it
 is also what :func:`repro.dtmdp.discretize.discretize_ctmdp` produces
 from a continuous-time model.
+
+A discrete chain with transition matrix ``P`` is the continuous-time
+chain with the unit-rate generator ``P - I``: both have the evaluation
+equations ``c + (P - I) h = g 1``, the balance ``pi (P - I) = 0`` and the
+same per-state argmin. So a :class:`DTMDP` *is* a :class:`CTMDP` whose
+rows are ``P_ia - e_i`` and whose cost rates are the per-step costs; the
+CTMDP solvers (policy iteration, relative value iteration, the LPs,
+:func:`~repro.ctmdp.policy.evaluate_policy`) solve it as they are, and
+their gains read per step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
-from repro.errors import InvalidModelError, InvalidPolicyError
+from repro.ctmdp.model import CTMDP
+from repro.ctmdp.policy import Policy
+from repro.errors import InvalidModelError
 
 #: Probability-row normalization tolerance.
 PROB_ATOL = 1e-9
 
 
-class DTMDP:
+class DTMDP(CTMDP):
     """A finite discrete-time MDP with labeled states.
 
     Build with :meth:`add_action`; query via :meth:`actions`,
     :meth:`transition_row` and :meth:`cost`. Rows must be stochastic.
     """
-
-    def __init__(self, states: Sequence[Hashable]) -> None:
-        self._states: Tuple[Hashable, ...] = tuple(states)
-        if not self._states:
-            raise InvalidModelError("a DTMDP needs at least one state")
-        if len(set(self._states)) != len(self._states):
-            raise InvalidModelError("state labels must be unique")
-        self._index = {s: i for i, s in enumerate(self._states)}
-        self._rows: "Dict[Tuple[int, Hashable], np.ndarray]" = {}
-        self._costs: "Dict[Tuple[int, Hashable], float]" = {}
-        self._extra: "Dict[Tuple[int, Hashable], Dict[str, float]]" = {}
-        self._actions: "Dict[int, List[Hashable]]" = {
-            i: [] for i in range(len(self._states))
-        }
-
-    # -- construction --------------------------------------------------------
 
     def add_action(
         self,
@@ -50,10 +45,11 @@ class DTMDP:
         cost: float,
         extra_costs: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Register *action* with its transition row and per-step cost."""
-        i = self.index_of(state)
-        if action in self._actions[i]:
-            raise InvalidModelError(f"action {action!r} already defined for {state!r}")
+        """Register *action* with its transition row and per-step cost.
+
+        The row is checked, clipped at zero and renormalized, then
+        stored as the generator row ``P_ia - e_i``.
+        """
         row = np.asarray(probabilities, dtype=float)
         n = self.n_states
         if row.shape != (n,):
@@ -71,76 +67,20 @@ class DTMDP:
             )
         row = np.clip(row, 0.0, None)
         row = row / row.sum()
-        self._rows[(i, action)] = row
-        self._costs[(i, action)] = float(cost)
-        self._extra[(i, action)] = dict(extra_costs or {})
-        self._actions[i].append(action)
-
-    def validate(self) -> None:
-        missing = [self._states[i] for i, acts in self._actions.items() if not acts]
-        if missing:
-            raise InvalidModelError(f"states with no actions: {missing!r}")
-
-    # -- accessors -------------------------------------------------------------
-
-    @property
-    def states(self) -> Tuple[Hashable, ...]:
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return len(self._states)
-
-    def index_of(self, state: Hashable) -> int:
-        try:
-            return self._index[state]
-        except KeyError:
-            raise InvalidModelError(f"unknown state {state!r}") from None
-
-    def actions(self, state: Hashable) -> "List[Hashable]":
-        return list(self._actions[self.index_of(state)])
+        row[self.index_of(state)] = 0.0
+        super().add_action(state, action, row, cost, extra_costs=extra_costs)
 
     def transition_row(self, state: Hashable, action: Hashable) -> np.ndarray:
-        try:
-            return self._rows[(self.index_of(state), action)]
-        except KeyError:
-            raise InvalidModelError(
-                f"action {action!r} not available in state {state!r}"
-            ) from None
-
-    def cost(self, state: Hashable, action: Hashable) -> float:
-        self.transition_row(state, action)  # existence check
-        return self._costs[(self.index_of(state), action)]
-
-    def extra_cost(self, state: Hashable, action: Hashable, name: str) -> float:
-        self.transition_row(state, action)
-        return self._extra[(self.index_of(state), action)].get(name, 0.0)
-
-    def state_action_pairs(self) -> "List[Tuple[Hashable, Hashable]]":
-        return [
-            (self._states[i], a)
-            for i in range(self.n_states)
-            for a in self._actions[i]
-        ]
-
-    # -- policies ---------------------------------------------------------------
+        """The probability row ``P_ia``: the generator row plus ``e_i``."""
+        row = self.generator_row(state, action).copy()
+        row[self.index_of(state)] += 1.0
+        return row
 
     def policy_matrix(self, assignment: Dict[Hashable, Hashable]) -> np.ndarray:
         """Transition matrix of a deterministic policy."""
-        self._check_assignment(assignment)
-        return np.vstack(
-            [self.transition_row(s, assignment[s]) for s in self._states]
-        )
+        g = Policy(self, assignment).generator_matrix()
+        return g + np.eye(self.n_states)
 
     def policy_costs(self, assignment: Dict[Hashable, Hashable]) -> np.ndarray:
         """Per-step cost vector of a deterministic policy."""
-        self._check_assignment(assignment)
-        return np.array([self.cost(s, assignment[s]) for s in self._states])
-
-    def _check_assignment(self, assignment: Dict[Hashable, Hashable]) -> None:
-        missing = [s for s in self._states if s not in assignment]
-        if missing:
-            raise InvalidPolicyError(f"policy misses states: {missing!r}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"DTMDP(n_states={self.n_states}, n_pairs={len(self._rows)})"
+        return Policy(self, assignment).cost_vector()

@@ -346,16 +346,20 @@ def _structural_findings(comp, entries) -> "List[Finding]":
     return findings
 
 
-def _numerical_findings(
-    comp, diagnostics: "Dict[str, Any]", entries
-) -> "List[Finding]":
-    findings: List[Finding] = []
-    states = comp.states
-    rows, cols, vals = entries
-    # Exit rates from the sparse diagonal entries (zero rows stay 0).
-    exit_rates = np.zeros(comp.n_pairs)
-    on_diag = cols == comp.pair_state[rows]
-    exit_rates[rows[on_diag]] = -vals[on_diag]
+def _exit_rate_findings(
+    exit_rates, state_max_exit, label, diagnostics: "Dict[str, Any]",
+    limit: "Optional[int]" = None,
+) -> "tuple":
+    """The exit-rate summary and the zero-exit warnings, shared by the
+    pair and matrix-free views.
+
+    Records ``max_exit_rate``, ``min_positive_exit_rate`` and
+    ``canonical_shift`` into *diagnostics*, and warns about
+    the first *limit* (all, for ``None``) states absorbing under every
+    action (*state_max_exit* at most ``NEAR_ZERO_RELATIVE`` x the
+    largest rate), naming each by ``label(index)``. Returns the
+    findings and ``(max_rate, min_rate, shift)``.
+    """
     max_rate = float(np.max(exit_rates, initial=0.0))
     positive = exit_rates[exit_rates > 0.0]
     min_rate = float(np.min(positive)) if positive.size else 0.0
@@ -365,44 +369,27 @@ def _numerical_findings(
         min_positive_exit_rate=min_rate,
         canonical_shift=shift,
     )
-
-    # States absorbing under every action (zero exit everywhere).
-    state_max_exit = np.zeros(comp.n_states)
-    np.maximum.at(state_max_exit, comp.pair_state, exit_rates)
+    findings: List[Finding] = []
     dead = state_max_exit <= NEAR_ZERO_RELATIVE * max_rate
-    if comp.n_states > 1 and np.any(dead):
-        for i in np.nonzero(dead)[0]:
+    if len(state_max_exit) > 1 and np.any(dead):
+        for i in np.nonzero(dead)[0][:limit]:
             findings.append(Finding(
                 code="zero-exit-state", severity="warning",
                 message=("state is absorbing under every action; the "
                          "chain cannot be irreducible"),
-                state=repr(states[int(i)]),
+                state=repr(label(int(i))),
                 value=float(state_max_exit[int(i)]),
             ))
+    return findings, (max_rate, min_rate, shift)
 
-    # Near-zero rates: positive but indistinguishable from a missing
-    # edge at the chain's own magnitude. (Diagonals are <= 0, so the
-    # strict positivity test already excludes them.)
-    if max_rate > 0.0:
-        near = (vals > 0.0) & (vals < NEAR_ZERO_RELATIVE * max_rate)
-        count = int(np.count_nonzero(near))
-        diagnostics["near_zero_rates"] = count
-        if count:
-            k = int(np.nonzero(near)[0][0])
-            p, j = int(rows[k]), int(cols[k])
-            findings.append(Finding(
-                code="near-zero-rate", severity="warning",
-                message=(f"{count} rate(s) below {NEAR_ZERO_RELATIVE:g} x "
-                         "the maximal rate are structurally zero edges; "
-                         f"first: rate {vals[k]:g} to column {j}"),
-                state=repr(states[int(comp.pair_state[p])]),
-                action=repr(comp.actions[int(comp.pair_state[p])]
-                            [int(comp.pair_col[p])]),
-                value=float(vals[k]),
-                remediation=("treat the edge as absent, or raise the rate "
-                             "to its intended magnitude"),
-            ))
 
+def _rate_range_findings(
+    max_rate: float, min_rate: float, shift: int,
+    diagnostics: "Dict[str, Any]",
+) -> "List[Finding]":
+    """Stiffness, dynamic-range and rate-scale checks of the exit-rate
+    summary, shared by the pair and matrix-free views."""
+    findings: List[Finding] = []
     # Stiffness: widely separated time constants degrade uniformized
     # methods; recommend a slack slightly above 1 so the self-loop
     # probability of fast states stays bounded away from 0.
@@ -442,6 +429,48 @@ def _numerical_findings(
             remediation=(f"rescale rates by 2**{-shift} (exact); solver "
                          "gains divide by the same factor"),
         ))
+    return findings
+
+
+def _numerical_findings(
+    comp, diagnostics: "Dict[str, Any]", entries
+) -> "List[Finding]":
+    states = comp.states
+    rows, cols, vals = entries
+    # Exit rates from the sparse diagonal entries (zero rows stay 0).
+    exit_rates = np.zeros(comp.n_pairs)
+    on_diag = cols == comp.pair_state[rows]
+    exit_rates[rows[on_diag]] = -vals[on_diag]
+    state_max_exit = np.zeros(comp.n_states)
+    np.maximum.at(state_max_exit, comp.pair_state, exit_rates)
+    findings, (max_rate, min_rate, shift) = _exit_rate_findings(
+        exit_rates, state_max_exit, states.__getitem__, diagnostics
+    )
+
+    # Near-zero rates: positive but indistinguishable from a missing
+    # edge at the chain's own magnitude. (Diagonals are <= 0, so the
+    # strict positivity test already excludes them.)
+    if max_rate > 0.0:
+        near = (vals > 0.0) & (vals < NEAR_ZERO_RELATIVE * max_rate)
+        count = int(np.count_nonzero(near))
+        diagnostics["near_zero_rates"] = count
+        if count:
+            k = int(np.nonzero(near)[0][0])
+            p, j = int(rows[k]), int(cols[k])
+            findings.append(Finding(
+                code="near-zero-rate", severity="warning",
+                message=(f"{count} rate(s) below {NEAR_ZERO_RELATIVE:g} x "
+                         "the maximal rate are structurally zero edges; "
+                         f"first: rate {vals[k]:g} to column {j}"),
+                state=repr(states[int(comp.pair_state[p])]),
+                action=repr(comp.actions[int(comp.pair_state[p])]
+                            [int(comp.pair_col[p])]),
+                value=float(vals[k]),
+                remediation=("treat the edge as absent, or raise the rate "
+                             "to its intended magnitude"),
+            ))
+
+    findings.extend(_rate_range_findings(max_rate, min_rate, shift, diagnostics))
 
     # Near-duplicate actions within a state (config smell, not an
     # error). Cheap vectorized prefilter first: duplicates must agree
@@ -567,63 +596,15 @@ def _kron_findings(kmdp, diagnostics: "Dict[str, Any]") -> "List[Finding]":
         return findings
 
     exit_rates = kmdp.exit_rates()
-    max_rate = float(np.max(exit_rates, initial=0.0))
-    positive = exit_rates[exit_rates > 0.0]
-    min_rate = float(np.min(positive)) if positive.size else 0.0
-    shift = canonical_shift(max_rate)
-    diagnostics.update(
-        max_exit_rate=max_rate,
-        min_positive_exit_rate=min_rate,
-        canonical_shift=shift,
-        entry_checks="skipped: matrix-free Kronecker view",
-    )
     state_max_exit = np.max(
         np.where(kmdp.available, exit_rates, 0.0), axis=0
     )
-    dead = state_max_exit <= NEAR_ZERO_RELATIVE * max_rate
-    if kmdp.n_states > 1 and np.any(dead):
-        for i in np.nonzero(dead)[0][:10]:
-            findings.append(Finding(
-                code="zero-exit-state", severity="warning",
-                message=("state is absorbing under every action; the "
-                         "chain cannot be irreducible"),
-                state=repr(kmdp.state_label(int(i))),
-                value=float(state_max_exit[int(i)]),
-            ))
-    if min_rate > 0.0 and max_rate > 0.0:
-        stiffness = max_rate / min_rate
-        diagnostics["stiffness_ratio"] = stiffness
-        if stiffness > STIFFNESS_WARN:
-            findings.append(Finding(
-                code="high-stiffness", severity="warning",
-                message=(f"exit-rate stiffness ratio {stiffness:.3g} exceeds "
-                         f"{STIFFNESS_WARN:g}; uniformized value iteration "
-                         "will need many sweeps"),
-                value=float(stiffness),
-                remediation=("prefer policy iteration; for value iteration "
-                             "pass uniformization slack ~1.05 and a "
-                             "time budget"),
-            ))
-        if stiffness > float(np.ldexp(1.0, DYNAMIC_RANGE_LIMIT_EXP)):
-            findings.append(Finding(
-                code="extreme-dynamic-range", severity="error",
-                message=(f"rate dynamic range {stiffness:.3g} exceeds "
-                         f"2**{DYNAMIC_RANGE_LIMIT_EXP}; no double-precision "
-                         "rescaling can represent both ends"),
-                value=float(stiffness),
-            ))
-    if max_rate > 0.0 and not (
-        RATE_SCALE_LO_EXP <= shift <= RATE_SCALE_HI_EXP
-    ):
-        findings.append(Finding(
-            code="extreme-rate-scale", severity="repair",
-            message=(f"maximal exit rate {max_rate:.3g} (binary exponent "
-                     f"{shift}) is outside the trusted magnitude window "
-                     f"[2**{RATE_SCALE_LO_EXP}, 2**{RATE_SCALE_HI_EXP}]"),
-            value=float(max_rate),
-            remediation=(f"rescale rates by 2**{-shift} (exact); solver "
-                         "gains divide by the same factor"),
-        ))
+    summary, (max_rate, min_rate, shift) = _exit_rate_findings(
+        exit_rates, state_max_exit, kmdp.state_label, diagnostics, limit=10
+    )
+    diagnostics["entry_checks"] = "skipped: matrix-free Kronecker view"
+    findings.extend(summary)
+    findings.extend(_rate_range_findings(max_rate, min_rate, shift, diagnostics))
     return findings
 
 

@@ -52,13 +52,32 @@ PathLike = Union[str, Path]
 FORMAT_VERSION = 1
 
 
+def canonical_json(payload: Any) -> str:
+    """*payload* as canonical JSON: sorted keys, compact separators and
+    shortest-repr floats -- the one form that every checksum,
+    fingerprint and config hash in the package digests."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_checksum(payload: Any) -> str:
+    """SHA-256 hex digest of :func:`canonical_json` of *payload*."""
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def document_checksum(document: "Mapping[str, Any]") -> str:
+    """The checksum a self-verifying document stores: the canonical
+    checksum of *document* without its own ``checksum`` key."""
+    return canonical_checksum(
+        {k: v for k, v in document.items() if k != "checksum"}
+    )
+
+
 def config_hash(config: "Mapping[str, Any]") -> str:
     """SHA-256 of the canonical (sorted-key, exact-float) JSON of *config*."""
     try:
-        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        return canonical_checksum(config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"configuration is not JSON-serializable: {exc}")
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class Checkpoint:

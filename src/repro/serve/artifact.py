@@ -33,7 +33,6 @@ temp files from a crash mid-swap are swept on the next save/load.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -52,20 +51,16 @@ from repro.errors import (
     ServeRequestError,
 )
 from repro.obs.runtime import active as obs_active
+from repro.robust.checkpoint import (
+    canonical_checksum,
+    canonical_json as _canonical_json,
+    document_checksum,
+)
 
 #: Schema tag stamped on every artifact document.
 ARTIFACT_SCHEMA = "repro-policy/v1"
 
 PathLike = Union[str, Path]
-
-
-def _canonical_json(payload: "Dict[str, Any]") -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(payload: "Dict[str, Any]") -> str:
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
 def provider_fingerprint(provider) -> str:
@@ -91,7 +86,7 @@ def provider_fingerprint(provider) -> str:
         ],
         "self_switch_rate": provider.self_switch_rate,
     }
-    return hashlib.sha256(_canonical_json(doc).encode("utf-8")).hexdigest()
+    return canonical_checksum(doc)
 
 
 def model_fingerprint(model: PowerManagedSystemModel) -> str:
@@ -106,7 +101,7 @@ def model_fingerprint(model: PowerManagedSystemModel) -> str:
         "capacity": int(model.capacity),
         "include_transfer_states": bool(model.include_transfer_states),
     }
-    return hashlib.sha256(_canonical_json(doc).encode("utf-8")).hexdigest()
+    return canonical_checksum(doc)
 
 
 class PolicyArtifact:
@@ -177,7 +172,7 @@ class PolicyArtifact:
             table[key] = action
         self._table = table
         body = self._body()
-        expected = _checksum(body)
+        expected = document_checksum(body)
         if checksum is None:
             self.checksum = expected
         else:

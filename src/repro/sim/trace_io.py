@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.errors import SimulationError, TraceIntegrityError
+from repro.robust.checkpoint import document_checksum
 from repro.sim.simulator import SimulationResult
 from repro.sim.workload import TraceArrivals
 
@@ -124,17 +125,11 @@ def load_trace(path: PathLike) -> TraceArrivals:
     return TraceArrivals(times)
 
 
-def _result_checksum(payload: dict) -> str:
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def save_result(result: SimulationResult, path: PathLike) -> None:
     """Write a :class:`SimulationResult` as pretty-printed JSON with a
     content ``checksum`` key."""
     payload = dataclasses.asdict(result)
-    payload["checksum"] = _result_checksum(payload)
+    payload["checksum"] = document_checksum(payload)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -172,7 +167,7 @@ def load_result(path: PathLike) -> SimulationResult:
     missing = field_names - set(payload)
     if missing:
         raise SimulationError(f"{path}: missing result fields {sorted(missing)}")
-    if stored is not None and stored != _result_checksum(payload):
+    if stored is not None and stored != document_checksum(payload):
         raise TraceIntegrityError(
             f"{path}: result checksum mismatch -- the file was modified "
             "after it was written"

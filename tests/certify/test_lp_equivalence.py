@@ -15,7 +15,7 @@ import pytest
 
 from repro.certify import certify_result
 from repro.certify.duality import check_lp
-from repro.ctmdp.linear_program import solve_average_cost_lp
+from repro.ctmdp.linear_program import constrained_lp_optimum, solve_average_cost_lp
 from repro.dpm.adaptive import rated_model
 from repro.dpm.optimizer import optimize_constrained, optimize_weighted
 from repro.dpm.presets import paper_system
@@ -93,3 +93,23 @@ class TestFeasibilityTolerance:
             result.metrics.average_power + result.metrics.average_queue_length
         )
         assert lp.gain == pytest.approx(pi_gain, rel=1e-9)
+
+
+class TestConstrainedPolicyMeetsItsBound:
+    """The constrained LP's policy must sit on the LP's own optimum: run
+    at HiGHS's default tolerance, noise-level occupation masses picked
+    actions outside its support, and zero-occupancy states took their
+    cheapest action even when it led away from the occupied ones."""
+
+    @pytest.mark.parametrize("capacity", [20, 250])
+    def test_policy_meets_bound_at_lp_objective(self, capacity):
+        bound = 1.0
+        model = rated_model(paper_system(capacity=capacity), 1.0 / 6.0)
+        result = optimize_constrained(model, bound)
+        lp = constrained_lp_optimum(
+            model.build_ctmdp(0.0), "power", {"queue_length": bound}
+        )
+        assert result.metrics.average_queue_length <= bound + 1e-6
+        assert result.metrics.average_power == pytest.approx(lp.gain, rel=1e-6)
+        report = certify_result(model, result, constraints={"queue_length": bound})
+        assert report.certified, report.finding_codes

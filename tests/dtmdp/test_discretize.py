@@ -8,7 +8,6 @@ import pytest
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.dpm.presets import paper_system
 from repro.dtmdp.discretize import discretize_ctmdp, slice_metric_rates
-from repro.dtmdp.solvers import dt_policy_iteration
 from repro.errors import InvalidModelError
 
 
@@ -55,34 +54,34 @@ class TestDiscretization:
     def test_tiny_slice_recovers_ct_optimum(self, lumped_model):
         ct_gain = policy_iteration(lumped_model.build_ctmdp(1.0)).gain
         d = discretize_ctmdp(lumped_model, slice_length=0.01, weight=1.0)
-        dt_gain_rate = d.gain_rate(dt_policy_iteration(d.mdp).gain)
+        dt_gain_rate = d.gain_rate(policy_iteration(d.mdp).gain)
         assert dt_gain_rate == pytest.approx(ct_gain, rel=0.01)
 
     def test_coarser_slices_cost_more(self, lumped_model):
         rates = []
         for slice_length in (1.0, 0.25, 0.05):
             d = discretize_ctmdp(lumped_model, slice_length, weight=1.0)
-            rates.append(d.gain_rate(dt_policy_iteration(d.mdp).gain))
+            rates.append(d.gain_rate(policy_iteration(d.mdp).gain))
         assert rates == sorted(rates, reverse=True)
 
     def test_ct_optimum_lower_bounds_all_slices(self, lumped_model):
         ct_gain = policy_iteration(lumped_model.build_ctmdp(1.0)).gain
         for slice_length in (2.0, 0.5):
             d = discretize_ctmdp(lumped_model, slice_length, weight=1.0)
-            assert d.gain_rate(dt_policy_iteration(d.mdp).gain) >= ct_gain - 1e-6
+            assert d.gain_rate(policy_iteration(d.mdp).gain) >= ct_gain - 1e-6
 
 
 class TestSliceMetricRates:
     def test_rates_are_consistent_with_gain(self, lumped_model, discretized):
-        result = dt_policy_iteration(discretized.mdp)
-        rates = slice_metric_rates(discretized, result.assignment)
+        result = policy_iteration(discretized.mdp)
+        rates = slice_metric_rates(discretized, result.policy.as_dict())
         # power + w * queue must equal the gain rate.
         combined = rates["power"] + discretized.weight * rates["queue_length"]
         assert combined == pytest.approx(discretized.gain_rate(result.gain), rel=1e-6)
 
     def test_rates_physical(self, discretized):
-        result = dt_policy_iteration(discretized.mdp)
-        rates = slice_metric_rates(discretized, result.assignment)
+        result = policy_iteration(discretized.mdp)
+        rates = slice_metric_rates(discretized, result.policy.as_dict())
         assert 0 < rates["power"] <= 45.0
         assert 0 <= rates["queue_length"] <= 5.0
         assert 0 <= rates["loss"] <= 1.0 / 6.0

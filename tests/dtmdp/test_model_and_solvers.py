@@ -7,13 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.ctmdp.linear_program import solve_average_cost_lp, solve_constrained_lp
+from repro.ctmdp.policy import Policy, evaluate_policy
+from repro.ctmdp.policy_iteration import policy_iteration
+from repro.ctmdp.uniformization import uniformize_ctmdp
+from repro.ctmdp.value_iteration import relative_value_iteration
+from repro.dpm.presets import paper_system
 from repro.dtmdp.model import DTMDP
-from repro.dtmdp.solvers import (
-    dt_evaluate_policy,
-    dt_policy_iteration,
-    dt_relative_value_iteration,
-    dt_solve_average_cost_lp,
-)
 from repro.errors import (
     InfeasibleConstraintError,
     InvalidModelError,
@@ -52,7 +52,7 @@ def brute_force_gain(mdp: DTMDP) -> float:
     for actions in itertools.product(*(mdp.actions(s) for s in mdp.states)):
         assignment = dict(zip(mdp.states, actions))
         try:
-            gain = dt_evaluate_policy(mdp, assignment).gain
+            gain = evaluate_policy(Policy(mdp, assignment)).gain
         except Exception:
             continue
         best = min(best, gain)
@@ -68,6 +68,11 @@ class TestDTMDPModel:
             mdp.add_action("a", "x", [1.5, -0.5], cost=0.0)
         with pytest.raises(InvalidModelError, match="shape"):
             mdp.add_action("a", "x", [1.0], cost=0.0)
+
+    def test_rejects_nonfinite_row(self):
+        mdp = DTMDP(["a", "b"])
+        with pytest.raises(InvalidModelError, match="non-finite"):
+            mdp.add_action("a", "x", [np.nan, 1.0], cost=0.0)
 
     def test_duplicate_action_rejected(self, two_state_dtmdp):
         with pytest.raises(InvalidModelError, match="already defined"):
@@ -95,7 +100,7 @@ class TestDTMDPModel:
 class TestDTEvaluation:
     def test_evaluation_equation(self, two_state_dtmdp):
         assignment = {"up": "hop", "down": "hop"}
-        ev = dt_evaluate_policy(two_state_dtmdp, assignment)
+        ev = evaluate_policy(Policy(two_state_dtmdp, assignment))
         p = two_state_dtmdp.policy_matrix(assignment)
         c = two_state_dtmdp.policy_costs(assignment)
         lhs = ev.bias + ev.gain
@@ -104,7 +109,7 @@ class TestDTEvaluation:
 
     def test_gain_is_stationary_cost(self, two_state_dtmdp):
         assignment = {"up": "hop", "down": "hop"}
-        ev = dt_evaluate_policy(two_state_dtmdp, assignment)
+        ev = evaluate_policy(Policy(two_state_dtmdp, assignment))
         assert ev.gain == pytest.approx(
             float(ev.stationary @ two_state_dtmdp.policy_costs(assignment))
         )
@@ -114,20 +119,20 @@ class TestDTPolicyIteration:
     def test_matches_brute_force(self):
         for seed in range(6):
             mdp = random_dtmdp(seed)
-            result = dt_policy_iteration(mdp)
+            result = policy_iteration(mdp)
             assert result.gain == pytest.approx(
                 brute_force_gain(mdp), abs=1e-9
             ), f"seed {seed}"
 
     def test_two_state_prefers_cheap_sink(self, two_state_dtmdp):
-        result = dt_policy_iteration(two_state_dtmdp)
+        result = policy_iteration(two_state_dtmdp)
         # Staying down (cost 1, sticky) is the cheap regime.
-        assert result.assignment["down"] == "stay"
+        assert result.policy.as_dict()["down"] == "stay"
 
     def test_fixed_point(self):
         mdp = random_dtmdp(3)
-        first = dt_policy_iteration(mdp)
-        again = dt_policy_iteration(mdp, initial=first.assignment)
+        first = policy_iteration(mdp)
+        again = policy_iteration(mdp, initial_policy=first.policy)
         assert again.iterations == 1
 
 
@@ -135,35 +140,71 @@ class TestDTValueIteration:
     def test_agrees_with_policy_iteration(self):
         for seed in range(4):
             mdp = random_dtmdp(seed + 20)
-            vi = dt_relative_value_iteration(mdp, span_tolerance=1e-12)
-            pi = dt_policy_iteration(mdp)
+            vi = relative_value_iteration(mdp, span_tolerance=1e-12)
+            pi = policy_iteration(mdp)
             assert vi.gain == pytest.approx(pi.gain, abs=1e-8)
+
+    def test_periodic_chain_converges(self):
+        # Uniformizing at 1.05 x the largest exit rate adds a self-loop.
+        mdp = DTMDP(["a", "b"])
+        mdp.add_action("a", "go", [0.0, 1.0], cost=1.0)
+        mdp.add_action("b", "go", [1.0, 0.0], cost=3.0)
+        assert relative_value_iteration(mdp).gain == pytest.approx(2.0)
 
 
 class TestDTLinearProgram:
     def test_agrees_with_policy_iteration(self):
         for seed in range(4):
             mdp = random_dtmdp(seed + 40)
-            lp = dt_solve_average_cost_lp(mdp)
-            pi = dt_policy_iteration(mdp)
+            lp = solve_average_cost_lp(mdp)
+            pi = policy_iteration(mdp)
             assert lp.gain == pytest.approx(pi.gain, abs=1e-7)
 
     def test_occupation_normalizes(self):
         mdp = random_dtmdp(1)
-        lp = dt_solve_average_cost_lp(mdp)
+        lp = solve_average_cost_lp(mdp)
         assert sum(lp.occupation.values()) == pytest.approx(1.0, abs=1e-8)
 
     def test_constrained_version(self, two_state_dtmdp):
-        base = dt_solve_average_cost_lp(two_state_dtmdp, objective="power")
+        base = solve_constrained_lp(two_state_dtmdp, "power", {})
         bound = 0.5 * base.extra_cost_values["delay"]
-        constrained = dt_solve_average_cost_lp(
-            two_state_dtmdp, objective="power", constraints={"delay": bound}
+        constrained = solve_constrained_lp(
+            two_state_dtmdp, "power", {"delay": bound}
         )
         assert constrained.extra_cost_values["delay"] <= bound + 1e-8
         assert constrained.gain >= base.gain - 1e-9
 
     def test_infeasible_raises(self, two_state_dtmdp):
         with pytest.raises(InfeasibleConstraintError):
-            dt_solve_average_cost_lp(
-                two_state_dtmdp, objective="power", constraints={"delay": -1.0}
-            )
+            solve_constrained_lp(two_state_dtmdp, "power", {"delay": -1.0})
+
+
+def uniformized_dtmdp(ct):
+    """The DTMDP of *ct* uniformized at ``1.05 x`` its largest exit rate:
+    ``P = I + G / Lambda`` and per-step cost ``c / Lambda``."""
+    uni = uniformize_ctmdp(ct)
+    dt = DTMDP(ct.states)
+    for i, state in enumerate(ct.states):
+        for action in ct.actions(state):
+            dt.add_action(state, action, uni.transition[(i, action)],
+                          uni.step_cost[(i, action)])
+    return dt, uni.rate
+
+
+class TestUniformizedIdentity:
+    """A DT chain with matrix P is the CT chain with generator P - I, so
+    policy iteration on the uniformized DTMDP solves the CTMDP."""
+
+    @pytest.mark.parametrize("capacity, weight, transfer", [
+        (5, 1.0, True),    # the paper SYS, 23 states
+        (8, 0.3, False),   # the lumped model, 27 states
+    ])
+    def test_pi_on_uniformized_chain_solves_ctmdp(self, capacity, weight,
+                                                  transfer):
+        ct = paper_system(capacity=capacity,
+                          include_transfer_states=transfer).build_ctmdp(weight)
+        dt, lam = uniformized_dtmdp(ct)
+        ct_result = policy_iteration(ct)
+        dt_result = policy_iteration(dt)
+        assert dt_result.policy.as_dict() == ct_result.policy.as_dict()
+        assert lam * dt_result.gain == pytest.approx(ct_result.gain, rel=1e-10)

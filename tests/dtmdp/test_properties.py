@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ctmdp.linear_program import solve_average_cost_lp
+from repro.ctmdp.policy import Policy, evaluate_policy
+from repro.ctmdp.policy_iteration import policy_iteration
 from repro.dtmdp.model import DTMDP
-from repro.dtmdp.solvers import (
-    dt_evaluate_policy,
-    dt_policy_iteration,
-    dt_solve_average_cost_lp,
-)
 
 
 def random_dtmdp(seed: int, n_states: int, n_actions: int) -> DTMDP:
@@ -37,22 +35,22 @@ class TestDTMDPProperties:
     def test_optimal_lower_bounds_random_policies(self, p):
         seed, n_states, n_actions = p
         mdp = random_dtmdp(seed, n_states, n_actions)
-        optimal = dt_policy_iteration(mdp)
+        optimal = policy_iteration(mdp)
         rng = np.random.default_rng(seed + 1)
         for _ in range(4):
             assignment = {
                 s: mdp.actions(s)[rng.integers(len(mdp.actions(s)))]
                 for s in mdp.states
             }
-            assert optimal.gain <= dt_evaluate_policy(mdp, assignment).gain + 1e-8
+            assert optimal.gain <= evaluate_policy(Policy(mdp, assignment)).gain + 1e-8
 
     @given(p=params)
     @settings(max_examples=15, deadline=None)
     def test_lp_agrees_with_pi(self, p):
         seed, n_states, n_actions = p
         mdp = random_dtmdp(seed, n_states, n_actions)
-        assert dt_solve_average_cost_lp(mdp).gain == pytest.approx(
-            dt_policy_iteration(mdp).gain, abs=1e-6
+        assert solve_average_cost_lp(mdp).gain == pytest.approx(
+            policy_iteration(mdp).gain, abs=1e-6
         )
 
     @given(p=params, shift=st.floats(-5.0, 5.0))
@@ -66,8 +64,8 @@ class TestDTMDPProperties:
                 shifted.add_action(
                     s, a, base.transition_row(s, a), base.cost(s, a) + shift
                 )
-        assert dt_policy_iteration(shifted).gain == pytest.approx(
-            dt_policy_iteration(base).gain + shift, abs=1e-8
+        assert policy_iteration(shifted).gain == pytest.approx(
+            policy_iteration(base).gain + shift, abs=1e-8
         )
 
     @given(p=params)
@@ -75,9 +73,9 @@ class TestDTMDPProperties:
     def test_stationary_distribution_valid(self, p):
         seed, n_states, n_actions = p
         mdp = random_dtmdp(seed, n_states, n_actions)
-        result = dt_policy_iteration(mdp)
+        result = policy_iteration(mdp)
         assert result.stationary.sum() == pytest.approx(1.0)
         assert np.all(result.stationary >= -1e-12)
         pi = result.stationary
-        pmat = mdp.policy_matrix(result.assignment)
+        pmat = mdp.policy_matrix(result.policy.as_dict())
         np.testing.assert_allclose(pi @ pmat, pi, atol=1e-9)

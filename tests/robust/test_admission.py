@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.ctmdp.kron import kron_farm_model
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.dpm.presets import paper_system
@@ -15,6 +16,7 @@ from repro.dpm.system import PowerManagedSystemModel
 from repro.errors import InvalidModelError, ModelRejectedError
 from repro.robust.admission import (
     FINDING_CODES,
+    KRON_DENSIFY_LIMIT,
     AdmissionReport,
     admit_ctmdp,
     admit_inputs,
@@ -277,3 +279,20 @@ class TestReportShape:
         payload = json.loads(path.read_text())
         assert payload["manifest"] == {"run": "test"}
         assert payload["admission"]["verdict"] == "ok"
+
+
+class TestKroneckerView:
+    def test_matrix_free_view_matches_sparse_view(self):
+        # Both views run the same exit-rate checks: the matrix-free one
+        # on the factored exit rates, the sparse one on the CSR rows.
+        kmdp = kron_farm_model(4, 4)
+        assert kmdp.n_states > KRON_DENSIFY_LIMIT
+        kron = admit_ctmdp(kmdp)
+        sparse = admit_ctmdp(kmdp.to_ctmdp())
+        assert kron.diagnostics["admission_view"] == "matrix-free-kron"
+        assert sparse.diagnostics["admission_view"] == "sparse"
+        assert kron.verdict == sparse.verdict
+        assert [f.code for f in kron.findings] == [f.code for f in sparse.findings]
+        for key in ("max_exit_rate", "min_positive_exit_rate",
+                    "stiffness_ratio", "canonical_shift"):
+            assert kron.diagnostics[key] == sparse.diagnostics[key], key
