@@ -152,7 +152,7 @@ def check_consensus(
 def _coo_direct_gain(model, weight: float, policy) -> float:
     """The policy's gain on the solve's COO-direct build."""
     smdp = model.build_ctmdp(weight, backend="sparse")
-    gain, _ = smdp.evaluate(smdp.policy_rows(policy.as_dict()), 0)
+    gain, _ = smdp.evaluate(smdp.selection(policy), 0)
     return gain
 
 

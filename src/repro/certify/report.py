@@ -251,9 +251,10 @@ def policy_table_checksum(mdp, policy) -> str:
     """SHA-256 binding a certificate to one exact policy table.
 
     Deterministic policies hash their ``(state, action)`` table in
-    model state order; randomized policies hash the per-state action
-    distributions (action-sorted). Plain assignment mappings hash like
-    deterministic policies.
+    model state order, read from their action tuple (so a policy must
+    be bound to a model with *mdp*'s states); randomized policies hash
+    the per-state action distributions (action-sorted). Plain
+    assignment mappings hash like deterministic policies.
     """
     rows: "List[Any]" = []
     if hasattr(policy, "distribution"):
@@ -263,7 +264,7 @@ def policy_table_checksum(mdp, policy) -> str:
                 [repr(state), sorted((repr(a), p) for a, p in dist.items())]
             )
     else:
-        assignment = policy.as_dict() if hasattr(policy, "as_dict") else dict(policy)
-        for state in mdp.states:
-            rows.append([repr(state), repr(assignment[state])])
+        actions = (policy.actions if hasattr(policy, "actions")
+                   else [policy[state] for state in mdp.states])
+        rows = [[repr(s), repr(a)] for s, a in zip(mdp.states, actions)]
     return canonical_checksum({"table": rows})

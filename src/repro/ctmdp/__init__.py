@@ -37,7 +37,7 @@ from repro.ctmdp.backends import BACKENDS, DENSE_STATE_LIMIT, resolve_backend
 
 from repro.ctmdp.compiled import CompiledCTMDP, compile_ctmdp
 from repro.ctmdp.discounted import discounted_policy_iteration
-from repro.ctmdp.kron import ArrayPolicy, KroneckerCTMDP, kron_farm_model
+from repro.ctmdp.kron import KroneckerCTMDP, kron_farm_model
 from repro.ctmdp.linear_program import (
     LinearProgramResult,
     solve_average_cost_lp,
@@ -55,7 +55,6 @@ from repro.ctmdp.uniformization import UniformizedMDP, uniformize_ctmdp
 from repro.ctmdp.value_iteration import ValueIterationResult, relative_value_iteration
 
 __all__ = [
-    "ArrayPolicy",
     "BACKENDS",
     "CTMDP",
     "CompiledCTMDP",

@@ -29,6 +29,7 @@ from repro.errors import SolverError
 from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy
+from repro.ctmdp.policy_iteration import _improve
 from repro.robust.guardrails import solve_with_fallback
 
 
@@ -143,27 +144,7 @@ def discounted_policy_iteration(
         policy = initial_policy
     values = _evaluate_discounted(policy, discount)
     for iteration in range(1, max_iterations + 1):
-        assignment = {}
-        changed = False
-        for state in mdp.states:
-            incumbent = policy.action(state)
-            best_action = incumbent
-            best_value = mdp.cost(state, incumbent) + float(
-                mdp.generator_row(state, incumbent) @ values
-            )
-            for action in mdp.actions(state):
-                if action == incumbent:
-                    continue
-                value = mdp.cost(state, action) + float(
-                    mdp.generator_row(state, action) @ values
-                )
-                if value < best_value - atol:
-                    best_value = value
-                    best_action = action
-            assignment[state] = best_action
-            if best_action != incumbent:
-                changed = True
-        policy = Policy(mdp, assignment)
+        policy, changed = _improve(mdp, policy, values, atol)
         values = _evaluate_discounted(policy, discount)
         if not changed:
             return DiscountedResult(

@@ -28,7 +28,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import InvalidModelError
+from repro.errors import InvalidModelError, InvalidPolicyError
 
 
 #: NumPy's pairwise summation sums blocks of at most this many elements
@@ -109,6 +109,24 @@ def dense_row_sums(indptr, cols, vals, n: int) -> np.ndarray:
     sums = np.zeros(n_rows)
     sums[item_row] = value
     return sums
+
+
+def chosen_rows(actions, pair_offset, chosen) -> np.ndarray:
+    """Pair rows of the action *chosen* in each state, in state order.
+
+    *actions* holds each state's action tuple, whose pairs start at
+    ``pair_offset[i]``. An action its state does not offer is an
+    :class:`~repro.errors.InvalidPolicyError`.
+    """
+    try:
+        cols = list(map(tuple.index, actions, chosen))
+    except ValueError:
+        i, action = next((i, a) for i, (acts, a) in enumerate(zip(actions, chosen))
+                         if a not in acts)
+        raise InvalidPolicyError(
+            f"action {action!r} not available in state index {i}"
+        ) from None
+    return pair_offset[:-1] + np.asarray(cols, dtype=np.intp)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -273,13 +291,17 @@ class PairTable:
 
     def policy_weights(self, policy) -> sp.csr_array:
         """``(n, pairs)`` CSR matrix of each state's action probabilities
-        under *policy* (one-hot for a deterministic one), so that
-        ``weights @ rows`` is the policy's own rows."""
+        under *policy* (one-hot for a deterministic one, whose action
+        tuple is read in state order), so that ``weights @ rows`` is the
+        policy's own rows."""
+        if not hasattr(policy, "distribution"):
+            pairs = chosen_rows(self.actions, self.pair_offset, policy.actions)
+            return sp.csr_array(
+                (np.ones(self.n_states), (np.arange(self.n_states), pairs)),
+                shape=(self.n_states, self.n_pairs))
         rows, pairs, probs = [], [], []
         for i, (state, actions) in enumerate(zip(self.states, self.actions)):
-            dist = (policy.distribution(state) if hasattr(policy, "distribution")
-                    else {policy.action(state): 1.0})
-            for action, prob in dist.items():
+            for action, prob in policy.distribution(state).items():
                 rows.append(i)
                 pairs.append(self.pair_offset[i] + actions.index(action))
                 probs.append(prob)

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.ctmdp.backends import lower, resolve_backend
 from repro.ctmdp.model import CTMDP
-from repro.ctmdp.policy import Policy, PolicyEvaluation, _evaluate_reference
+from repro.ctmdp.policy import Policy, _evaluate_reference
 from repro.obs.log import get_logger
 from repro.obs.runtime import active as obs_active
 
@@ -92,10 +92,14 @@ def _default_initial_policy(mdp: CTMDP) -> Policy:
     return Policy(mdp, {s: mdp.actions(s)[0] for s in mdp.states})
 
 
-def _policy_payload(assignment, limit: int = 200) -> "List[List[str]]":
-    """A JSON-serializable rendering of a policy for diagnostics."""
-    pairs = [[repr(s), repr(a)] for s, a in assignment.items()]
-    return pairs[:limit]
+def _policy_payload(policy: Policy, limit: int = 200) -> "List[List[str]]":
+    """The first *limit* ``(state, action)`` pairs of *policy*, rendered
+    for diagnostics. A Kronecker model names each state through
+    ``state_label``, so no joint label list is built."""
+    mdp = policy.mdp
+    label = getattr(mdp, "state_label", None) or mdp.states.__getitem__
+    return [[repr(label(i)), repr(a)]
+            for i, a in enumerate(policy.actions[:limit])]
 
 
 def _check_budget(
@@ -160,22 +164,14 @@ class _CycleDetector:
 
 
 def _improve(
-    mdp: CTMDP, policy: Policy, evaluation: PolicyEvaluation, atol: float
+    mdp: CTMDP, policy: Policy, h: np.ndarray, atol: float
 ) -> "tuple[Policy, bool]":
-    """One improvement sweep; returns (new policy, changed?).
-
-    ``atol`` is an original-unit threshold; the test quantities here are
-    in the model's stored units (original times ``rate_scale``), so the
-    threshold is scaled accordingly. For unscaled models
-    (``rate_scale == 1``) this multiplies by exactly 1.0 and decisions
-    are unchanged.
-    """
-    atol = atol * getattr(mdp, "rate_scale", 1.0)
-    h = evaluation.bias
-    assignment = {}
-    changed = False
-    for state in mdp.states:
-        incumbent = policy.action(state)
+    """One incumbent-rule sweep on the test quantities ``c + G h`` of
+    the dict model; returns (new policy, changed?). Shared by the
+    reference policy-iteration and discounted loops."""
+    incumbents = [policy.action(state) for state in mdp.states]
+    actions = []
+    for state, incumbent in zip(mdp.states, incumbents):
         best_action = incumbent
         best_value = mdp.cost(state, incumbent) + float(
             mdp.generator_row(state, incumbent) @ h
@@ -189,15 +185,13 @@ def _improve(
             if value < best_value - atol:
                 best_value = value
                 best_action = action
-        assignment[state] = best_action
-        if best_action != incumbent:
-            changed = True
-    return Policy(mdp, assignment), changed
+        actions.append(best_action)
+    return Policy.from_actions(mdp, actions), actions != incumbents
 
 
 def _nonconvergence_error(
     max_iterations: int, backend: str, gain_history: "List[float]",
-    assignment,
+    policy: Policy,
 ) -> SolverError:
     """The typed failure of a run that spent ``max_iterations``."""
     return SolverError(
@@ -207,7 +201,7 @@ def _nonconvergence_error(
             "iteration": max_iterations,
             "backend": backend,
             "gain_history": gain_history[-10:],
-            "policy": _policy_payload(assignment),
+            "policy": _policy_payload(policy),
         },
     )
 
@@ -273,7 +267,7 @@ def _policy_iteration(
             if changed:
                 cycles.check(
                     sel.tobytes(), iteration, gain_history,
-                    lambda: _policy_payload(model.assignment_from_rows(sel)),
+                    lambda: _policy_payload(model.policy(mdp, sel)),
                 )
                 gain, bias = model.evaluate(sel, reference_state, x0=bias)
             # An unchanged policy selects the same rows, so re-solving would
@@ -309,7 +303,7 @@ def _policy_iteration(
                     gain_history=gain_history,
                 )
     raise _nonconvergence_error(
-        max_iterations, tier, gain_history, model.assignment_from_rows(sel)
+        max_iterations, tier, gain_history, model.policy(mdp, sel)
     )
 
 
@@ -393,9 +387,7 @@ def policy_iteration(
         policy, reference_state, compute_stationary=False
     )
     gain_history.append(evaluation.gain)
-    cycles.check(
-        tuple(sorted(policy.as_dict().items(), key=repr)), 0, gain_history, None
-    )
+    cycles.check(policy.actions, 0, gain_history, None)
     if series is not None:
         series.append(
             backend="reference",
@@ -412,30 +404,32 @@ def policy_iteration(
             _check_budget(started, time_budget_s, iteration, gain_history)
             if ins.enabled:
                 sweep_start = time.perf_counter()
-                previous_assignment = policy.as_dict()
+                previous_actions = policy.actions
                 previous_gain = evaluation.gain
-            policy, changed = _improve(mdp, policy, evaluation, atol)
+            # atol is an original-unit threshold; the test quantities
+            # are in stored units (original times rate_scale).
+            policy, changed = _improve(
+                mdp, policy, evaluation.bias,
+                atol * getattr(mdp, "rate_scale", 1.0),
+            )
             if changed:
                 cycles.check(
-                    tuple(sorted(policy.as_dict().items(), key=repr)),
-                    iteration, gain_history,
-                    lambda: _policy_payload(policy.as_dict()),
+                    policy.actions, iteration, gain_history,
+                    lambda: _policy_payload(policy),
                 )
             evaluation = _evaluate_reference(
                 policy, reference_state, compute_stationary=False
             )
             gain_history.append(evaluation.gain)
             if series is not None:
-                assignment = policy.as_dict()
                 series.append(
                     backend="reference",
                     iteration=iteration,
                     gain=evaluation.gain,
                     residual=abs(evaluation.gain - previous_gain),
                     policy_changes=sum(
-                        1
-                        for state, action in assignment.items()
-                        if previous_assignment[state] != action
+                        1 for a, b in zip(previous_actions, policy.actions)
+                        if a != b
                     ),
                     sweep_s=time.perf_counter() - sweep_start,
                 )
@@ -464,5 +458,5 @@ def policy_iteration(
                     gain_history=gain_history,
                 )
     raise _nonconvergence_error(
-        max_iterations, "reference", gain_history, policy.as_dict()
+        max_iterations, "reference", gain_history, policy
     )

@@ -280,18 +280,14 @@ def relative_value_iteration(
         w = new_w - new_w[0]
         if span < span_tolerance:
             gain = float(uni.rate * 0.5 * (diff.max() + diff.min()))
-            policy = Policy(
-                mdp, {state: greedy[i] for i, state in enumerate(uni.states)}
-            )
-            values = w.copy()
             if metrics is not None:
                 metrics.histogram("solver.value_iteration.iterations").observe(
                     iteration
                 )
             return ValueIterationResult(
-                policy=policy,
+                policy=Policy.from_actions(mdp, greedy),
                 gain=gain,
-                values=values,
+                values=w.copy(),
                 iterations=iteration,
                 span_history=span_history,
             )

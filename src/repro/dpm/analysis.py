@@ -78,7 +78,7 @@ def evaluate_dpm_policy(
     p = stationary
     if isinstance(policy.mdp, SparseCTMDP):
         smdp = policy.mdp
-        sel = smdp.policy_rows(policy.as_dict())
+        sel = smdp.selection(policy)
         if p is None:
             p = sparse_stationary_distribution(smdp.generator[sel])
         power = float(p @ smdp.extra[cost_channels.POWER][sel])

@@ -21,7 +21,7 @@ from typing import Dict, Mapping, Optional, Union
 from repro.ctmdp.policy import Policy, RandomizedPolicy
 from repro.dpm.adaptive import AdaptivePolicySolver, AdaptiveRateEstimator
 from repro.dpm.service_queue import QueueState, stable, transfer
-from repro.dpm.system import PowerManagedSystemModel, SystemState
+from repro.dpm.system import SystemState
 from repro.errors import InvalidPolicyError
 from repro.policies.base import Decision, PowerManagementPolicy, SystemView
 from repro.policies.helpers import command_if_needed
@@ -77,13 +77,6 @@ class OptimalCTMDPPolicy(PowerManagementPolicy):
         self._table: Dict[SystemState, str] = dict(table)
         self._capacity = int(capacity)
         self._label = label
-
-    @classmethod
-    def from_optimization(
-        cls, model: PowerManagedSystemModel, result, label: Optional[str] = None
-    ) -> "OptimalCTMDPPolicy":
-        """Build from a :class:`~repro.dpm.optimizer.OptimizationResult`."""
-        return cls(result.policy, model.capacity, label=label)
 
     @property
     def name(self) -> str:

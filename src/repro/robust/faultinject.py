@@ -135,10 +135,6 @@ def mark_worker() -> None:
     _in_worker = True
 
 
-def in_worker() -> bool:
-    return _in_worker
-
-
 def maybe_fault(item: int, attempt: int, result: Any) -> Any:
     """Apply the armed fault for ``(item, attempt)``, if any.
 

@@ -67,8 +67,8 @@ KINDS = (
 VI_STIFFNESS_LIMIT = 1e4
 
 
-class UnconstrainedSystemModel:
-    """A SYS model with the Section-III action constraints removed.
+def unconstrained_system(provider, requestor, capacity: int):
+    """Build a :class:`PowerManagedSystemModel` with all constraints off.
 
     The paper engineers constraints (1)-(3) precisely so that every
     admissible policy keeps the joint chain unichain; dropping them
@@ -77,13 +77,6 @@ class UnconstrainedSystemModel:
     cycle/singularity guards must catch. Implemented as a subclass
     whose :meth:`is_valid_action` accepts every known mode.
     """
-
-    def __new__(cls, *args, **kwargs):  # pragma: no cover - thin shim
-        raise TypeError("use unconstrained_system(); this class is a factory tag")
-
-
-def unconstrained_system(provider, requestor, capacity: int):
-    """Build a :class:`PowerManagedSystemModel` with all constraints off."""
     from repro.dpm.system import PowerManagedSystemModel
 
     class _Unconstrained(PowerManagedSystemModel):

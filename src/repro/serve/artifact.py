@@ -104,6 +104,31 @@ def model_fingerprint(model: PowerManagedSystemModel) -> str:
     return canonical_checksum(doc)
 
 
+def table_action(table: "Dict[Tuple[str, str, int], str]", capacity: int,
+                 mode: str, in_transfer: bool, count: int, source: str) -> str:
+    """The action *table* holds for one decision request, keyed by the
+    clamped ``(mode, kind, index)`` triple: a transfer's *count* waiting
+    requests plus the one in service, ``min(count + 1, capacity)``, or a
+    stable occupancy ``min(count, capacity)``. A negative *count*, or a
+    key the table lacks (an unknown mode, or a transfer in an inactive
+    mode), is a :class:`~repro.errors.ServeRequestError` naming the
+    *source* policy."""
+    if count < 0:
+        raise ServeRequestError(f"occupancy must be >= 0, got {count}")
+    if in_transfer:
+        key = (mode, TRANSFER, min(int(count) + 1, capacity))
+    else:
+        key = (mode, STABLE, min(int(count), capacity))
+    action = table.get(key)
+    if action is None:
+        raise ServeRequestError(
+            f"no joint state for mode={mode!r}, transfer={in_transfer}, "
+            f"count={count} in the {source} policy (unknown mode, or a "
+            "transfer in an inactive mode)"
+        )
+    return action
+
+
 class PolicyArtifact:
     """An immutable compiled policy table plus its provenance.
 
@@ -263,22 +288,11 @@ class PolicyArtifact:
         mirroring :func:`repro.policies.optimal.view_to_system_state`.
         Unknown modes or impossible (mode, transfer) combinations raise
         a typed :class:`~repro.errors.ServeRequestError` -- the table
-        never guesses.
+        never guesses (:func:`table_action`).
         """
-        if count < 0:
-            raise ServeRequestError(f"occupancy must be >= 0, got {count}")
-        if in_transfer:
-            key = (mode, TRANSFER, min(int(count) + 1, self.capacity))
-        else:
-            key = (mode, STABLE, min(int(count), self.capacity))
-        action = self._table.get(key)
-        if action is None:
-            raise ServeRequestError(
-                f"no joint state for mode={mode!r}, "
-                f"transfer={in_transfer}, count={count} in the served "
-                "policy (unknown mode, or a transfer in an inactive mode)"
-            )
-        return action
+        return table_action(
+            self._table, self.capacity, mode, in_transfer, count, "served"
+        )
 
     def assignment(self) -> "Dict[SystemState, str]":
         """The policy table keyed by model :class:`SystemState` values."""
@@ -303,32 +317,26 @@ def compile_artifact(
 ) -> PolicyArtifact:
     """Compile a solved *result* on *model* into a lookup artifact.
 
-    Rejects (with typed errors) the outputs a broken solver could
-    produce: randomized policies, tables missing states, and non-finite
-    metrics (a NaN gain is a solver failure, not a servable policy).
+    The artifact's actions are the policy's action tuple, in model
+    state order. Rejects (with typed errors) the outputs a broken solver
+    could produce: randomized policies, policies on a model with other
+    states, and non-finite metrics (a NaN gain is a solver failure, not
+    a servable policy).
     """
-    from repro.ctmdp.policy import Policy
+    from repro.ctmdp.policy import Policy, same_states
 
-    if not isinstance(result.policy, Policy):
+    policy = result.policy
+    if not isinstance(policy, Policy):
         raise ArtifactRejectedError(
             "only deterministic policies are servable; got "
-            f"{type(result.policy).__name__}"
+            f"{type(policy).__name__}"
         )
-    assignment = result.policy.as_dict()
-    model_states = model.states
-    if list(assignment) == model_states:
-        # Every solver keys its policy in model state order (the common
-        # case): the actions are the dict's values, in that order.
-        actions = list(map(str, assignment.values()))
-    else:
-        actions = []
-        for state in model_states:
-            action = assignment.get(state)
-            if action is None:
-                raise ArtifactRejectedError(
-                    f"solved policy misses model state {state!r}"
-                )
-            actions.append(str(action))
+    if not same_states(policy.mdp, model):
+        raise ArtifactRejectedError(
+            "solved policy is bound to a model with other states than "
+            "the one compiled for"
+        )
+    actions = list(map(str, policy.actions))
     states = model.state_keys()
     metrics = {
         "average_power": result.metrics.average_power,

@@ -35,14 +35,18 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.dpm.adaptive import AdaptiveRateEstimator, DriftDetector
-from repro.dpm.service_queue import STABLE, TRANSFER
 from repro.dpm.system import PowerManagedSystemModel
 from repro.errors import ArtifactError, ReproError, ServeRequestError
 from repro.obs.runtime import active as obs_active
-from repro.serve.artifact import ArtifactStore, PolicyArtifact, validate_artifact
+from repro.serve.artifact import (
+    ArtifactStore,
+    PolicyArtifact,
+    table_action,
+    validate_artifact,
+)
 from repro.serve.supervisor import CircuitBreaker, ResolveReport, RetryPolicy, Supervisor
 
 #: Gauge encoding of the serving rung (higher = more degraded).
@@ -188,19 +192,10 @@ class PolicyServer:
     def _heuristic_action(
         self, mode: str, in_transfer: bool, count: int
     ) -> str:
-        if count < 0:
-            raise ServeRequestError(f"occupancy must be >= 0, got {count}")
-        if in_transfer:
-            key = (mode, TRANSFER, min(int(count) + 1, self.capacity))
-        else:
-            key = (mode, STABLE, min(int(count), self.capacity))
-        action = self._heuristic.get(key)
-        if action is None:
-            raise ServeRequestError(
-                f"no joint state for mode={mode!r}, transfer={in_transfer}, "
-                f"count={count} in the heuristic policy"
-            )
-        return action
+        return table_action(
+            self._heuristic, self.capacity, mode, in_transfer, count,
+            "heuristic",
+        )
 
 
 class ServingRuntime:

@@ -202,7 +202,7 @@ class TestCompiledStructure:
     def test_policy_rows_roundtrip(self, mdp, comp):
         assignment = {s: mdp.actions(s)[-1] for s in mdp.states}
         sel = comp.policy_rows(assignment)
-        assert comp.assignment_from_rows(sel) == assignment
+        assert comp.policy(mdp, sel).as_dict() == assignment
 
     def test_policy_rows_rejects_unknown_action(self, comp):
         assignment = {s: "no-such-mode" for s in comp.states}
@@ -250,7 +250,7 @@ class TestSweepSemantics:
         values[1] = values[0] - 1e-12  # state 0 action b: within atol
         new_sel, changed = comp.improve(values, sel, atol=1e-9)
         assert changed
-        assert comp.assignment_from_rows(new_sel) == {0: "a", 1: "b"}
+        assert comp.policy(mdp, new_sel).as_dict() == {0: "a", 1: "b"}
 
     def test_greedy_first_wins_on_ties(self):
         mdp = CTMDP([0])

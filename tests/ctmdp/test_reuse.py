@@ -22,9 +22,7 @@ class TestWarmColdEquivalence:
             weight=weight, backend="sparse"
         )
         # Last-listed action everywhere: a different path than cold.
-        seed = Policy._trusted(
-            mdp, {s: acts[-1] for s, acts in zip(mdp.states, mdp.actions)}
-        )
+        seed = Policy.from_actions(mdp, [acts[-1] for acts in mdp.actions])
         cold = policy_iteration(mdp)
         warm = policy_iteration(mdp, initial_policy=seed)
         assert seed.as_dict() != cold.policy.as_dict()

@@ -86,8 +86,8 @@ class TestMetricsFromTheSolve:
 
         model = paper_system(capacity=5)
         result = optimize_weighted(model, 1.0, backend="compiled")
-        tampered = NonConservative._trusted(
-            result.policy.mdp, result.policy.as_dict()
+        tampered = NonConservative.from_actions(
+            result.policy.mdp, result.policy.actions
         )
         with pytest.raises(InvalidGeneratorError, match="row 0 sums"):
             evaluate_dpm_policy(model, tampered)

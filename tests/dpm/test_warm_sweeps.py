@@ -95,7 +95,7 @@ class TestWarmSweepProperty:
             np.testing.assert_array_equal(warm_pi.bias, cold_pi.bias)
             assert warm_pi.iterations <= cold_pi.iterations
             assert cold_pi.policy.as_dict() == cold_result.policy.as_dict()
-            previous = Policy._trusted(mdp, warm_pi.policy.as_dict())
+            previous = Policy.from_actions(mdp, warm_pi.policy.actions)
 
     @pytest.mark.parametrize("kind,seed", FUZZ_SYS_SPECS)
     def test_warm_sweep_on_fuzz_models(self, kind, seed):

@@ -226,7 +226,7 @@ class TestEveryTierUsesTheLadder:
         comp.evaluate(sel, 0)
         comp.evaluate_discounted(sel, 0.5)
         _evaluate_discounted(
-            Policy(mdp, comp.assignment_from_rows(sel)), 0.5
+            Policy(mdp, comp.policy(mdp, sel).as_dict()), 0.5
         )
         assert calls == [
             ("compiled", "policy evaluation system"),

@@ -17,6 +17,7 @@ from repro.errors import (
     ArtifactIntegrityError,
     ArtifactRejectedError,
     ArtifactSchemaError,
+    InvalidPolicyError,
     ServeRequestError,
 )
 from repro.serve.artifact import (
@@ -314,21 +315,20 @@ class TestFileFormat:
         in_order = compile_artifact(model, result, version=1)
         shuffled = dict(reversed(list(result.policy.as_dict().items())))
         reordered = dataclasses.replace(
-            result, policy=type(result.policy)._trusted(
-                result.policy.mdp, shuffled
-            ),
+            result, policy=type(result.policy)(result.policy.mdp, shuffled),
         )
         assert compile_artifact(model, reordered, version=1).checksum == (
             in_order.checksum
         )
         del shuffled[model.states[0]]
-        missing = dataclasses.replace(
-            result, policy=type(result.policy)._trusted(
-                result.policy.mdp, shuffled
-            ),
-        )
-        with pytest.raises(ArtifactRejectedError, match="misses model state"):
-            compile_artifact(model, missing, version=1)
+        with pytest.raises(InvalidPolicyError, match="misses states"):
+            type(result.policy)(result.policy.mdp, shuffled)
+
+    def test_policy_on_other_states_is_rejected(self, model):
+        result = optimize_weighted(model, 0.5)
+        other = paper_system(capacity=model.capacity + 1)
+        with pytest.raises(ArtifactRejectedError, match="other states"):
+            compile_artifact(other, result, version=1)
 
     def test_document_lists_are_fresh(self, artifact):
         before = artifact.to_document()

@@ -6,11 +6,13 @@ import json
 
 import pytest
 
+from repro.ctmdp.policy import Policy
 from repro.dpm.adaptive import solve_rated
+from repro.dpm.analysis import evaluate_dpm_policy
 from repro.dpm.model_policies import n_policy_assignment
-from repro.dpm.optimizer import optimize_weighted
+from repro.dpm.optimizer import OptimizationResult, optimize_weighted
 from repro.dpm.presets import paper_system
-from repro.errors import ServeRequestError, SolverError
+from repro.errors import ReproError, ServeRequestError, SolverError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import instrument
 from repro.serve.artifact import ArtifactStore, compile_artifact
@@ -109,6 +111,38 @@ class TestPolicyServerLadder:
         assert "serve.lookup_latency_s" in doc
         assert server.n_decisions == 3
         assert server.n_swaps == 1
+
+
+class TestLookupKey:
+    """The heuristic rung and an artifact compiled from the same
+    N-policy read one clamped ``(mode, kind, index)`` key."""
+
+    @pytest.mark.parametrize("include_transfer_states", [True, False])
+    def test_heuristic_and_artifact_answer_alike(self, include_transfer_states):
+        model = paper_system(include_transfer_states=include_transfer_states)
+        policy = Policy(model.build_ctmdp(1.0), n_policy_assignment(model, 1))
+        artifact = compile_artifact(model, OptimizationResult(
+            policy=policy, metrics=evaluate_dpm_policy(model, policy),
+            weight=1.0,
+        ))
+        server = PolicyServer(model, heuristic_n=1)
+        checked = 0
+        for mode in (*model.provider.modes, "warp"):
+            for in_transfer in (False, True):
+                for count in range(-1, model.capacity + 3):
+                    outcomes = []
+                    for lookup in (
+                        lambda *a: server.decide(*a).action,
+                        artifact.action_for,
+                    ):
+                        try:
+                            outcomes.append(lookup(mode, in_transfer, count))
+                        except ReproError as exc:
+                            outcomes.append(type(exc))
+                    assert outcomes[0] == outcomes[1], (mode, in_transfer, count)
+                    checked += isinstance(outcomes[0], str)
+        assert server.n_by_source["heuristic"] == server.n_decisions
+        assert checked > 0
 
 
 class TestRuntimeBootstrap:

@@ -16,7 +16,7 @@ import pytest
 import repro.ctmdp.sparse as sparse_mod
 from repro.ctmdp.backends import BACKENDS, DENSE_STATE_LIMIT, resolve_backend
 from repro.ctmdp.discounted import discounted_policy_iteration
-from repro.ctmdp.kron import ArrayPolicy, KroneckerCTMDP, kron_farm_model
+from repro.ctmdp.kron import KroneckerCTMDP, kron_farm_model
 from repro.ctmdp.policy import Policy, evaluate_policy
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.ctmdp.value_iteration import relative_value_iteration
@@ -181,13 +181,13 @@ class TestKronNative:
         kmdp = kron_farm_model(2, 2)
         sel = kmdp.selection()
         policy = kmdp.policy(kmdp, sel)
-        direct = ArrayPolicy(kmdp, sel)
+        direct = Policy.from_actions(kmdp, [kmdp.action_set[a] for a in sel])
         sel[0] = 1  # the caller's array stays writable ...
         # ... and the policies do not see the write.
-        assert policy.action_index[0] == direct.action_index[0] == 0
-        assert not policy.action_index.flags.writeable
-        assert not np.shares_memory(policy.action_index, sel)
-        assert not np.shares_memory(direct.action_index, sel)
+        assert kmdp.selection(policy)[0] == kmdp.selection(direct)[0] == 0
+        assert isinstance(policy.actions, tuple)
+        assert not np.shares_memory(kmdp.selection(policy), sel)
+        assert not np.shares_memory(kmdp.selection(direct), sel)
 
 
 class TestKrylovResidualContract:
