@@ -150,9 +150,9 @@ class TestCyclePayloadIsLazy:
         calls = []
         original = pi_mod._policy_payload
 
-        def counting(assignment, limit=200):
-            calls.append(len(assignment))
-            return original(assignment, limit)
+        def counting(policy, limit=200):
+            calls.append(len(policy.actions))
+            return original(policy, limit)
 
         monkeypatch.setattr(pi_mod, "_policy_payload", counting)
         return calls
