@@ -14,30 +14,27 @@ member is a realistic corruption of a genuinely solved policy --
 - ``invalid-action``: a table entry naming an action the state does
   not admit (schema-valid garbage).
 
-The contract, enforced by tests and the CI ``certification`` job, is
-*zero false certifications*: :func:`repro.certify.certify_solution`
-must reject every member with a typed finding, at every seed.
+The contract, enforced by tests and the ``certify`` campaign of
+:mod:`repro.robust.campaign`, is *zero false certifications*:
+:func:`repro.certify.certify_solution` must reject every member with a
+typed finding, at every seed, while the honest optimum certifies::
 
-Run directly for CI::
-
-    python -m repro.certify.corpus --seed 0 --out certs/
-
-exits non-zero if the honest baseline fails certification or any
-corrupted member passes it.
+    python -m repro.robust.campaign certify --count 3 --capacity 250
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.certify import bellman as _bellman
-from repro.certify.engine import certify_solution
+from repro.certify.engine import certify_result, certify_solution
 from repro.certify.report import CertificationReport
 from repro.dpm.adaptive import rated_model
 from repro.dpm.optimizer import optimize_weighted
+from repro.dpm.presets import paper_system
 from repro.errors import CertificationError
 
 #: Every corruption kind the corpus generates.
@@ -237,59 +234,24 @@ def build_corpus(
     return members
 
 
-def main(argv: "Optional[Sequence[str]]" = None) -> int:
-    """CI entry point: honest base must certify, every member must not."""
-    import argparse
-    import json
-    import pathlib
+def case(seed: int, capacity: int = 3) -> "Dict[str, Any]":
+    """The campaign case at *seed* (:mod:`repro.robust.campaign`).
 
-    from repro.certify.engine import certify_result
-    from repro.dpm.presets import paper_system
-
-    parser = argparse.ArgumentParser(
-        description="Run the adversarial certification corpus."
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rate", type=float, default=1 / 6)
-    parser.add_argument("--capacity", type=int, default=3)
-    parser.add_argument("--weight", type=float, default=0.5)
-    parser.add_argument(
-        "--out", type=pathlib.Path, default=None,
-        help="directory for certificate JSON artifacts",
-    )
-    args = parser.parse_args(argv)
-
-    model = rated_model(paper_system(capacity=args.capacity), args.rate)
-    base = optimize_weighted(model, args.weight)
-    reports: "List[Tuple[str, CertificationReport]]" = [
-        ("base", certify_result(model, base))
-    ]
-    for member in build_corpus(model, weight=args.weight, seed=args.seed):
-        reports.append((member.kind, member.certify(model)))
-
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for name, report in reports:
-            path = args.out / f"seed{args.seed}-{name}.cert.json"
-            path.write_text(json.dumps(report.to_document(), indent=2))
-
-    failures = []
-    for name, report in reports:
-        want_certified = name == "base"
-        ok = report.certified == want_certified
-        print(
-            f"{'OK  ' if ok else 'FAIL'} {name}: verdict={report.verdict} "
-            f"findings={report.finding_codes}"
-        )
-        if not ok:
-            failures.append(name)
-    if failures:
-        print(f"certification corpus FAILED: {failures}")
-        return 1
-    print(f"certification corpus passed at seed {args.seed}: "
-          f"base certified, {len(reports) - 1} corruptions rejected")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
-    raise SystemExit(main())
+    On ``rated_model(paper_system(capacity), 1/6)`` at ``w = 0.5`` the
+    honest optimum must certify, and every member of the seed's corpus
+    must be rejected; any other verdict is a violation.
+    """
+    model = rated_model(paper_system(capacity=capacity), 1 / 6)
+    reports = {"base": certify_result(model, optimize_weighted(model, 0.5))}
+    for member in build_corpus(model, weight=0.5, seed=seed):
+        reports[member.kind] = member.certify(model)
+    return {
+        "outcome": reports["base"].verdict,
+        "verdicts": {name: r.verdict for name, r in reports.items()},
+        "findings": {name: r.finding_codes for name, r in reports.items()},
+        "violations": [
+            f"{name}: verdict {r.verdict}, findings {r.finding_codes}"
+            for name, r in reports.items()
+            if r.certified != (name == "base")
+        ],
+    }

@@ -23,10 +23,10 @@ Subcommands:
 - ``serve`` -- the self-healing policy-serving runtime
   (:mod:`repro.serve`): bootstrap from an artifact directory, then
   either answer decisions over a JSON-lines TCP endpoint (``--port``)
-  or drive the deterministic virtual-time soak loop (default; the CI
-  chaos job runs it with ``--chaos``). Exits 0 when the run ends on
-  the fresh rung, :data:`EXIT_SERVING_DEGRADED` when it ends stale or
-  on the heuristic.
+  or drive the deterministic virtual-time soak loop (default; the
+  ``chaos`` campaign of :mod:`repro.robust.campaign` soaks it under
+  injected faults). Exits 0 when the run ends on the fresh rung,
+  :data:`EXIT_SERVING_DEGRADED` when it ends stale or on the heuristic.
 
 All model subcommands default to the paper's Section-V system;
 ``--rate``, ``--capacity``, and ``--weight`` adjust it. Every
@@ -550,36 +550,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ArtifactStore, ServingRuntime
     from repro.serve.supervisor import CircuitBreaker, RetryPolicy
 
-    model = _build_model(args)
-    store = ArtifactStore(args.artifact_dir)
-    solve = None
-    plan = None
-    attempt_timeout = args.attempt_timeout
-    if args.chaos:
-        from repro.serve.chaos import ChaosPlan, ChaosSolver
-
-        solve = ChaosSolver(
-            model,
-            args.weight,
-            probabilities={"crash": 0.25, "hang": 0.05, "nan": 0.15},
-            seed=args.chaos_seed,
-            solver="policy_iteration",
-            backend=args.backend,
-            hang_sleep=0.15,
-        )
-        plan = ChaosPlan(
-            model.requestor.rate,
-            seed=args.chaos_seed,
-            storm_period=max(args.duration / 8.0, 1.0),
-            corrupt_probability=0.01,
-            reload_probability=0.02,
-        )
-        if attempt_timeout is None:
-            attempt_timeout = 0.05
     runtime = ServingRuntime(
-        model,
+        _build_model(args),
         args.weight,
-        store,
+        ArtifactStore(args.artifact_dir),
         backend=args.backend,
         drift_threshold=args.drift_threshold,
         drift_consecutive=args.drift_consecutive,
@@ -587,8 +561,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         breaker=CircuitBreaker(
             failure_threshold=args.breaker_threshold, reset_timeout=0.1
         ),
-        attempt_timeout=attempt_timeout,
-        solve=solve,
+        attempt_timeout=args.attempt_timeout,
     )
     rung = runtime.bootstrap(initial_solve=not args.no_initial_solve)
     print(
@@ -615,22 +588,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_run())
     else:
         report = runtime.soak(
-            args.duration, seed=args.seed, chaos=plan,
-            adapt_every=args.adapt_every,
+            args.duration, seed=args.seed, adapt_every=args.adapt_every
         )
-        doc = report.to_dict()
-        if plan is not None:
-            doc["chaos"] = {
-                "seed": args.chaos_seed,
-                "solver_outcomes": solve.outcomes,
-                "corruptions": plan.corruptions,
-                "reload_attempts": plan.reload_attempts,
-                "reload_rejections": plan.reload_rejections,
-                "reload_successes": plan.reload_successes,
-            }
         if args.json_out:
             with open(args.json_out, "w") as handle:
-                _json.dump(doc, handle, indent=2, sort_keys=True)
+                _json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
             print(f"soak report written to {args.json_out}")
         print(
             f"soak: {report.decisions} decisions over {report.arrivals} "
@@ -924,12 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not solve at bootstrap when no stored "
                             "artifact is admissible (start on the "
                             "heuristic rung)")
-    serve.add_argument("--chaos", action="store_true",
-                       help="seeded fault injection: solver crashes/hangs/"
-                            "NaN results, artifact corruption, drift storm "
-                            "(the CI chaos job)")
-    serve.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed for --chaos fault injection (default: 0)")
     serve.add_argument("--json-out", default=None, metavar="PATH",
                        help="write the soak report as JSON to PATH")
     _add_backend_argument(serve)

@@ -216,11 +216,14 @@ class KroneckerCTMDP:
         )
 
     def index_of(self, state) -> int:
+        """Position of the label *state* in :attr:`states`, looked up as
+        given: a native model's labels are tuples, a lifted model keeps
+        its source's labels (:meth:`from_ctmdp`)."""
         if self._index is None:
             self._index = {s: i for i, s in enumerate(self.states)}
         try:
-            return self._index[tuple(state)]
-        except KeyError:
+            return self._index[state]
+        except (KeyError, TypeError):
             raise InvalidPolicyError(f"unknown state {state!r}") from None
 
     def actions(self, state) -> "Tuple[Hashable, ...]":

@@ -43,6 +43,13 @@ def same_states(a, b) -> bool:
             b, "factor_states", None)
 
 
+def _pair_indexed(mdp) -> bool:
+    """Whether *mdp* is a pair-indexed lowering, such as a CSR build."""
+    from repro.ctmdp.compiled import PairIndexedCTMDP
+
+    return isinstance(mdp, PairIndexedCTMDP)
+
+
 class Policy:
     """A deterministic stationary policy: one action per state.
 
@@ -76,11 +83,19 @@ class Policy:
     def validate(self) -> None:
         """Raise :class:`InvalidPolicyError` unless every chosen action
         is available in its state."""
-        for state, action in zip(self._mdp.states, self._actions):
-            if action not in self._mdp.actions(state):
+        mdp = self._mdp
+        offered = (mdp.actions if _pair_indexed(mdp)  # per-state tuples
+                   else map(mdp.actions, mdp.states))
+        for state, action, available in zip(mdp.states, self._actions, offered):
+            if action not in available:
                 raise InvalidPolicyError(
                     f"action {action!r} is not available in state {state!r}"
                 )
+
+    def _lowered_rows(self) -> "Optional[np.ndarray]":
+        """Pair rows when the model is a pair-indexed lowering (a CSR
+        build stacks its rows and costs), else ``None``."""
+        return self._mdp.selection(self) if _pair_indexed(self._mdp) else None
 
     @property
     def mdp(self) -> CTMDP:
@@ -99,6 +114,10 @@ class Policy:
 
     def generator_matrix(self) -> np.ndarray:
         """Generator of the CTMC induced by this policy."""
+        rows = self._lowered_rows()
+        if rows is not None:
+            g = self._mdp.generator[rows]
+            return g.toarray() if hasattr(g, "toarray") else g
         n = self._mdp.n_states
         g = np.zeros((n, n))
         for i, (state, action) in enumerate(zip(self._mdp.states, self._actions)):
@@ -107,12 +126,19 @@ class Policy:
 
     def cost_vector(self) -> np.ndarray:
         """Effective cost rates under this policy, per state."""
+        rows = self._lowered_rows()
+        if rows is not None:
+            return self._mdp.cost[rows]
         return np.array(
             [self._mdp.cost(s, a) for s, a in zip(self._mdp.states, self._actions)]
         )
 
     def extra_cost_vector(self, name: str) -> np.ndarray:
         """A named auxiliary cost-rate vector under this policy."""
+        rows = self._lowered_rows()
+        if rows is not None:
+            channel = self._mdp.extra.get(name)
+            return np.zeros(len(rows)) if channel is None else channel[rows]
         return np.array(
             [self._mdp.extra_cost(s, a, name)
              for s, a in zip(self._mdp.states, self._actions)]

@@ -264,6 +264,11 @@ class AdaptivePolicySolver:
     ``band_width`` so that small estimation noise does not trigger
     constant re-solving; solved policies are cached per band.
 
+    Each band's policy-iteration solve is seeded with the most recently
+    solved band's converged policy (neighboring rates share most of
+    their optimal assignment). Seeds are advisory; results are
+    unchanged.
+
     Parameters
     ----------
     base_model:
@@ -279,10 +284,6 @@ class AdaptivePolicySolver:
         Passed through to :func:`repro.dpm.optimizer.optimize_weighted`.
     backend:
         Solver backend forwarded to the optimizer (``"auto"`` default).
-    warm_start:
-        Seed each band's solve with the most recently solved band's
-        converged policy (neighboring rates share most of their optimal
-        assignment). Seeds are advisory; results are unchanged.
     """
 
     def __init__(
@@ -292,7 +293,6 @@ class AdaptivePolicySolver:
         band_width: float = 0.15,
         solver: str = "policy_iteration",
         backend: str = "auto",
-        warm_start: bool = True,
     ) -> None:
         if not 0 < band_width < 1:
             raise InvalidModelError(f"band_width must be in (0, 1), got {band_width}")
@@ -301,7 +301,6 @@ class AdaptivePolicySolver:
         self._band_width = float(band_width)
         self._solver = solver
         self._backend = backend
-        self._warm_start = bool(warm_start)
         self._last_policy: "Optional[Policy]" = None
         self._cache: Dict[int, OptimizationResult] = {}
         self.n_solves = 0
@@ -332,7 +331,7 @@ class AdaptivePolicySolver:
         if band not in self._cache:
             seed = (
                 self._last_policy
-                if self._warm_start and self._solver == "policy_iteration"
+                if self._solver == "policy_iteration"
                 else None
             )
             result = solve_rated(

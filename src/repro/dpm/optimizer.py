@@ -275,7 +275,6 @@ def sweep_weights(
     n_jobs: Optional[int] = None,
     checkpoint=None,
     backend: str = "auto",
-    warm_start: bool = True,
 ) -> "List[OptimizationResult]":
     """Solve for every weight in *weights* (the Figure-4 tradeoff curve).
 
@@ -288,12 +287,12 @@ def sweep_weights(
     to an uninterrupted sweep.
 
     Serial policy-iteration sweeps (``n_jobs`` absent or 1) chain warm
-    starts by default: each weight's solve is seeded with the previous
-    weight's converged policy (``warm_start=False`` restores cold
-    starts). Policy iteration reaches the same fixed point either way
-    -- the equivalence suite asserts bit-identical results -- the seed
-    only cuts the improvement rounds. Process-pool sweeps stay cold:
-    workers cannot see each other's results.
+    starts: each weight's solve is seeded with the previous weight's
+    converged policy. Policy iteration reaches the same fixed point
+    either way -- the equivalence suite asserts bit-identical results
+    against per-weight cold solves -- the seed only cuts the
+    improvement rounds. Process-pool sweeps stay cold: workers cannot
+    see each other's results.
     """
     # Imported lazily: repro.sim pulls in repro.policies, which imports
     # back into repro.dpm during package initialization.
@@ -306,9 +305,7 @@ def sweep_weights(
             f"representation; backend {backend!r} cannot be combined with "
             "a checkpoint"
         )
-    chain = (
-        warm_start and solver == "policy_iteration" and n_jobs in (None, 1)
-    )
+    chain = solver == "policy_iteration" and n_jobs in (None, 1)
     if checkpoint is None:
         if chain:
             return _warm_chain(model, weights, solver, backend)
@@ -374,7 +371,6 @@ def find_weight_for_constraint(
     max_bisections: int = 60,
     solver: str = "policy_iteration",
     backend: str = "auto",
-    warm_start: bool = True,
 ) -> OptimizationResult:
     """The paper's Figure-3 loop: tune ``w`` until the constraint holds.
 
@@ -383,6 +379,12 @@ def find_weight_for_constraint(
     whose optimal policy satisfies ``avg queue length <= D_M``; smaller
     weights mean lower power, so this is the best deterministic policy
     along the tradeoff curve.
+
+    Each policy-iteration solve is seeded with the converged policy of
+    the nearest previously solved weight. The optimum is piecewise
+    constant in ``w`` and bisection shrinks the interval geometrically,
+    so late midpoints almost always start at their own fixed point; the
+    seed changes no weight the bisection visits and no result.
 
     Parameters
     ----------
@@ -397,14 +399,6 @@ def find_weight_for_constraint(
         Bisection interval width (in weight units) at which to stop.
     max_bisections:
         Safety bound on iterations.
-    warm_start:
-        Seed each bisection solve with the converged policy of the
-        nearest previously solved weight (default). The optimum is
-        piecewise constant in ``w`` and bisection shrinks the interval
-        geometrically, so late midpoints almost always start at their
-        own fixed point. ``warm_start=False`` restores cold solves;
-        either way the bisection visits the same weights and returns
-        the same result.
 
     Raises
     ------
@@ -416,7 +410,7 @@ def find_weight_for_constraint(
 
     def solve(w: float) -> OptimizationResult:
         seed = None
-        if warm_start and solver == "policy_iteration" and solved:
+        if solver == "policy_iteration" and solved:
             seed = min(solved, key=lambda item: abs(item[0] - w))[1]
         result = optimize_weighted(
             model, w, solver=solver, backend=backend, initial_policy=seed

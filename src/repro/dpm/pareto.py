@@ -73,7 +73,6 @@ def deterministic_frontier(
     max_points: int = 200,
     checkpoint=None,
     backend: str = "auto",
-    warm_start: bool = True,
 ) -> "List[FrontierPoint]":
     """All deterministic Pareto points reachable by weighted optimization.
 
@@ -82,6 +81,12 @@ def deterministic_frontier(
     the endpoints agree or the interval is narrower than
     *weight_tolerance* (the remaining gap cannot hide a point whose
     weight interval is wider than that).
+
+    Each policy-iteration solve is seeded with the converged policy of
+    the nearest previously solved weight: most bisection solves start
+    inside their own optimality interval and converge in one round, and
+    the frontier -- points, policies, metrics -- is the one cold solves
+    give (the warm-sweep suite asserts it bit for bit).
 
     Parameters
     ----------
@@ -108,15 +113,6 @@ def deterministic_frontier(
         killed sweep replays cached solves exactly, so the bisection
         revisits the same weights and the final frontier is
         bit-identical to an uninterrupted run.
-    warm_start:
-        Seed each bisection solve with the converged policy of the
-        nearest previously solved weight (default;
-        ``solver="policy_iteration"`` only). The bisection explores
-        ever-narrower intervals, so most solves start inside their own
-        optimality interval and converge in one round. Policy iteration
-        reaches the same fixed point from any start, so the frontier --
-        points, policies, metrics -- is identical with or without
-        seeding (the warm-sweep suite asserts it bit-for-bit).
 
     Returns
     -------
@@ -142,7 +138,7 @@ def deterministic_frontier(
             result = deserialize_result(model, checkpoint.get(ckpt_key))
         else:
             seed = None
-            if warm_start and solver == "policy_iteration" and solved:
+            if solver == "policy_iteration" and solved:
                 seed = min(solved, key=lambda item: abs(item[0] - weight))[1]
             result = optimize_weighted(
                 model, weight, solver=solver, backend=backend,

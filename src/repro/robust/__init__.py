@@ -4,7 +4,7 @@ The reproduction's workflow is a long chain of fragile numerics -- build
 the joint SYS generator, solve the average-cost system, sweep weights
 and replications -- and production use cannot afford a bare traceback
 at the first singular matrix or crashed pool worker. This package
-hardens the stack in three independent pieces:
+hardens the stack in independent pieces:
 
 - :mod:`repro.robust.guardrails` -- numerical guardrails for the dense
   linear solves at the heart of policy evaluation: finite/residual
@@ -23,9 +23,12 @@ hardens the stack in three independent pieces:
   model-construction entry point routes through, producing a
   structured :class:`~repro.robust.admission.AdmissionReport`.
 - :mod:`repro.robust.fuzz` -- the seeded adversarial-model fuzzer that
-  drives degenerate models through admission, both solver backends and
+  drives degenerate models through admission, every solver tier and
   the simulator, asserting the "typed error or correct answer"
   invariant end to end.
+- :mod:`repro.robust.campaign` -- the one seed rule, runner, reproducer
+  format and entry point of the seeded campaigns: the fuzzer, the
+  certification corpus and the serving chaos soak.
 
 The recovery ladder itself (per-chunk timeouts, crashed-worker
 detection, bounded deterministic retry, graceful degradation to serial

@@ -12,9 +12,11 @@ be reused verbatim. :class:`Checkpoint` makes that reuse safe:
   :class:`~repro.errors.CheckpointError` instead of silently mixing
   incompatible partial results.
 - **Atomic saves.** State is written to a temporary file in the same
-  directory and ``os.replace``d into place, so a crash mid-write leaves
-  either the previous checkpoint or the new one -- never a torn file.
-  A SIGKILL at any instant is therefore recoverable.
+  directory, fsynced and ``os.replace``d into place
+  (:func:`atomic_write`, which the serving runtime's artifact store
+  uses too), so a crash mid-write leaves either the previous checkpoint
+  or the new one -- never a torn file. A SIGKILL at any instant is
+  therefore recoverable.
 - **Exact floats.** State is JSON with Python's shortest-round-trip
   float repr, so a resumed run reconstructs cached sub-results
   *bit-identically*: the surrounding deterministic driver then produces
@@ -43,13 +45,52 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from repro.errors import CheckpointError
 
 PathLike = Union[str, Path]
 
 FORMAT_VERSION = 1
+
+
+def atomic_write(path: Path, data: bytes,
+                 crash_hook: "Optional[Callable[[str], None]]" = None) -> None:
+    """Replace *path* with *data* so that a crash at any instant leaves
+    the old file or the new one: a temp file beside it is fsynced and
+    ``os.replace``d into place, then the directory is fsynced (best
+    effort). An ``Exception`` or ``KeyboardInterrupt`` removes the temp
+    file; any other ``BaseException`` from the test hook *crash_hook*
+    (called at ``"after-write"``, ``"after-fsync"`` and
+    ``"after-replace"``) leaves it, as a SIGKILL would."""
+    hook = crash_hook or (lambda point: None)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            hook("after-write")
+            os.fsync(handle.fileno())
+        hook("after-fsync")
+        os.replace(tmp_name, path)
+        hook("after-replace")
+    except (Exception, KeyboardInterrupt):
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    try:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
 
 
 def canonical_json(payload: Any) -> str:
@@ -168,24 +209,8 @@ class Checkpoint:
             "config": self.config,
             "completed": self._completed,
         }
-        directory = self.path.parent
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=directory, prefix=self.path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(document, indent=1, sort_keys=True) + "\n"
+        atomic_write(self.path, text.encode("utf-8"))
         self._unsaved = 0
 
 

@@ -16,37 +16,33 @@ wrong answer, never a hang.* Each generated model is pushed through
    converge in bounded time),
 4. the event-driven simulator executing the solved policy,
 
-under the PR-4 wall-clock budget machinery, collecting any invariant
-violation into a machine-readable record. The corpus is seeded and
-cycles through adversarial kinds: zero/near-zero rates, extreme
+under the solvers' wall-clock budgets, collecting any invariant
+violation into a machine-readable record. The cases are seeded and
+cycle through adversarial kinds: zero/near-zero rates, extreme
 magnitudes (tiny, huge, stiffness up to 1e12), capacity-1 and
 unconstrained (action-validity-violating) systems, near-duplicate
 actions, disconnected and absorbing raw chains, NaN costs, and
 perturbations of the paper's own preset.
 
-Every case is reconstructible from its JSON ``spec`` alone, so failing
-specs dumped by ``--reproducer-dir`` replay exactly::
+Every case is reconstructible from its JSON ``spec`` alone. The
+``fuzz`` campaign of :mod:`repro.robust.campaign` runs :func:`case`
+over a seed range and writes a reproducer for every violation::
 
-    python -m repro.robust.fuzz --count 200 --base-seed 0
-    python -m repro.robust.fuzz --seed-from-run-id "$GITHUB_RUN_ID" \\
-        --reproducer-dir fuzz-failures/
+    python -m repro.robust.campaign fuzz --count 200
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.robust.admission import admit_model
 
-#: Adversarial generation kinds, cycled deterministically over the
-#: corpus indices.
+#: Adversarial generation kinds; the case at seed ``s`` is of kind
+#: ``KINDS[s % len(KINDS)]``.
 KINDS = (
     "baseline",
     "tiny_rates",
@@ -65,6 +61,11 @@ KINDS = (
 #: Value iteration only runs when the admission diagnostics bound its
 #: sweep count: iterations scale with the stiffness ratio.
 VI_STIFFNESS_LIMIT = 1e4
+
+#: Wall-clock budget of each solver run in a case, and the requests the
+#: simulator serves with the solved policy.
+TIME_BUDGET_S = 10.0
+N_REQUESTS = 150
 
 
 def unconstrained_system(provider, requestor, capacity: int):
@@ -272,11 +273,7 @@ def _finite(x) -> bool:
     return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
 
 
-def run_case(
-    spec: "Dict[str, Any]",
-    time_budget_s: float = 10.0,
-    n_requests: int = 150,
-) -> "Dict[str, Any]":
+def run_case(spec: "Dict[str, Any]") -> "Dict[str, Any]":
     """Push one spec through admission -> PI/VI -> simulator.
 
     Returns a record with ``outcome`` (``solved`` / ``repaired`` /
@@ -324,7 +321,7 @@ def run_case(
 
         try:
             res = policy_iteration(
-                mdp, max_iterations=500, time_budget_s=time_budget_s
+                mdp, max_iterations=500, time_budget_s=TIME_BUDGET_S
             )
         except ReproError as exc:
             out["outcome"] = f"typed-error:{type(exc).__name__}"
@@ -344,7 +341,7 @@ def run_case(
         try:
             ref = policy_iteration(
                 mdp, max_iterations=500, backend="reference",
-                time_budget_s=time_budget_s,
+                time_budget_s=TIME_BUDGET_S,
             )
         except ReproError as exc:
             violate(f"reference backend diverged into {type(exc).__name__}: {exc}")
@@ -368,7 +365,7 @@ def run_case(
         try:
             sps = policy_iteration(
                 mdp, max_iterations=500, backend="sparse",
-                time_budget_s=time_budget_s,
+                time_budget_s=TIME_BUDGET_S,
             )
         except ReproError as exc:
             out["sparse"] = f"typed-error:{type(exc).__name__}"
@@ -400,7 +397,7 @@ def run_case(
             kmdp = KroneckerCTMDP.from_ctmdp(mdp)
             try:
                 kr = policy_iteration(
-                    kmdp, max_iterations=500, time_budget_s=time_budget_s
+                    kmdp, max_iterations=500, time_budget_s=TIME_BUDGET_S
                 )
             except ReproError as exc:
                 out["kron"] = f"typed-error:{type(exc).__name__}"
@@ -427,7 +424,7 @@ def run_case(
             try:
                 vi = relative_value_iteration(
                     mdp, span_tolerance=1e-8, max_iterations=200_000,
-                    time_budget_s=time_budget_s,
+                    time_budget_s=TIME_BUDGET_S,
                 )
             except ReproError:
                 pass  # a typed budget/convergence error is a valid outcome
@@ -456,7 +453,7 @@ def run_case(
                     capacity=model.capacity,
                     workload=PoissonProcess(model.requestor.rate),
                     policy=OptimalCTMDPPolicy(res.policy, model.capacity),
-                    n_requests=n_requests,
+                    n_requests=N_REQUESTS,
                     seed=int(spec.get("seed", 0)),
                 )
             except ReproError as exc:
@@ -476,82 +473,12 @@ def run_case(
     return out
 
 
-def run_corpus(
-    count: int = 200,
-    base_seed: int = 0,
-    time_budget_s: float = 10.0,
-    reproducer_dir: Optional[str] = None,
-    n_requests: int = 150,
-) -> "Dict[str, Any]":
-    """Run *count* seeded cases; return the aggregate summary."""
-    outcomes: Dict[str, int] = {}
-    failures: List[Dict[str, Any]] = []
-    for i in range(count):
-        kind = KINDS[i % len(KINDS)]
-        seed = base_seed + i
-        spec = generate_spec(kind, seed)
-        result = run_case(spec, time_budget_s=time_budget_s,
-                          n_requests=n_requests)
-        outcomes[result["outcome"]] = outcomes.get(result["outcome"], 0) + 1
-        if result["violations"]:
-            failures.append({"spec": spec, "result": result})
-            if reproducer_dir is not None:
-                import os
+def case(seed: int) -> "Dict[str, Any]":
+    """The campaign case at *seed* (:mod:`repro.robust.campaign`): the
+    spec of kind ``KINDS[seed % len(KINDS)]`` through :func:`run_case`.
 
-                os.makedirs(reproducer_dir, exist_ok=True)
-                path = os.path.join(
-                    reproducer_dir, f"fuzz-{kind}-{seed}.json"
-                )
-                with open(path, "w") as fh:
-                    json.dump({"spec": spec, "result": result}, fh, indent=2)
-    return {
-        "count": count,
-        "base_seed": base_seed,
-        "outcomes": outcomes,
-        "n_failures": len(failures),
-        "failures": failures,
-    }
-
-
-def seed_from_run_id(run_id: str) -> int:
-    """Deterministic base seed from a CI run identifier."""
-    return zlib.crc32(str(run_id).encode()) & 0x7FFFFFFF
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.robust.fuzz",
-        description="Seeded adversarial-model fuzzing of the DPM pipeline.",
-    )
-    parser.add_argument("--count", type=int, default=200)
-    parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument(
-        "--seed-from-run-id", default=None, metavar="RUN_ID",
-        help="derive --base-seed from a CI run id (nightly variation)",
-    )
-    parser.add_argument("--reproducer-dir", default=None)
-    parser.add_argument(
-        "--time-budget", type=float, default=10.0,
-        help="per-solver wall-clock budget per case (seconds)",
-    )
-    parser.add_argument("--n-requests", type=int, default=150)
-    args = parser.parse_args(argv)
-    base_seed = args.base_seed
-    if args.seed_from_run_id is not None:
-        base_seed = seed_from_run_id(args.seed_from_run_id)
-    summary = run_corpus(
-        count=args.count, base_seed=base_seed,
-        time_budget_s=args.time_budget,
-        reproducer_dir=args.reproducer_dir,
-        n_requests=args.n_requests,
-    )
-    print(json.dumps(
-        {k: v for k, v in summary.items() if k != "failures"}, indent=2
-    ))
-    for failure in summary["failures"]:
-        print("VIOLATION:", json.dumps(failure["result"]), file=sys.stderr)
-    return 1 if summary["n_failures"] else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
-    raise SystemExit(main())
+    The record carries the spec, so a reproducer alone rebuilds the
+    model.
+    """
+    spec = generate_spec(KINDS[seed % len(KINDS)], seed)
+    return {"spec": spec, **run_case(spec)}

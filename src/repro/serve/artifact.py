@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -52,6 +50,7 @@ from repro.errors import (
 )
 from repro.obs.runtime import active as obs_active
 from repro.robust.checkpoint import (
+    atomic_write,
     canonical_checksum,
     canonical_json as _canonical_json,
     document_checksum,
@@ -507,45 +506,12 @@ class ArtifactStore:
         return removed
 
     def _write(self, path: Path, document: "Dict[str, Any]") -> None:
-        """Atomically replace *path* with *document* as canonical JSON.
-
-        The whole file is serialized first -- a document json cannot
-        encode fails before any temp file exists -- and written in one
-        call: the compact canonical form (the checksum's own encoding)
-        runs json's C encoder, where ``indent`` would fall back to the
-        pure-Python one. Then: fsync the temp file, ``os.replace`` it
-        into place, fsync the directory (best effort). Any ``Exception``
-        on the way removes the temp file; :class:`SimulatedCrash` does
-        not, because a SIGKILL would not.
-        """
+        """Atomically replace *path* with *document* as canonical JSON,
+        serialized whole first: a document json cannot encode fails
+        before any temp file exists, and the compact form runs json's C
+        encoder (``indent`` would fall back to the pure-Python one)."""
         data = (_canonical_json(document) + "\n").encode("utf-8")
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                self._maybe_crash("after-write")
-                os.fsync(handle.fileno())
-            self._maybe_crash("after-fsync")
-            os.replace(tmp_name, path)
-            self._maybe_crash("after-replace")
-        except Exception:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        try:
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
+        atomic_write(path, data, crash_hook=self._maybe_crash)
 
     def save(self, artifact: PolicyArtifact) -> None:
         """Atomically persist *artifact* as the current policy."""

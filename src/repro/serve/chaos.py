@@ -4,7 +4,7 @@ The chaos harness drives :mod:`repro.serve` through every failure the
 design claims to survive -- solver crashes, hangs, NaN policies,
 artifact corruption, drift storms -- deterministically (every choice
 flows from an explicit seed), so a CI failure replays locally from the
-seed alone. Two pieces:
+seed alone. Three pieces:
 
 - :class:`ChaosSolver` -- an injectable solve callable for the
   supervisor whose outcome per call is scripted or seeded: ``"ok"``
@@ -16,6 +16,10 @@ seed alone. Two pieces:
   drift storm over the true arrival rate, plus seeded on-disk artifact
   corruption and reload probes that assert corrupt files are rejected
   with typed errors while serving continues.
+- :func:`case` -- one seeded soak of the paper's system under both,
+  the ``chaos`` campaign of :mod:`repro.robust.campaign`::
+
+      python -m repro.robust.campaign chaos --count 3 --duration 20000
 """
 
 from __future__ import annotations
@@ -23,14 +27,17 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tempfile
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.dpm.adaptive import solve_rated
-from repro.dpm.analysis import AnalyticMetrics
+from repro.dpm.presets import paper_system
 from repro.dpm.system import PowerManagedSystemModel
 from repro.errors import ArtifactError, SolverError
-from repro.serve.artifact import validate_artifact
+from repro.serve.artifact import ArtifactStore, validate_artifact
+from repro.serve.server import ServingRuntime
+from repro.serve.supervisor import CircuitBreaker, RetryPolicy
 
 #: Outcomes a :class:`ChaosSolver` knows how to inject.
 OUTCOMES = ("ok", "crash", "hang", "nan")
@@ -41,9 +48,9 @@ class ChaosSolver:
 
     Parameters
     ----------
-    base_model, weight, solver, backend:
-        The real solve pipeline used for ``"ok"`` (and ``"nan"``)
-        outcomes, via :func:`repro.dpm.adaptive.solve_rated`.
+    base_model, weight:
+        The real solve used for ``"ok"`` (and ``"nan"``) outcomes, via
+        :func:`repro.dpm.adaptive.solve_rated`.
     script:
         Explicit outcome sequence consumed call by call; after it is
         exhausted every call is ``"ok"``. Mutually exclusive with
@@ -67,8 +74,6 @@ class ChaosSolver:
         script: "Optional[Sequence[str]]" = None,
         probabilities: "Optional[Dict[str, float]]" = None,
         seed: "Optional[int]" = None,
-        solver: str = "policy_iteration",
-        backend: str = "auto",
         hang_sleep: float = 0.2,
     ) -> None:
         if script is not None and probabilities is not None:
@@ -80,8 +85,6 @@ class ChaosSolver:
                 raise ValueError(f"unknown chaos outcome {outcome!r}")
         self.base_model = base_model
         self.weight = float(weight)
-        self.solver = solver
-        self.backend = backend
         self.hang_sleep = float(hang_sleep)
         self._script: "List[str]" = list(script or [])
         self._probabilities = dict(probabilities or {})
@@ -114,23 +117,11 @@ class ChaosSolver:
                 diagnostics={"reason": "chaos-hang"},
             )
         result = solve_rated(
-            self.base_model,
-            rate,
-            self.weight,
-            solver=self.solver,
-            backend=self.backend,
-            initial_policy=initial_policy,
+            self.base_model, rate, self.weight, initial_policy=initial_policy
         )
         if outcome == "nan":
-            poisoned = AnalyticMetrics(
-                average_power=math.nan,
-                average_queue_length=result.metrics.average_queue_length,
-                loss_rate=result.metrics.loss_rate,
-                accepted_rate=result.metrics.accepted_rate,
-                average_waiting_time=result.metrics.average_waiting_time,
-                paper_waiting_time_approximation=(
-                    result.metrics.paper_waiting_time_approximation
-                ),
+            poisoned = dataclasses.replace(
+                result.metrics, average_power=math.nan
             )
             return dataclasses.replace(result, metrics=poisoned)
         return result
@@ -141,7 +132,7 @@ class ChaosPlan:
 
     The true arrival rate is piecewise constant: segment ``i`` of
     length *storm_period* runs at ``base_rate * factor_i`` with factors
-    drawn from ``[factor_low, factor_high]`` by a dedicated seeded RNG
+    drawn from :attr:`FACTORS` ``= (low, high)`` by a dedicated seeded RNG
     (log-uniform, so up- and down-drifts are symmetric). That is the
     drift storm: it moves the estimator, the estimator moves the
     detector, and the detector forces re-solves against whatever the
@@ -156,13 +147,13 @@ class ChaosPlan:
     fails the harness.
     """
 
+    FACTORS = (0.4, 2.5)
+
     def __init__(
         self,
         base_rate: float,
         seed: int = 0,
         storm_period: float = 10.0,
-        factor_low: float = 0.4,
-        factor_high: float = 2.5,
         corrupt_probability: float = 0.0,
         reload_probability: float = 0.0,
     ) -> None:
@@ -172,15 +163,9 @@ class ChaosPlan:
             raise ValueError(
                 f"storm_period must be positive, got {storm_period}"
             )
-        if not 0 < factor_low <= factor_high:
-            raise ValueError(
-                f"need 0 < factor_low <= factor_high, got "
-                f"({factor_low}, {factor_high})"
-            )
         self.base_rate = float(base_rate)
         self.storm_period = float(storm_period)
-        self._log_low = math.log(factor_low)
-        self._log_high = math.log(factor_high)
+        self._log_low, self._log_high = map(math.log, self.FACTORS)
         self._factor_rng = random.Random(seed ^ 0x5EED)
         self._factors: "List[float]" = []
         self.corrupt_probability = float(corrupt_probability)
@@ -237,14 +222,15 @@ class ChaosPlan:
 
         Only a typed :class:`ArtifactError` (or a clean admit) is
         acceptable; serving state is only touched on a clean admit.
+        Before the first save (a bootstrap on the heuristic rung) there
+        is nothing to probe, and no attempt is counted.
         """
+        if not runtime.store.path.exists():
+            return
         self.reload_attempts += 1
         try:
-            stored = runtime.store.load()
-            if stored is None:
-                return
             validate_artifact(
-                stored,
+                runtime.store.load(),
                 runtime.base_model,
                 level=runtime.supervisor.admission_level,
             )
@@ -252,3 +238,47 @@ class ChaosPlan:
             self.reload_rejections += 1
             return
         self.reload_successes += 1
+
+
+def case(seed: int, duration: float = 20000.0) -> "Dict[str, Any]":
+    """The campaign case at *seed* (:mod:`repro.robust.campaign`): a
+    *duration*-second soak of the paper's system (Q = 5, lambda = 1/6,
+    w = 1) under a :class:`ChaosSolver` and a :class:`ChaosPlan`, all
+    drawn from *seed*.
+
+    Violations: a decision that contradicts its admitted artifact, no
+    decision at all, or a reload probe that ended neither in a typed
+    rejection nor in a clean admit. Ending degraded is an outcome.
+    """
+    model = paper_system(arrival_rate=1 / 6, capacity=5)
+    solve = ChaosSolver(
+        model, 1.0, probabilities={"crash": 0.25, "hang": 0.05, "nan": 0.15},
+        seed=seed, hang_sleep=0.15,
+    )
+    plan = ChaosPlan(
+        model.requestor.rate, seed=seed, storm_period=max(duration / 8, 1.0),
+        corrupt_probability=0.01, reload_probability=0.02,
+    )
+    with tempfile.TemporaryDirectory(prefix="chaos-store-") as store:
+        runtime = ServingRuntime(
+            model, 1.0, ArtifactStore(store), solve=solve, attempt_timeout=0.05,
+            retry=RetryPolicy(attempts=3, base_delay=0.01),
+            breaker=CircuitBreaker(failure_threshold=3, reset_timeout=0.1),
+        )
+        runtime.bootstrap()
+        report = runtime.soak(duration, seed=seed, chaos=plan)
+    soak = report.to_dict()
+    soak["chaos"] = {"solver_outcomes": solve.outcomes, **{
+        name: getattr(plan, name) for name in (
+            "corruptions", "reload_attempts", "reload_rejections",
+            "reload_successes")}}
+    probed = plan.reload_rejections + plan.reload_successes
+    checks = [
+        (report.selfcheck_violations, f"{report.selfcheck_violations} "
+         "decision(s) inconsistent with the admitted artifact"),
+        (report.decisions == 0, "no decision was served"),
+        (plan.reload_attempts != probed, f"{plan.reload_attempts} reload "
+         f"probes but {probed} ended typed or clean"),
+    ]
+    return {"outcome": report.final_status["health"], "soak": soak,
+            "violations": [message for failed, message in checks if failed]}

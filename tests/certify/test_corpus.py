@@ -11,10 +11,11 @@ from repro.certify import (
     build_corpus,
     certify_result,
 )
-from repro.certify.corpus import main as corpus_main
+from repro.certify.corpus import case as corpus_case
 from repro.dpm.optimizer import optimize_weighted
 from repro.dpm.presets import paper_system
 from repro.errors import CertificationError
+from repro.robust import campaign
 
 
 @pytest.fixture(scope="module")
@@ -89,20 +90,16 @@ class TestCorpusConstruction:
             assert member.weight == 0.5
 
 
-class TestCorpusMain:
-    def test_ci_entry_point_writes_certificates(self, tmp_path, capsys):
-        code = corpus_main(["--seed", "0", "--out", str(tmp_path)])
+class TestCorpusCase:
+    def test_campaign_entry_point_reports_every_verdict(self, tmp_path, capsys):
+        code = campaign.main(["certify", "--out", str(tmp_path)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "base certified" in out
-        written = sorted(p.name for p in tmp_path.glob("*.cert.json"))
-        assert written == sorted(
-            f"seed0-{name}.cert.json"
-            for name in ("base",) + CORRUPTION_KINDS
+        out = json.loads(capsys.readouterr().out)
+        assert out["outcomes"] == {"certified": 1}  # the base certified
+        assert not list(tmp_path.iterdir())  # no violation, no reproducer
+        record = corpus_case(0)
+        assert sorted(record["verdicts"]) == sorted(
+            ("base",) + CORRUPTION_KINDS
         )
-        base_doc = json.loads((tmp_path / "seed0-base.cert.json").read_text())
-        assert base_doc["verdict"] == "certified"
-        flip_doc = json.loads(
-            (tmp_path / "seed0-action-flip.cert.json").read_text()
-        )
-        assert flip_doc["verdict"] == "failed"
+        assert record["verdicts"]["base"] == "certified"
+        assert record["verdicts"]["action-flip"] == "failed"

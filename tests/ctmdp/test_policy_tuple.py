@@ -187,3 +187,70 @@ class TestLabelsPastLimit:
             payload = err.value.diagnostics["policy"]
             assert len(payload) == 200
             assert payload[0] == [repr(mdp.states[0]), repr(mdp.actions(mdp.states[0])[0])]
+
+
+class TestKronLabelLookup:
+    """A lift keeps its source's labels; a native model's are tuples."""
+
+    def test_lift_of_a_sys_build_looks_labels_up_as_given(self, mdp):
+        lift = KroneckerCTMDP.from_ctmdp(mdp)
+        optimum = policy_iteration(mdp).policy
+        for i, state in enumerate(mdp.states):
+            assert lift.index_of(state) == i
+            assert list(lift.actions(state)) == mdp.actions(state)
+        policy = Policy(lift, optimum.as_dict())
+        assert policy.actions == optimum.actions
+        assert policy.action(mdp.states[7]) == optimum.action(mdp.states[7])
+
+    def test_native_model_takes_tuple_labels(self):
+        farm = kron_farm_model(3, 3)
+        for i in (0, 5, farm.n_states - 1):
+            assert farm.index_of(farm.states[i]) == i
+        state = farm.states[5]
+        assert isinstance(state, tuple)
+        assert farm.actions(state)
+
+    @pytest.mark.parametrize("label", ["nope", [0, 0, 0], (9, 9, 9)])
+    def test_unknown_label_is_typed(self, label):
+        with pytest.raises(InvalidPolicyError, match="unknown state"):
+            kron_farm_model(3, 3).index_of(label)
+
+
+class TestPolicyOnCsrBuild:
+    """A policy bound to ``build_ctmdp(w, backend="sparse")`` validates
+    and exposes the same arrays as one on the dict build."""
+
+    @pytest.fixture(scope="class")
+    def builds(self):
+        model = paper_system(capacity=5)
+        dict_mdp = model.build_ctmdp(1.0)
+        csr_mdp = model.build_ctmdp(1.0, backend="sparse")
+        mapping = policy_iteration(dict_mdp).policy.as_dict()
+        return Policy(dict_mdp, mapping), Policy(csr_mdp, mapping)
+
+    def test_arrays_match_the_dict_build(self, builds):
+        on_dict, on_csr = builds
+        on_csr.validate()
+        g_dict, g_csr = on_dict.generator_matrix(), on_csr.generator_matrix()
+        off = ~np.eye(len(g_dict), dtype=bool)
+        np.testing.assert_array_equal(g_csr[off], g_dict[off])
+        np.testing.assert_allclose(np.diag(g_csr), np.diag(g_dict),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(on_csr.cost_vector(),
+                                      on_dict.cost_vector())
+        for name in ("power", "queue_length", "loss", "absent"):
+            np.testing.assert_array_equal(
+                on_csr.extra_cost_vector(name),
+                on_dict.extra_cost_vector(name))
+
+    def test_invalid_action_names_the_state(self, builds):
+        messages = []
+        for policy in builds:
+            mapping = policy.as_dict()
+            state = policy.mdp.states[4]
+            mapping[state] = "warp"
+            with pytest.raises(InvalidPolicyError) as err:
+                Policy(policy.mdp, mapping)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert repr(builds[0].mdp.states[4]) in messages[0]

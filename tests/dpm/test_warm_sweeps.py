@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.dpm.optimizer as optimizer_module
+import repro.dpm.pareto as pareto_module
 from repro.ctmdp.policy import Policy
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.dpm.optimizer import (
@@ -66,6 +68,11 @@ def _weight_grid(rng: np.random.Generator) -> "list[float]":
     return list(np.linspace(lo, hi, int(rng.integers(5, 9))))
 
 
+def _cold_sweep(model, weights):
+    """The sweep solved weight by weight, each solve unseeded."""
+    return [optimize_weighted(model, w) for w in weights]
+
+
 def _sweep_fingerprint(results):
     return [
         (r.weight, r.policy.as_dict(), r.metrics) for r in results
@@ -79,7 +86,7 @@ class TestWarmSweepProperty:
     def test_warm_sweep_bit_identical_and_no_slower(self, seed):
         model = _random_admitted_model(seed)
         weights = _weight_grid(np.random.default_rng(seed + 1000))
-        cold = sweep_weights(model, weights, warm_start=False)
+        cold = _cold_sweep(model, weights)
         warm = sweep_weights(model, weights)
         assert _sweep_fingerprint(warm) == _sweep_fingerprint(cold)
         # Per-weight iteration counts: the warm chain must never take
@@ -101,7 +108,7 @@ class TestWarmSweepProperty:
     def test_warm_sweep_on_fuzz_models(self, kind, seed):
         model = _fuzz_sys_model(kind, seed)
         weights = _weight_grid(np.random.default_rng(seed))
-        cold = sweep_weights(model, weights, warm_start=False)
+        cold = _cold_sweep(model, weights)
         warm = sweep_weights(model, weights)
         assert _sweep_fingerprint(warm) == _sweep_fingerprint(cold)
 
@@ -145,7 +152,6 @@ class TestWarmSweepProperty:
         # multichain policy whose evaluation system is singular -- a
         # SolverError a cold start never sees. The warm solve must then
         # retry cold, not surface the failure.
-        import repro.dpm.optimizer as optimizer_module
         from repro.errors import SolverError
 
         real = optimizer_module.policy_iteration
@@ -157,7 +163,7 @@ class TestWarmSweepProperty:
 
         monkeypatch.setattr(optimizer_module, "policy_iteration", fragile)
         model = paper_system(capacity=3)
-        cold = sweep_weights(model, [0.0, 1.0, 2.0], warm_start=False)
+        cold = _cold_sweep(model, [0.0, 1.0, 2.0])
         metrics = MetricsRegistry()
         with instrument(metrics=metrics):
             warm = sweep_weights(model, [0.0, 1.0, 2.0])
@@ -166,7 +172,6 @@ class TestWarmSweepProperty:
         assert doc["solver.reuse.warm_start_rejected"]["value"] == 2
 
     def test_cold_solver_failure_still_raises(self, monkeypatch):
-        import repro.dpm.optimizer as optimizer_module
         from repro.errors import SolverError
 
         def always_broken(mdp, initial_policy=None, **kwargs):
@@ -179,23 +184,36 @@ class TestWarmSweepProperty:
             optimize_weighted(paper_system(capacity=2), 1.0)
 
 
+def _unseeded(monkeypatch, module):
+    """Make *module*'s searches solve cold: its ``optimize_weighted``
+    drops every ``initial_policy``."""
+    real = module.optimize_weighted
+
+    def cold(model, weight, initial_policy=None, **kwargs):
+        return real(model, weight, **kwargs)
+
+    monkeypatch.setattr(module, "optimize_weighted", cold)
+
+
 class TestWarmFrontier:
-    def test_frontier_warm_matches_cold(self):
+    def test_frontier_warm_matches_cold(self, monkeypatch):
         model = paper_system(capacity=3)
-        cold = deterministic_frontier(
-            model, max_weight=50.0, weight_tolerance=0.01, warm_start=False
-        )
         warm = deterministic_frontier(
+            model, max_weight=50.0, weight_tolerance=0.01
+        )
+        _unseeded(monkeypatch, pareto_module)
+        cold = deterministic_frontier(
             model, max_weight=50.0, weight_tolerance=0.01
         )
         assert [(p.weight, p.policy, p.metrics) for p in warm] == [
             (p.weight, p.policy, p.metrics) for p in cold
         ]
 
-    def test_constrained_search_warm_matches_cold(self):
+    def test_constrained_search_warm_matches_cold(self, monkeypatch):
         model = paper_system(capacity=3)
-        cold = find_weight_for_constraint(model, 1.5, warm_start=False)
         warm = find_weight_for_constraint(model, 1.5)
+        _unseeded(monkeypatch, optimizer_module)
+        cold = find_weight_for_constraint(model, 1.5)
         assert warm.weight == cold.weight
         assert warm.policy.as_dict() == cold.policy.as_dict()
         assert warm.metrics == cold.metrics

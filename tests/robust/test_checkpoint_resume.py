@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -102,6 +103,40 @@ class TestCheckpointStore:
         ck = Checkpoint(tmp_path / "c.json", CONFIG)
         for k in range(5):
             ck.put(str(k), k)
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_flush_fsyncs_the_file_then_the_directory(self, tmp_path,
+                                                      monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                          else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        ck = Checkpoint(tmp_path / "c.json", CONFIG)
+        ck.put("0.5", {"gain": 0.1})
+        assert synced == ["file", "dir"]
+        expected = {"format": 1, "config_hash": config_hash(CONFIG),
+                    "config": CONFIG, "completed": {"0.5": {"gain": 0.1}}}
+        assert (tmp_path / "c.json").read_text() == (
+            json.dumps(expected, indent=1, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize("error", [OSError("disk full"),
+                                       KeyboardInterrupt()])
+    def test_interrupted_flush_removes_its_temp_file(self, tmp_path,
+                                                     monkeypatch, error):
+        ck = Checkpoint(tmp_path / "c.json", CONFIG)
+        ck.put("a", 1)
+
+        def broken_replace(src, dst):
+            raise error
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(type(error)):
+            ck.put("b", 2)
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 

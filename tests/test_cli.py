@@ -648,25 +648,6 @@ class TestServeCommand:
         assert "'heuristic' rung" in out
         assert "health: degraded" in out
 
-    def test_chaos_soak_survives(self, tmp_path, capsys):
-        report = tmp_path / "soak.json"
-        code = main(
-            [
-                "serve", "--chaos", "--duration", "6000",
-                "--seed", "0", "--chaos-seed", "0",
-                "--artifact-dir", str(tmp_path / "artifacts"),
-                "--json-out", str(report),
-            ]
-        )
-        import json
-
-        doc = json.loads(report.read_text())
-        assert doc["selfcheck_violations"] == 0
-        assert code in (0, 13)  # degraded-but-honest is acceptable
-        assert doc["chaos"]["reload_attempts"] == (
-            doc["chaos"]["reload_rejections"] + doc["chaos"]["reload_successes"]
-        )
-
 
 class TestServeExitCodes:
     def test_artifact_and_request_error_codes(self):
