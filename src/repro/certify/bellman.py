@@ -5,8 +5,8 @@ straight from the raw generator/cost data with one linear solve (no
 policy iteration, no value iteration, no warm starts), then check the
 average-cost optimality equations action by action. At or below the
 solver's dense-tier crossover (256 states) the solve is dense and the
-sweep is one dot product per pair; above it both run on the dict
-model's nonzeros -- one SuperLU factorization and one sparse product
+sweep is one dot product per pair; above it both run on the model's
+CSR rows -- one SuperLU factorization and one sparse product
 (:class:`PolicySystem`, :func:`pair_values`).
 
 The suboptimality bound is a duality argument, not a heuristic. Let
@@ -69,8 +69,9 @@ class PolicySystem:
     (:func:`uses_sparse_arithmetic`) ``G`` is the dense
     ``policy.generator_matrix()`` and every channel is one
     ``numpy.linalg.solve``. Above it, ``G`` is the policy's rows of the
-    dict model's CSR pair table, factored once by SuperLU and shared by
-    every channel -- no O(n^2) array. Either way a singular system (the
+    model's CSR rows (:meth:`~repro.ctmdp.model.CTMDP.pair_table`),
+    factored once by SuperLU and shared by every channel -- no O(n^2)
+    array. Either way a singular system (the
     policy induces a multichain process) raises
     ``numpy.linalg.LinAlgError`` for the engine to turn into a typed
     failure. No solver ladder, warm start or canonical rescaling is
@@ -86,10 +87,10 @@ class PolicySystem:
 
             from repro.ctmdp.sparse import bordered_system
 
-            table = mdp.pair_table()
-            self._weights = table.policy_weights(policy)
-            self._table = table
-            self.generator = (self._weights @ table.generator()).tocsr()
+            rows = mdp.pair_table()
+            self._weights = rows.policy_weights(policy)
+            self._rows = rows
+            self.generator = (self._weights @ rows.generator).tocsr()
             try:
                 self._lu = splu(bordered_system(
                     self.generator, reference_state_index))
@@ -109,9 +110,9 @@ class PolicySystem:
         if not self.sparse:
             return (self.policy.cost_vector() if channel is None
                     else self.policy.extra_cost_vector(channel))
-        table = self._table
-        pair_costs = (table.cost if channel is None
-                      else table.extra.get(channel, np.zeros(table.n_pairs)))
+        rows = self._rows
+        pair_costs = (rows.cost if channel is None
+                      else rows.extra.get(channel, np.zeros(rows.n_pairs)))
         return self._weights @ pair_costs
 
     def solve(self, costs: np.ndarray) -> Evaluation:
@@ -147,11 +148,11 @@ def pair_values(mdp, bias: np.ndarray) -> np.ndarray:
     """``q_i(a) = c_i(a) + sum_j G_ij(a) h_j`` for every pair, in
     ``state_action_pairs()`` order: one sparse product above the
     crossover, one dot product per pair at or below it."""
-    table = mdp.pair_table()
+    rows = mdp.pair_table()
     if uses_sparse_arithmetic(mdp):
-        return table.cost + table.generator() @ bias
-    rows = table.dense()
-    return np.array([c + float(row @ bias) for c, row in zip(table.cost, rows)])
+        return rows.cost + rows.generator @ bias
+    dense = rows.generator.toarray()
+    return np.array([c + float(row @ bias) for c, row in zip(rows.cost, dense)])
 
 
 def suboptimality_gap(
@@ -173,9 +174,9 @@ def _gap(mdp, violation: np.ndarray):
     worst = int(np.argmax(violation)) if len(violation) else 0
     if not len(violation) or not violation[worst] > 0.0:
         return 0.0, None, None
-    table = mdp.pair_table()
-    state = int(table.pair_state[worst])
-    action = table.actions[state][worst - int(table.pair_offset[state])]
+    rows = mdp.pair_table()
+    state = int(rows.pair_state[worst])
+    action = rows.actions[state][worst - int(rows.pair_offset[state])]
     return float(violation[worst]), mdp.states[state], action
 
 
@@ -301,14 +302,14 @@ def _greedy_improvement(
     """
     from repro.ctmdp.policy import Policy
 
-    table = mdp.pair_table()
+    rows = mdp.pair_table()
     # Per state, pairs by q then insertion order: the first is the
     # earliest action of least q.
-    order = np.lexsort((np.arange(table.n_pairs), q, table.pair_state))
-    best = order[table.pair_offset[:-1]] - table.pair_offset[:-1]
+    order = np.lexsort((np.arange(rows.n_pairs), q, rows.pair_state))
+    best = order[rows.pair_offset[:-1]] - rows.pair_offset[:-1]
     assignment = {
         state: actions[col]
-        for state, actions, col in zip(mdp.states, table.actions, best.tolist())
+        for state, actions, col in zip(mdp.states, rows.actions, best.tolist())
     }
     try:
         greedy_gain, _, _ = independent_evaluation(

@@ -16,13 +16,16 @@ Which votes run follows the solver's own tiers
 - At or below the dense-tier crossover, the reference dict-loop path,
   the dense compiled lowering and the CSR path all vote.
 - Above it, ``auto`` never runs the reference or compiled tiers, and
-  each of their votes would allocate an ``n x n`` array. Two CSR votes
-  run instead: the dict model's rows lowered by
-  :meth:`~repro.ctmdp.sparse.SparseCTMDP.from_ctmdp` (``sparse``) and
-  the solve's COO-direct build, ``build_ctmdp(w, backend="sparse")``
-  (``sparse-build``). Both read the SYS assembly, so a deterministic
-  sample of at most :data:`ASSEMBLY_SAMPLE_PAIRS` rows is also checked
-  against the model's per-state methods (``transition_rates``,
+  each of their votes would allocate an ``n x n`` array. Two votes on
+  the model's CSR rows (:meth:`~repro.ctmdp.model.CTMDP.pair_table`)
+  run instead, each solving a different linear system: the sparse
+  tier's bordered evaluation ``c + G h = g 1`` (``sparse``), and the
+  gain ``pi . c`` from the balance equations ``pi G = 0``, ``pi . 1 =
+  1`` (``stationary``,
+  :func:`~repro.ctmdp.sparse.sparse_stationary_distribution`). Both
+  read the one SYS assembly, so a deterministic sample of at most
+  :data:`ASSEMBLY_SAMPLE_PAIRS` rows is also checked against the
+  model's per-state methods (``transition_rates``,
   ``effective_power_rate``, ``delay_cost``), which share no code with
   the vectorized assembly; a mismatch is a typed ``assembly-mismatch``
   finding.
@@ -64,8 +67,8 @@ def check_consensus(
     """Evaluate *policy* on every backend and demand unanimous gains.
 
     *model* is the SYS model *mdp* was built from at *weight*; above
-    the crossover it supplies the COO-direct vote and the per-state
-    oracles of the assembly sample.
+    the crossover it supplies the per-state oracles of the assembly
+    sample.
     """
     if hasattr(policy, "distribution"):
         return CheckResult(
@@ -84,7 +87,7 @@ def check_consensus(
     if at_scale:
         votes = {
             "sparse": tier_vote("sparse"),
-            "sparse-build": lambda: _coo_direct_gain(model, weight, policy),
+            "stationary": lambda: _stationary_gain(mdp, policy),
         }
     else:
         votes = {backend: tier_vote(backend) for backend in CONSENSUS_BACKENDS}
@@ -149,11 +152,12 @@ def check_consensus(
     )
 
 
-def _coo_direct_gain(model, weight: float, policy) -> float:
-    """The policy's gain on the solve's COO-direct build."""
-    smdp = model.build_ctmdp(weight, backend="sparse")
-    gain, _ = smdp.evaluate(smdp.selection(policy), 0)
-    return gain
+def _stationary_gain(mdp, policy) -> float:
+    """The policy's gain ``pi . c``, with ``pi`` solved from the balance
+    equations of its rows in the model's CSR rows."""
+    rows = mdp.pair_table()
+    sel = rows.selection(policy)
+    return float(rows.stationary(sel) @ rows.cost[sel])
 
 
 def assembly_sample(mdp, policy) -> "List[Tuple[Any, Any]]":

@@ -266,14 +266,14 @@ class CompiledCTMDP(PairIndexedCTMDP):
     """
 
     def __init__(self, mdp: CTMDP) -> None:
-        table = mdp.pair_table()
+        rows = mdp.pair_table()
         self.states: Tuple[Hashable, ...] = mdp.states
         self.n_states = mdp.n_states
-        self._index_pairs(table.actions)
-        self.generator = table.dense()
-        self.cost = table.cost.copy()
+        self._index_pairs(rows.actions)
+        self.generator = rows.generator.toarray()
+        self.cost = rows.cost.copy()
         self.extra: Dict[str, np.ndarray] = {}
-        for name, channel in table.extra.items():
+        for name, channel in rows.extra.items():
             channel = channel.copy()
             channel.setflags(write=False)
             self.extra[name] = channel

@@ -157,43 +157,44 @@ def _build_lp(mdp: CTMDP):
     """Assemble shared LP pieces; returns (pairs, costs, A_eq, b_eq).
 
     The balance rows are the transposed generator rows of the model's
-    pair table: a dense array at or below the solver's dense-tier
-    crossover (:func:`~repro.ctmdp.backends.auto_tier`), a CSR matrix
-    above it, which HiGHS takes as is.
+    CSR rows (:meth:`~repro.ctmdp.model.CTMDP.pair_table`): densified at
+    or below the solver's dense-tier crossover
+    (:func:`~repro.ctmdp.backends.auto_tier`), as CSR above it, which
+    HiGHS takes as is.
     """
     from repro.ctmdp.backends import auto_tier
 
     mdp.validate()
-    table = mdp.pair_table()
+    rows = mdp.pair_table()
     n = mdp.n_states
     if auto_tier(n)[0] == "sparse":
         a_eq = sp.vstack(
-            [table.generator().T, sp.csr_array(np.ones((1, table.n_pairs)))],
+            [rows.generator.T, sp.csr_array(np.ones((1, rows.n_pairs)))],
             format="csr",
         )
     else:
-        a_eq = np.zeros((n + 1, table.n_pairs))
-        a_eq[:n] = table.dense().T
+        a_eq = np.zeros((n + 1, rows.n_pairs))
+        a_eq[:n] = rows.generator.toarray().T
         a_eq[n] = 1.0
     b_eq = np.zeros(n + 1)
     b_eq[n] = 1.0
-    return mdp.state_action_pairs(), table.cost, a_eq, b_eq
+    return mdp.state_action_pairs(), rows.cost, a_eq, b_eq
 
 
 def _channel(mdp: CTMDP, name: str) -> np.ndarray:
     """A named extra-cost channel per pair, 0.0 where a pair lacks it."""
-    table = mdp.pair_table()
-    return table.extra.get(name, np.zeros(table.n_pairs))
+    rows = mdp.pair_table()
+    return rows.extra.get(name, np.zeros(rows.n_pairs))
 
 
-def _cheapest(table, candidate: np.ndarray) -> np.ndarray:
+def _cheapest(rows, candidate: np.ndarray) -> np.ndarray:
     """Per state with a *candidate* pair, its cheapest one (the first
     listed among equals)."""
     pairs = np.flatnonzero(candidate)
-    state = table.pair_state[pairs]
-    pairs = pairs[np.lexsort((pairs, table.cost[pairs], state))]
+    state = rows.pair_state[pairs]
+    pairs = pairs[np.lexsort((pairs, rows.cost[pairs], state))]
     first = np.ones(len(pairs), dtype=bool)
-    first[1:] = table.pair_state[pairs[1:]] != table.pair_state[pairs[:-1]]
+    first[1:] = rows.pair_state[pairs[1:]] != rows.pair_state[pairs[:-1]]
     return pairs[first]
 
 
@@ -203,20 +204,21 @@ def _drain_actions(mdp: CTMDP, occupied: np.ndarray) -> np.ndarray:
     previous layer, so every such state drains into the occupied ones
     and they stay the only recurrent class. A state that reaches no
     occupied state takes its cheapest action."""
-    table = mdp.pair_table()
-    entry_pair = table.entry_pairs()
-    choice = np.full(table.n_states, -1, dtype=np.intp)
+    rows = mdp.pair_table()
+    indptr, cols, _ = rows.off_diagonal()
+    entry_pair = np.repeat(np.arange(rows.n_pairs), np.diff(indptr))
+    choice = np.full(rows.n_states, -1, dtype=np.intp)
     reached, frontier = occupied.copy(), occupied
     while frontier.any():
-        into = np.zeros(table.n_pairs, dtype=bool)
-        into[entry_pair[frontier[table.cols]]] = True
-        layer = _cheapest(table, into & ~reached[table.pair_state])
-        choice[table.pair_state[layer]] = layer
-        frontier = np.zeros(table.n_states, dtype=bool)
-        frontier[table.pair_state[layer]] = True
+        into = np.zeros(rows.n_pairs, dtype=bool)
+        into[entry_pair[frontier[cols]]] = True
+        layer = _cheapest(rows, into & ~reached[rows.pair_state])
+        choice[rows.pair_state[layer]] = layer
+        frontier = np.zeros(rows.n_states, dtype=bool)
+        frontier[rows.pair_state[layer]] = True
         reached |= frontier
-    rest = _cheapest(table, ~reached[table.pair_state])
-    choice[table.pair_state[rest]] = rest
+    rest = _cheapest(rows, ~reached[rows.pair_state])
+    choice[rows.pair_state[rest]] = rest
     return choice
 
 

@@ -14,10 +14,15 @@ impulse costs into an equivalent rate (Section II, "earning rate").
 
 Each pair's row is stored sparsely -- the column indices and values of
 its nonzero rates -- so a model costs O(nnz) memory (nnz: the
-generator's nonzero entries). :meth:`CTMDP.pair_table` stacks every
-pair's row into flat arrays, which the solver lowerings, the LP and the
-certificates read; :meth:`CTMDP.generator_row` rebuilds one dense row
-on demand for tests, small models and the per-state reference loops.
+generator's nonzero entries). :meth:`CTMDP.pair_table` returns the
+model's rows stacked as CSR, a :class:`~repro.ctmdp.sparse.SparseCTMDP`
+(the one stacked-row type), which the solver lowerings, the LP and the
+certificates read. A model built pair by pair (:meth:`CTMDP.add_action`)
+stacks them on first read; one built by :meth:`CTMDP.from_rows` -- a SYS
+dict build -- wraps the CSR build it was given, so both builds share
+their rows and exit rates. :meth:`CTMDP.generator_row` rebuilds one
+dense row on demand for tests, small models and the per-state reference
+loops, which read the per-pair data and no stacked array.
 """
 
 from __future__ import annotations
@@ -29,86 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import InvalidModelError, InvalidPolicyError
-
-
-#: NumPy's pairwise summation sums blocks of at most this many elements
-#: in eight interleaved lanes, and halves longer arrays recursively.
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_tree(n: int) -> tuple:
-    """The shape of NumPy's pairwise sum of a length-*n* array.
-
-    Returns per leaf block its first index ``lo`` and the length of its
-    eight-lane part ``main`` (the rest is added one by one after the
-    lanes are combined), the node id of each leaf, and per node its
-    parent, side (0 left, 1 right) and depth in the halving tree.
-    """
-    los, mains, leaf_node, parent, side, depth = [], [], [], [-1], [0], [0]
-
-    def split(lo: int, m: int, node: int) -> None:
-        if m <= _PAIRWISE_BLOCK:
-            los.append(lo)
-            mains.append(m - m % 8 if m >= 8 else 0)
-            leaf_node.append(node)
-            return
-        half = m // 2 - (m // 2) % 8
-        for s, (start, length) in enumerate(((lo, half), (lo + half, m - half))):
-            parent.append(node)
-            side.append(s)
-            depth.append(depth[node] + 1)
-            split(start, length, len(parent) - 1)
-
-    split(0, n, 0)
-    return tuple(np.asarray(a, dtype=np.intp)
-                 for a in (los, mains, leaf_node, parent, side, depth))
-
-
-def dense_row_sums(indptr, cols, vals, n: int) -> np.ndarray:
-    """Each sparse row's sum, rounded as ``row.sum()`` rounds the dense
-    length-*n* row, in O(nnz log n).
-
-    NumPy adds a dense row pairwise (``_pairwise_tree``); the zeros
-    between the nonzeros add exactly, so only where each nonzero sits
-    in that tree decides the rounding, and the tree is the same for
-    every row. This replays it over the nonzeros: lanes in column
-    order, the lane tree, each block's tail, then the halving tree
-    bottom-up. Entries must be nonzero and columns ascending per row.
-    """
-    los, mains, leaf_node, parent, side, depth = _pairwise_tree(n)
-    n_rows = len(indptr) - 1
-    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
-    leaf = np.searchsorted(los, cols, side="right") - 1
-    off = cols - los[leaf]
-    lane = off < mains[leaf]
-    # Rows ascending, columns ascending within a row: the (row, leaf)
-    # keys come sorted, so each run of equal keys is one accumulator.
-    key = rows * len(los) + leaf
-    new_run = np.ones(len(key), dtype=bool)
-    new_run[1:] = key[1:] != key[:-1]
-    keys, slot = key[new_run], np.cumsum(new_run) - 1
-    lanes = np.zeros((len(keys), 8))
-    np.add.at(lanes, (slot[lane], off[lane] % 8), vals[lane])
-    value = (((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3]))
-             + ((lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7])))
-    np.add.at(value, slot[~lane], vals[~lane])
-    item_row, node = keys // len(los), leaf_node[keys % len(los)]
-    for level in range(int(depth.max()), 0, -1):
-        up = depth[node] == level
-        key = item_row[up] * len(parent) + parent[node[up]]
-        order = np.lexsort((side[node[up]], key))
-        key, sub = key[order], value[up][order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        merged = sub[first]
-        pair = np.flatnonzero(~first)  # a right child after its left
-        merged[np.cumsum(first)[pair] - 1] = sub[pair - 1] + sub[pair]
-        item_row = np.concatenate([item_row[~up], key[first] // len(parent)])
-        node = np.concatenate([node[~up], key[first] % len(parent)])
-        value = np.concatenate([value[~up], merged])
-    sums = np.zeros(n_rows)
-    sums[item_row] = value
-    return sums
 
 
 def chosen_rows(actions, pair_offset, chosen) -> np.ndarray:
@@ -223,92 +148,6 @@ class StateActionData:
         return self.effective_cost
 
 
-class PairTable:
-    """Every pair's row and costs, stacked in ``state_action_pairs()`` order.
-
-    The dict model's own O(nnz) arrays: ``states``, ``actions``
-    (per-state tuples), ``pair_state`` and ``pair_offset`` (pairs of
-    state ``i`` occupy ``pair_offset[i]:pair_offset[i + 1]``), the
-    off-diagonal rows in CSR layout (``indptr`` over ``cols``/``vals``),
-    ``exit_rate`` and the effective ``cost`` per pair, and ``extra`` --
-    one per-pair vector per named channel, 0.0 where a pair lacks it.
-    """
-
-    def __init__(self, states, actions, indptr, cols, vals, exit_rate,
-                 cost, extra) -> None:
-        self.states = tuple(states)
-        self.n_states = len(self.states)
-        self.actions = tuple(tuple(a) for a in actions)
-        counts = np.array([len(a) for a in self.actions], dtype=np.intp)
-        self.n_pairs = int(counts.sum())
-        self.pair_offset = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        self.pair_state = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-        self.indptr = np.asarray(indptr, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.vals = np.asarray(vals, dtype=float)
-        self.exit_rate = np.asarray(exit_rate, dtype=float)
-        self.cost = np.asarray(cost, dtype=float)
-        self.extra = extra
-        self._generator = None
-
-    def with_cost(self, cost) -> "PairTable":
-        """A sibling sharing every row array (and the cached CSR), with
-        new effective costs."""
-        sibling = object.__new__(PairTable)
-        sibling.__dict__.update(self.__dict__)
-        sibling.cost = np.asarray(cost, dtype=float)
-        sibling._generator = self.generator()
-        return sibling
-
-    def entry_pairs(self) -> np.ndarray:
-        """The pair of each off-diagonal entry."""
-        return np.repeat(np.arange(self.n_pairs), np.diff(self.indptr))
-
-    def generator(self) -> sp.csr_array:
-        """``(pairs, n)`` CSR generator rows with their Eqn.-2.4
-        diagonals, zeros dropped and columns ascending (cached)."""
-        if self._generator is None:
-            nonzero = self.exit_rate != 0.0
-            rows = np.concatenate([self.entry_pairs(),
-                                   np.flatnonzero(nonzero)])
-            cols = np.concatenate([self.cols, self.pair_state[nonzero]])
-            vals = np.concatenate([self.vals, -self.exit_rate[nonzero]])
-            order = np.lexsort((cols, rows))
-            indptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(rows, minlength=self.n_pairs))])
-            self._generator = sp.csr_array(
-                (vals[order], cols[order], indptr),
-                shape=(self.n_pairs, self.n_states))
-        return self._generator
-
-    def dense(self) -> np.ndarray:
-        """``(pairs, n)`` dense generator rows, diagonals included: the
-        rows :meth:`CTMDP.generator_row` returns, stacked."""
-        rows = np.zeros((self.n_pairs, self.n_states))
-        rows[self.entry_pairs(), self.cols] = self.vals
-        rows[np.arange(self.n_pairs), self.pair_state] = -self.exit_rate
-        return rows
-
-    def policy_weights(self, policy) -> sp.csr_array:
-        """``(n, pairs)`` CSR matrix of each state's action probabilities
-        under *policy* (one-hot for a deterministic one, whose action
-        tuple is read in state order), so that ``weights @ rows`` is the
-        policy's own rows."""
-        if not hasattr(policy, "distribution"):
-            pairs = chosen_rows(self.actions, self.pair_offset, policy.actions)
-            return sp.csr_array(
-                (np.ones(self.n_states), (np.arange(self.n_states), pairs)),
-                shape=(self.n_states, self.n_pairs))
-        rows, pairs, probs = [], [], []
-        for i, (state, actions) in enumerate(zip(self.states, self.actions)):
-            for action, prob in policy.distribution(state).items():
-                rows.append(i)
-                pairs.append(self.pair_offset[i] + actions.index(action))
-                probs.append(prob)
-        return sp.csr_array((probs, (rows, pairs)),
-                            shape=(self.n_states, self.n_pairs))
-
-
 class CTMDP:
     """A finite CTMDP with labeled states and hashable actions.
 
@@ -326,7 +165,7 @@ class CTMDP:
         here, so the division is exact.
 
     Build the model incrementally with :meth:`add_action` (or at once
-    from sparse rows with :meth:`from_rows`), then query it through
+    from CSR rows with :meth:`from_rows`), then query it through
     :meth:`actions`, :meth:`data`, :meth:`pair_table` and friends.
     :meth:`validate` checks that every state has at least one action.
     """
@@ -346,12 +185,10 @@ class CTMDP:
         self._table: "Dict[int, Dict[Hashable, StateActionData]]" = {
             i: {} for i in range(len(self._states))
         }
-        # Stacked pair rows (see pair_table), built lazily.
-        self._pairs: "Optional[PairTable]" = None
+        # The stacked CSR rows (see pair_table), built lazily.
+        self._pairs: "Optional[SparseCTMDP]" = None
         # Dense lowering cache; see repro.ctmdp.compiled.compile_ctmdp.
         self._compiled = None
-        # CSR lowering cache; see repro.ctmdp.sparse.compile_sparse_ctmdp.
-        self._sparse_lowering = None
 
     # -- construction --------------------------------------------------------
 
@@ -401,57 +238,60 @@ class CTMDP:
         self._table[i][action] = StateActionData(
             r, cost_rate, impulse_costs, extra_costs
         )
-        # A new pair invalidates the stacked rows and any lowering.
+        # A new pair invalidates the stacked rows and the dense lowering.
         self._pairs = None
         self._compiled = None
-        self._sparse_lowering = None
 
     @classmethod
     def from_rows(
         cls,
-        table: PairTable,
+        rows: "SparseCTMDP",
+        off_diagonal: tuple,
         cost_rate: np.ndarray,
         impulses: Optional[np.ndarray] = None,
         extra_costs: "Optional[List[Dict[str, float]]]" = None,
-        rate_scale: float = 1.0,
     ) -> "CTMDP":
-        """A model whose rows are *table*'s, built in O(nnz).
+        """A model whose stacked rows are *rows*, built in O(nnz).
 
-        *table*'s exit rates and effective costs are taken as given (the
-        caller sums them as it means them to be rounded), alongside each
-        pair's ``c_ii`` in *cost_rate*, optional impulse costs aligned
-        with ``table.cols`` and per-pair extra-cost dicts. Each pair's
-        :class:`StateActionData` holds views into *table*'s arrays.
+        *rows* is a CSR model (:class:`~repro.ctmdp.sparse.SparseCTMDP`)
+        and becomes this model's :meth:`pair_table`: its diagonals give
+        each pair's exit rate, its ``cost`` the effective cost rates.
+        *off_diagonal* is ``(indptr, cols, vals)``, the off-diagonal
+        entries of *rows* in CSR layout
+        (:meth:`~repro.ctmdp.sparse.SparseCTMDP.off_diagonal`), alongside
+        each pair's ``c_ii`` in *cost_rate*, optional impulse costs
+        aligned with ``cols`` and per-pair extra-cost dicts. Each pair's
+        :class:`StateActionData` holds views into these arrays.
         """
-        mdp = cls(table.states, rate_scale=rate_scale)
-        if table.indptr.shape != (table.n_pairs + 1,) or np.any(
-                np.diff(table.indptr) < 0):
-            raise InvalidModelError("pair table rows are malformed")
-        vals = table.vals
+        indptr, cols, vals = (np.asarray(a) for a in off_diagonal)
+        if indptr.shape != (rows.n_pairs + 1,) or np.any(np.diff(indptr) < 0):
+            raise InvalidModelError("pair rows are malformed")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             raise InvalidModelError("row rates must be finite and positive")
-        if np.any(table.cols == table.pair_state[table.entry_pairs()]):
+        entry_pair = np.repeat(np.arange(rows.n_pairs), np.diff(indptr))
+        if np.any(cols == rows.pair_state[entry_pair]):
             raise InvalidModelError(
                 "self-rates must be omitted; diagonals follow from Eqn. 2.4"
             )
+        mdp = cls(rows.states, rate_scale=rows.rate_scale)
         n = mdp.n_states
-        bounds = table.indptr.tolist()
+        bounds = indptr.tolist()
         costs = np.asarray(cost_rate, dtype=float).tolist()
-        exits = table.exit_rate.tolist()
-        effective = table.cost.tolist()
+        exits = rows.exit_rates().tolist()
+        effective = rows.cost.tolist()
         pair = 0
-        for i, actions in enumerate(table.actions):
+        for i, actions in enumerate(rows.actions):
             row = mdp._table[i]
             for action in actions:
                 lo, hi = bounds[pair], bounds[pair + 1]
                 row[action] = StateActionData.sparse(
-                    table.cols[lo:hi], vals[lo:hi], exits[pair], costs[pair],
+                    cols[lo:hi], vals[lo:hi], exits[pair], costs[pair],
                     None if impulses is None else impulses[lo:hi],
                     {} if extra_costs is None else extra_costs[pair],
                     n, effective[pair],
                 )
                 pair += 1
-        mdp._pairs = table
+        mdp._pairs = rows
         mdp.validate()
         return mdp
 
@@ -504,23 +344,43 @@ class CTMDP:
         row.setflags(write=False)
         return row
 
-    def pair_table(self) -> PairTable:
-        """Every pair's sparse row and costs, stacked (cached)."""
+    def pair_table(self) -> "SparseCTMDP":
+        """The model's CSR rows: every pair's row and costs, stacked in
+        :meth:`state_action_pairs` order (cached).
+
+        A model built by :meth:`add_action` stacks its pairs on first
+        read, each diagonal set to ``-exit_rate`` as stored; one built by
+        :meth:`from_rows` returns the rows it was given.
+        """
         if self._pairs is None:
+            from repro.ctmdp.sparse import SparseCTMDP
+
             self.validate()
             rows = [d for i in range(self.n_states)
                     for d in self._table[i].values()]
+            actions = [tuple(self._table[i]) for i in range(self.n_states)]
+            pair_state = np.repeat(np.arange(self.n_states),
+                                   [len(a) for a in actions])
+            exit_rate = np.array([d.exit_rate for d in rows])
+            diagonal = np.flatnonzero(exit_rate)
+            pair = np.concatenate([
+                np.repeat(np.arange(len(rows)), [len(d.cols) for d in rows]),
+                diagonal])
+            cols = np.concatenate([d.cols for d in rows] + [pair_state[diagonal]])
+            vals = np.concatenate([d.vals for d in rows] + [-exit_rate[diagonal]])
+            order = np.lexsort((cols, pair))
+            indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(pair, minlength=len(rows)))])
             names = sorted({k for d in rows for k in d.extra_costs}, key=repr)
-            self._pairs = PairTable(
+            self._pairs = SparseCTMDP(
                 self._states,
-                [tuple(self._table[i]) for i in range(self.n_states)],
-                np.concatenate([[0], np.cumsum([len(d.cols) for d in rows])]),
-                np.concatenate([d.cols for d in rows]),
-                np.concatenate([d.vals for d in rows]),
-                [d.exit_rate for d in rows],
+                actions,
+                sp.csr_array((vals[order], cols[order], indptr),
+                             shape=(len(rows), self.n_states)),
                 [d.effective_cost for d in rows],
-                {name: np.array([d.extra_costs.get(name, 0.0) for d in rows])
-                 for name in names},
+                rate_scale=self.rate_scale,
+                extra={name: [d.extra_costs.get(name, 0.0) for d in rows]
+                       for name in names},
             )
         return self._pairs
 
@@ -552,7 +412,6 @@ class CTMDP:
         state = self.__dict__.copy()
         state["_pairs"] = None
         state["_compiled"] = None
-        state["_sparse_lowering"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -1,4 +1,4 @@
-"""CSR sparse lowering of a CTMDP and its rungs of the solve ladder.
+"""CSR rows of a CTMDP and their rungs of the solve ladder.
 
 The dense compiled core (:mod:`repro.ctmdp.compiled`) stores one full
 length-``n`` generator row per ``(state, action)`` pair -- ``O(pairs x
@@ -30,6 +30,11 @@ per round -- and warm-started sweeps take the typed failure as a
 rejected seed. The stationary solve is not a ladder: it is SuperLU
 alone (see :func:`sparse_stationary_distribution`).
 
+:class:`SparseCTMDP` is also the repo's one stacked-row type: a dict
+model's :meth:`~repro.ctmdp.model.CTMDP.pair_table` is its CSR rows, so
+the dense lowering, the LP and the certificates read the arrays this
+tier solves on, and each pair's exit rate is its one stored diagonal.
+
 Tolerance contract: direct sparse solves agree with the dense core to
 solver roundoff (policies exactly, in practice); any solution accepted
 off the Krylov rung satisfies a relative residual of at most
@@ -48,7 +53,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from repro.ctmdp.compiled import PairIndexedCTMDP
-from repro.ctmdp.model import CTMDP
+from repro.ctmdp.model import chosen_rows
 from repro.errors import (
     InvalidModelError,
     InvalidPolicyError,
@@ -338,11 +343,11 @@ class SparseCTMDP(PairIndexedCTMDP):
     Eqn.-2.4 diagonals included, so memory is O(nnz) and improvement
     sweeps are one sparse matvec.
 
-    Built either by :func:`compile_sparse_ctmdp` (lossless re-lowering
-    of a dict-based :class:`CTMDP`, cached on the model) or directly
-    from COO triples via :meth:`from_coo` for models too large to ever
-    exist in dict form (the :meth:`PowerManagedSystemModel.build_ctmdp`
-    sparse path).
+    It is the one stacked-row type: every dict :class:`CTMDP`'s
+    :meth:`~repro.ctmdp.model.CTMDP.pair_table` is one, built from COO
+    triples via :meth:`from_coo` by the SYS assembly (whose dict build
+    wraps the CSR build of its weight) or stacked from the pairs of a
+    model built by ``add_action``.
     """
 
     def __init__(
@@ -398,24 +403,6 @@ class SparseCTMDP(PairIndexedCTMDP):
         self._init_pair_grid()
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_ctmdp(cls, mdp: CTMDP) -> "SparseCTMDP":
-        """Lossless CSR re-lowering of a dict-based model.
-
-        Reads the model's stacked pair rows (:meth:`CTMDP.pair_table`),
-        which the dense compiled form stacks too, so both lowerings hold
-        bit-identical numbers.
-        """
-        table = mdp.pair_table()
-        return cls(
-            mdp.states,
-            table.actions,
-            table.generator(),
-            table.cost,
-            rate_scale=float(getattr(mdp, "rate_scale", 1.0)),
-            extra=table.extra,
-        )
 
     @classmethod
     def from_coo(
@@ -585,6 +572,37 @@ class SparseCTMDP(PairIndexedCTMDP):
             shape=self.generator.shape,
         ).tocsr()
 
+    def off_diagonal(self) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(indptr, cols, vals)``: the generator's off-diagonal
+        entries in CSR layout, columns ascending within each pair."""
+        g = self.generator
+        if not g.has_sorted_indices:
+            g = g.sorted_indices()
+        rows = np.repeat(np.arange(self.n_pairs), np.diff(g.indptr))
+        off = g.indices != self.pair_state[rows]
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows[off], minlength=self.n_pairs))])
+        return indptr, g.indices[off].astype(np.intp), g.data[off]
+
+    def policy_weights(self, policy) -> sp.csr_array:
+        """``(n, pairs)`` CSR matrix of each state's action probabilities
+        under *policy* (one-hot for a deterministic one, whose action
+        tuple is read in state order), so that ``weights @ generator``
+        is the policy's own rows."""
+        if not hasattr(policy, "distribution"):
+            pairs = chosen_rows(self.actions, self.pair_offset, policy.actions)
+            return sp.csr_array(
+                (np.ones(self.n_states), (np.arange(self.n_states), pairs)),
+                shape=(self.n_states, self.n_pairs))
+        rows, pairs, probs = [], [], []
+        for i, (state, actions) in enumerate(zip(self.states, self.actions)):
+            for action, prob in policy.distribution(state).items():
+                rows.append(i)
+                pairs.append(self.pair_offset[i] + actions.index(action))
+                probs.append(prob)
+        return sp.csr_array((probs, (rows, pairs)),
+                            shape=(self.n_states, self.n_pairs))
+
     def max_exit_rate(self) -> float:
         if self.n_pairs == 0:  # pragma: no cover - models have >= 1 pair
             return 0.0
@@ -632,17 +650,6 @@ class SparseCTMDP(PairIndexedCTMDP):
 
 
 def compile_sparse_ctmdp(mdp) -> SparseCTMDP:
-    """The sparse lowering of *mdp*, cached on the instance.
-
-    Accepts a :class:`CTMDP` (lowered via :meth:`SparseCTMDP.from_ctmdp`
-    and cached as ``mdp._sparse_lowering``) or an already-sparse model
-    (returned as-is).
-    """
-    if isinstance(mdp, SparseCTMDP):
-        return mdp
-    cached = getattr(mdp, "_sparse_lowering", None)
-    if cached is None:
-        mdp.validate()
-        cached = SparseCTMDP.from_ctmdp(mdp)
-        mdp._sparse_lowering = cached
-    return cached
+    """The CSR rows of *mdp*: a :class:`SparseCTMDP` as is, a dict
+    :class:`CTMDP`'s :meth:`~repro.ctmdp.model.CTMDP.pair_table`."""
+    return mdp if isinstance(mdp, SparseCTMDP) else mdp.pair_table()

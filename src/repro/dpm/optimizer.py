@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.ctmdp.linear_program import solve_average_cost_lp, solve_constrained_lp
 from repro.ctmdp.policy import Policy, RandomizedPolicy, actions_in_order
@@ -28,7 +28,7 @@ from repro.ctmdp.policy_iteration import policy_iteration
 from repro.ctmdp.value_iteration import relative_value_iteration
 from repro.dpm import cost as cost_channels
 from repro.dpm.analysis import AnalyticMetrics, evaluate_dpm_policy
-from repro.dpm.system import PowerManagedSystemModel
+from repro.dpm.system import PowerManagedSystemModel, build_backend
 from repro.errors import (
     InfeasibleConstraintError,
     InvalidPolicyError,
@@ -72,15 +72,6 @@ class OptimizationResult:
     policy: Union[Policy, RandomizedPolicy]
     metrics: AnalyticMetrics
     weight: "float | None"
-
-
-def _build_backend(backend: str) -> str:
-    """Map a solver-backend request to the model-build representation."""
-    if backend in ("compiled", "reference"):
-        return "dense"
-    # "auto" and "sparse" build what they name; "kron" propagates so
-    # build_ctmdp raises its typed SYS-has-no-tensor-structure error.
-    return backend
 
 
 def _seed_policy(mdp, initial_policy) -> Policy:
@@ -154,7 +145,7 @@ def optimize_weighted(
                 mdp
             ).deterministic_policy
         else:
-            mdp = model.build_ctmdp(weight, backend=_build_backend(backend))
+            mdp = model.build_ctmdp(weight, backend=build_backend(backend))
             if solver == "policy_iteration":
                 solved = None
                 if initial_policy is not None:
@@ -227,17 +218,21 @@ def serialize_result(result: OptimizationResult) -> "Dict[str, Any]":
 
 
 def deserialize_result(
-    model: PowerManagedSystemModel, payload: "Dict[str, Any]"
+    model: PowerManagedSystemModel,
+    payload: "Dict[str, Any]",
+    backend: str = "auto",
 ) -> OptimizationResult:
     """Rebuild a checkpointed :func:`serialize_result` payload.
 
-    The policy is revalidated against the freshly built model, so a
-    checkpoint from a drifted configuration fails loudly
+    The stored action tuple binds to the build that solver *backend*
+    runs on (:func:`~repro.dpm.system.build_backend`), as the solve's
+    own policy did. The policy is revalidated against the freshly built
+    model, so a checkpoint from a drifted configuration fails loudly
     (:class:`~repro.errors.InvalidPolicyError`) instead of evaluating
     garbage; the stored metrics are reused verbatim (exact floats), not
     recomputed.
     """
-    mdp = model.build_ctmdp(payload["weight"])
+    mdp = model.build_ctmdp(payload["weight"], backend=build_backend(backend))
     policy = Policy(mdp, dict(zip(mdp.states, payload["actions"])))
     return OptimizationResult(
         policy=policy,
@@ -251,12 +246,12 @@ def _warm_chain(
     weights: Sequence[float],
     solver: str,
     backend: str,
-) -> "List[OptimizationResult]":
+) -> "Iterator[OptimizationResult]":
     """Serial sweep seeding each solve with the previous converged
-    policy. Along a weight schedule the optimum is piecewise constant,
-    so most solves start at (or one improvement step from) their own
-    fixed point."""
-    results: "List[OptimizationResult]" = []
+    policy (policy iteration uses the seed, the other solvers ignore
+    it), yielding each result as it is solved. Along a weight schedule
+    the optimum is piecewise constant, so most solves start at (or one
+    improvement step from) their own fixed point."""
     previous: "Optional[Policy]" = None
     for w in weights:
         result = optimize_weighted(
@@ -264,8 +259,16 @@ def _warm_chain(
         )
         if isinstance(result.policy, Policy):
             previous = result.policy
-        results.append(result)
-    return results
+        yield result
+
+
+def nearest_seed(solved: "List[tuple]", weight: float) -> "Optional[Policy]":
+    """The warm-start seed of a search that revisits the weight axis:
+    the converged policy of the ``(weight, policy)`` entry of *solved*
+    nearest *weight* (the first among equals), ``None`` before any."""
+    if not solved:
+        return None
+    return min(solved, key=lambda item: abs(item[0] - weight))[1]
 
 
 def sweep_weights(
@@ -281,13 +284,14 @@ def sweep_weights(
     The weights are independent solves, so ``n_jobs`` fans them out over
     a process pool; results keep the order of *weights* and are
     identical to a serial sweep. An optional
-    :class:`repro.robust.checkpoint.Checkpoint` persists each completed
-    solve (keyed ``repr(weight)``); on resume, cached weights are
-    reconstructed without re-solving and the returned list is identical
-    to an uninterrupted sweep.
+    :class:`repro.robust.checkpoint.Checkpoint` persists each solve
+    (keyed ``repr(weight)``) as it completes, or when the pool returns;
+    on resume, cached weights are rebuilt on the *backend*'s model build
+    without re-solving, and the returned list is identical to an
+    uninterrupted sweep.
 
-    Serial policy-iteration sweeps (``n_jobs`` absent or 1) chain warm
-    starts: each weight's solve is seeded with the previous weight's
+    Serial sweeps (``n_jobs`` absent or 1) chain warm starts: each
+    weight's policy-iteration solve is seeded with the previous weight's
     converged policy. Policy iteration reaches the same fixed point
     either way -- the equivalence suite asserts bit-identical results
     against per-weight cold solves -- the seed only cuts the
@@ -299,16 +303,10 @@ def sweep_weights(
     from repro.sim.parallel import parallel_map
 
     weights = list(weights)
-    if checkpoint is not None and backend not in ("auto", "compiled"):
-        raise SolverError(
-            "checkpointed sweeps rebuild policies on the dense model "
-            f"representation; backend {backend!r} cannot be combined with "
-            "a checkpoint"
-        )
-    chain = solver == "policy_iteration" and n_jobs in (None, 1)
+    chain = n_jobs in (None, 1)
     if checkpoint is None:
         if chain:
-            return _warm_chain(model, weights, solver, backend)
+            return list(_warm_chain(model, weights, solver, backend))
         return parallel_map(
             lambda w: optimize_weighted(model, w, solver=solver, backend=backend),
             weights,
@@ -327,7 +325,7 @@ def sweep_weights(
         checkpoint.put(repr(float(w)), serialize_result(result))
     checkpoint.flush()
     return [
-        deserialize_result(model, checkpoint.get(repr(float(w))))
+        deserialize_result(model, checkpoint.get(repr(float(w))), backend)
         for w in weights
     ]
 
@@ -409,11 +407,9 @@ def find_weight_for_constraint(
     solved: "List[tuple]" = []  # (weight, converged policy)
 
     def solve(w: float) -> OptimizationResult:
-        seed = None
-        if solver == "policy_iteration" and solved:
-            seed = min(solved, key=lambda item: abs(item[0] - w))[1]
         result = optimize_weighted(
-            model, w, solver=solver, backend=backend, initial_policy=seed
+            model, w, solver=solver, backend=backend,
+            initial_policy=nearest_seed(solved, w),
         )
         if isinstance(result.policy, Policy):
             solved.append((w, result.policy))

@@ -21,6 +21,7 @@ from repro.ctmdp.policy import Policy
 from repro.dpm.analysis import AnalyticMetrics, evaluate_dpm_policy
 from repro.dpm.optimizer import (
     deserialize_result,
+    nearest_seed,
     optimize_constrained,
     optimize_weighted,
     serialize_result,
@@ -102,9 +103,8 @@ def deterministic_frontier(
         Passed to :func:`repro.dpm.optimizer.optimize_weighted`.
     backend:
         Solver/model backend, passed to
-        :func:`repro.dpm.optimizer.optimize_weighted`; non-dense
-        backends cannot be combined with a checkpoint (checkpoint
-        replay rebuilds policies on the dense representation).
+        :func:`repro.dpm.optimizer.optimize_weighted`; checkpoint
+        replay rebuilds each policy on the build it names.
     max_points:
         Safety bound on the number of distinct points collected.
     checkpoint:
@@ -120,12 +120,6 @@ def deterministic_frontier(
     """
     if max_weight <= 0:
         raise SolverError(f"max_weight must be positive, got {max_weight}")
-    if checkpoint is not None and backend not in ("auto", "compiled"):
-        raise SolverError(
-            "checkpointed frontiers rebuild policies on the dense model "
-            f"representation; backend {backend!r} cannot be combined with "
-            "a checkpoint"
-        )
     ins = obs_active()
     points: "dict[tuple, FrontierPoint]" = {}
     solves = 0
@@ -135,14 +129,12 @@ def deterministic_frontier(
         nonlocal solves
         ckpt_key = repr(float(weight))
         if checkpoint is not None and ckpt_key in checkpoint:
-            result = deserialize_result(model, checkpoint.get(ckpt_key))
+            result = deserialize_result(
+                model, checkpoint.get(ckpt_key), backend)
         else:
-            seed = None
-            if solver == "policy_iteration" and solved:
-                seed = min(solved, key=lambda item: abs(item[0] - weight))[1]
             result = optimize_weighted(
                 model, weight, solver=solver, backend=backend,
-                initial_policy=seed,
+                initial_policy=nearest_seed(solved, weight),
             )
             solves += 1
             if checkpoint is not None:

@@ -43,6 +43,13 @@ Action-validity constraints (Section III):
    (the paper's stated purpose for this constraint).
 3. In transfer ``q_{Q -> Q-1}`` an active SP may not move to an active
    mode with a longer service time.
+
+One vectorized assembly (:meth:`PowerManagedSystemModel._assemble`)
+builds the SYS as CSR rows (:class:`~repro.ctmdp.sparse.SparseCTMDP`,
+each exit rate summed over its row in ascending column order). The
+CSR build is those rows with the weight's costs; the dict build wraps
+the CSR build of its weight and adds only the per-pair data that the
+reference tier reads.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.ctmdp.model import CTMDP, PairTable, dense_row_sums
+from repro.ctmdp.model import CTMDP
 from repro.dpm import cost as cost_channels
 from repro.dpm.service_provider import ServiceProvider
 from repro.dpm.service_queue import STABLE, TRANSFER, QueueState, stable, transfer
@@ -70,6 +77,15 @@ class SystemState:
 
     def __repr__(self) -> str:
         return f"({self.mode},{self.queue!r})"
+
+
+def build_backend(backend: str) -> str:
+    """The :meth:`PowerManagedSystemModel.build_ctmdp` backend a solver
+    *backend* runs on: ``compiled`` and ``reference`` read the dict
+    build; ``auto`` and ``sparse`` build what they name, and ``kron``
+    passes through so ``build_ctmdp`` raises its typed
+    SYS-has-no-tensor-structure error."""
+    return "dense" if backend in ("compiled", "reference") else backend
 
 
 class PowerManagedSystemModel:
@@ -139,16 +155,17 @@ class PowerManagedSystemModel:
         admit_inputs(provider, requestor, self.capacity)
         self._states = self._enumerate_states()
         self._index = {x: i for i, x in enumerate(self._states)}
-        # Weight-independent sparse rows (rates, impulses) of the
-        # dict-based build, sliced lazily from the sparse skeleton; only
-        # the weighted cost rate differs between built dict CTMDPs.
+        # Weight-independent per-pair data of the dict-based build (its
+        # off-diagonal slices, impulses and extra dicts), sliced lazily
+        # from the sparse skeleton.
         self._structure: "tuple | None" = None
         # Weight-independent sparse skeleton: a structural SparseCTMDP
         # (CSR pattern, rates, extra channels) plus the per-pair cost
         # decomposition; per-weight builds overlay costs onto it.
         self._sparse_skeleton: "tuple | None" = None
         # LRU of built CTMDPs, keyed per (weight, backend) pair -- a
-        # dense and a sparse build of the same weight coexist. Each
+        # dense and a sparse build of the same weight coexist and share
+        # one CSR (the dict build's pair_table). Each
         # cached model carries its own lowering, so workflows that
         # re-solve the same weight (frontier bisection, constrained
         # search) skip both the Python construction and the lowering.
@@ -457,43 +474,25 @@ class PowerManagedSystemModel:
         return self._sparse_skeleton
 
     def _dict_rows(self) -> tuple:
-        """The weight-independent rows of the dict-based build, sliced
-        from the skeleton's CSR in O(nnz); cached, and shared by every
-        dict CTMDP this model builds.
+        """What a dict build holds beyond its CSR rows, sliced from the
+        skeleton in O(nnz); cached, and shared by every dict CTMDP this
+        model builds.
 
-        Returns ``(table, impulses, extra, costs)``:
+        Returns ``(off_diagonal, impulses, extra, costs)``:
 
-        - ``table``: a :class:`PairTable` of the skeleton's off-diagonal
-          entries, with zero costs;
+        - ``off_diagonal``: the skeleton's off-diagonal entries
+          (:meth:`~repro.ctmdp.sparse.SparseCTMDP.off_diagonal`), which
+          each pair's :class:`~repro.ctmdp.model.StateActionData` views;
         - ``impulses``: the switching energy at each entry (``ene`` is
           zero on its diagonal: same-mode edges carry no impulse);
         - ``extra``: each pair's extra-cost dict;
         - ``costs``: the skeleton's cost decomposition
           (:meth:`_weighted_cost`).
-
-        The exit rates are summed as NumPy sums the dense length-``n``
-        row (:func:`dense_row_sums`), not in ``from_coo``'s column
-        order, so the dict model's diagonals round as they always have.
         """
         if self._structure is None:
             skeleton, *costs = self._sparse_skeleton_parts()
-            generator = skeleton.generator
-            if not generator.has_sorted_indices:
-                generator = generator.sorted_indices()
-            rows = np.repeat(np.arange(skeleton.n_pairs),
-                             np.diff(generator.indptr))
-            off = generator.indices != skeleton.pair_state[rows]
-            rows, cols = rows[off], generator.indices[off].astype(np.intp)
-            indptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(rows, minlength=skeleton.n_pairs))])
-            vals = generator.data[off]
-            table = PairTable(
-                self._states, skeleton.actions, indptr, cols, vals,
-                dense_row_sums(indptr, cols, vals, self.n_states),
-                np.zeros(skeleton.n_pairs),
-                {name: skeleton.extra[name]
-                 for name in sorted(skeleton.extra, key=repr)},
-            )
+            indptr, cols, vals = skeleton.off_diagonal()
+            rows = np.repeat(np.arange(skeleton.n_pairs), np.diff(indptr))
             sp = self.provider
             mode = self._state_grid()[0]
             ene = np.array([[sp.switching_energy(s, a) for a in sp.modes]
@@ -501,7 +500,7 @@ class PowerManagedSystemModel:
             impulses = ene[mode[skeleton.pair_state[rows]], mode[cols]]
             extra = [dict(zip(skeleton.extra, v))
                      for v in zip(*(ch.tolist() for ch in skeleton.extra.values()))]
-            self._structure = (table, impulses, extra, costs)
+            self._structure = ((indptr, cols, vals), impulses, extra, costs)
         return self._structure
 
     def _weighted_cost(self, costs, weight: float) -> tuple:
@@ -530,17 +529,32 @@ class PowerManagedSystemModel:
         (:meth:`_sparse_skeleton_parts`) plus a per-weight cost overlay:
         sibling models share every structural array, so a frontier sweep
         assembles once and each additional weight costs two O(pairs)
-        vector ops.
-
-        Numerically this mirrors :meth:`build_ctmdp`'s dense path entry
-        for entry: the same scaled rates, and effective cost rates that
-        fold the switching-energy impulses through the identical
-        ``scale * power + (scale * weight) * queue + sum(rate * energy)``
-        expression (:meth:`_weighted_cost`), so both backends hold
-        bit-identical costs.
+        vector ops. A cached dict build of *weight* already holds this
+        build as its rows and hands them out, so one weight has one CSR.
         """
+        twin = self._ctmdp_cache.get((float(weight), "dense"))
+        if twin is not None:
+            return twin.pair_table()
         skeleton, *costs = self._sparse_skeleton_parts()
         return skeleton.with_cost(self._weighted_cost(costs, weight)[1])
+
+    def _build_dict_ctmdp(self, weight: float) -> CTMDP:
+        """The dict-based build: the CSR build of *weight* (its
+        :meth:`~repro.ctmdp.model.CTMDP.pair_table`) plus the per-pair
+        :class:`~repro.ctmdp.model.StateActionData` the reference tier
+        reads, which view :meth:`_dict_rows`."""
+        twin = self._ctmdp_cache.get((float(weight), "sparse"))
+        rows = twin if twin is not None else self._build_sparse_ctmdp(weight)
+        off_diagonal, impulses, extra, costs = self._dict_rows()
+        # Time rescaling: rates (already scaled by _assemble) and cost
+        # *rates* get the factor; the folded cost scale * power +
+        # (scale * weight) * queue equals scale * (power + weight *
+        # queue) bit-for-bit when the factor is a power of two. Impulse
+        # energies are pure costs (their contribution scales through the
+        # rate they multiply), and the extra channels stay in original
+        # observable units.
+        cost_rate = self._weighted_cost(costs, weight)[0]
+        return CTMDP.from_rows(rows, off_diagonal, cost_rate, impulses, extra)
 
     def build_ctmdp(self, weight: float = 0.0, backend: str = "dense") -> CTMDP:
         """Build the SYS CTMDP with cost ``C_pow + weight * C_sq``.
@@ -549,12 +563,16 @@ class PowerManagedSystemModel:
         ``"queue_length"`` and ``"loss"`` for constrained optimization
         and post-hoc metric evaluation.
 
-        ``backend="dense"`` (default) builds the dict-based
-        :class:`CTMDP`, its sparse rows sliced from the skeleton's CSR;
         ``backend="sparse"`` builds a
         :class:`~repro.ctmdp.sparse.SparseCTMDP` directly from COO
         triples, with no per-pair Python objects at all -- the way to
-        build SYS models beyond ~10^4 states. ``backend="auto"`` builds
+        build SYS models beyond ~10^4 states. ``backend="dense"``
+        (default) builds the dict-based :class:`CTMDP` around the CSR
+        build of the same weight: its
+        :meth:`~repro.ctmdp.model.CTMDP.pair_table` *is*
+        ``build_ctmdp(weight, backend="sparse")``, so both builds share
+        one assembly, one CSR and one exit rate per pair, and add only
+        the per-pair data the reference tier reads. ``backend="auto"`` builds
         the representation :func:`repro.ctmdp.backends.auto_tier` gives
         the state count, the tier ``auto`` then solves it on.
         ``backend="kron"`` is rejected with a typed error: the SYS
@@ -597,27 +615,12 @@ class PowerManagedSystemModel:
         if cached is not None:
             self._ctmdp_cache.move_to_end(key)
             return cached
-        if backend == "sparse":
-            smdp = self._build_sparse_ctmdp(weight)
-            self._ctmdp_cache[key] = smdp
-            while len(self._ctmdp_cache) > self.CTMDP_CACHE_SIZE:
-                self._ctmdp_cache.popitem(last=False)
-            return smdp
-        table, impulses, extra, costs = self._dict_rows()
-        # Time rescaling: rates (already scaled by _assemble) and cost
-        # *rates* get the factor; the folded cost scale * power +
-        # (scale * weight) * queue equals scale * (power + weight *
-        # queue) bit-for-bit when the factor is a power of two. Impulse
-        # energies are pure costs (their contribution scales through the
-        # rate they multiply), and the extra channels stay in original
-        # observable units.
-        cost_rate, cost = self._weighted_cost(costs, weight)
-        mdp = CTMDP.from_rows(table.with_cost(cost), cost_rate, impulses,
-                              extra, rate_scale=self.rate_scale)
-        self._ctmdp_cache[key] = mdp
+        built = (self._build_sparse_ctmdp(weight) if backend == "sparse"
+                 else self._build_dict_ctmdp(weight))
+        self._ctmdp_cache[key] = built
         while len(self._ctmdp_cache) > self.CTMDP_CACHE_SIZE:
             self._ctmdp_cache.popitem(last=False)
-        return mdp
+        return built
 
     def clear_caches(self) -> None:
         """Drop every derived cache: built CTMDPs, the dict rows,

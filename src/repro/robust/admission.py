@@ -803,20 +803,17 @@ def admit_model(
         From the entry-level input checks or the model's own
         constructors (these run before a report exists).
     """
-    from repro.dpm.system import PowerManagedSystemModel
+    from repro.dpm.system import PowerManagedSystemModel, build_backend
 
     if level not in LEVELS:
         raise InvalidModelError(f"unknown admission level {level!r}; use {LEVELS}")
 
-    build_backend = (
-        "dense" if backend in ("compiled", "reference") else backend
-    )
     is_sys = isinstance(model, PowerManagedSystemModel)
     if is_sys:
         admit_inputs(model.provider, model.requestor, model.capacity)
         if level == "entry":
             return AdmissionReport(verdict="ok", level=level)
-        mdp = model.build_ctmdp(weight, backend=build_backend)
+        mdp = model.build_ctmdp(weight, backend=build_backend(backend))
     else:
         mdp = model
         if level == "entry":
@@ -879,7 +876,8 @@ def admit_model(
             )
             # Re-check the repaired model at the same structural level;
             # remediation must not merely move the problem.
-            repaired_mdp = repaired.build_ctmdp(weight, backend=build_backend)
+            repaired_mdp = repaired.build_ctmdp(
+                weight, backend=build_backend(backend))
             recheck = admit_ctmdp(repaired_mdp, level="standard", backend=backend)
             report.diagnostics["repaired_max_exit_rate"] = (
                 recheck.diagnostics.get("max_exit_rate")

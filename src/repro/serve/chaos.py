@@ -229,11 +229,7 @@ class ChaosPlan:
             return
         self.reload_attempts += 1
         try:
-            validate_artifact(
-                runtime.store.load(),
-                runtime.base_model,
-                level=runtime.supervisor.admission_level,
-            )
+            validate_artifact(runtime.store.load(), runtime.base_model)
         except ArtifactError:
             self.reload_rejections += 1
             return

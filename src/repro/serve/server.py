@@ -217,7 +217,6 @@ class ServingRuntime:
         base_model: PowerManagedSystemModel,
         weight: float,
         store: ArtifactStore,
-        solver: str = "policy_iteration",
         backend: str = "auto",
         heuristic_n: int = 1,
         drift_threshold: float = 0.25,
@@ -227,8 +226,6 @@ class ServingRuntime:
         breaker: "Optional[CircuitBreaker]" = None,
         attempt_timeout: "Optional[float]" = None,
         solve: "Optional[Callable[..., Any]]" = None,
-        admission_level: str = "standard",
-        certify: bool = True,
         certifier: "Optional[Callable[..., Any]]" = None,
     ) -> None:
         self.base_model = base_model
@@ -245,14 +242,11 @@ class ServingRuntime:
             base_model,
             weight,
             store,
-            solver=solver,
             backend=backend,
             retry=retry,
             breaker=breaker,
             attempt_timeout=attempt_timeout,
             solve=solve,
-            admission_level=admission_level,
-            certify=certify,
             certifier=certifier,
         )
         self.server = PolicyServer(base_model, heuristic_n=heuristic_n)
@@ -281,11 +275,7 @@ class ServingRuntime:
             stored = None
         if stored is not None:
             try:
-                validate_artifact(
-                    stored,
-                    self.base_model,
-                    level=self.supervisor.admission_level,
-                )
+                validate_artifact(stored, self.base_model)
             except ArtifactError as exc:
                 self.bootstrap_error = f"{type(exc).__name__}: {exc}"
             else:
@@ -317,8 +307,6 @@ class ServingRuntime:
         fresh certificate. Returns ``False`` -- sending bootstrap down
         the initial-solve rung -- when certification fails or errors.
         """
-        if not self.supervisor.certify:
-            return True
         from repro.certify import CertificationReport
 
         try:

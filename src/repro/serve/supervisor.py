@@ -6,7 +6,13 @@ owns that background pipeline (DESIGN §13 state machine):
 
     drift confirmed → breaker closed? → solve (retry w/ backoff,
     per-attempt timeout) → compile artifact → admission-validate →
-    atomic store.save → install in the server → detector rebased
+    certify → atomic store.save → install in the server → detector
+    rebased
+
+The pipeline is fixed: it solves by policy iteration, validates at the
+``"standard"`` admission level and certifies every re-solve before the
+hot-swap; only the solve and the certifier are injectable (for the
+chaos harness and the tests).
 
 Every stage can fail, and each failure has exactly one behavior:
 
@@ -16,8 +22,8 @@ Every stage can fail, and each failure has exactly one behavior:
   is daemonized and its eventual result discarded) and counts as a
   failed attempt;
 - an inadmissible result (NaN metrics, rejected model, invalid policy)
-  is *not* retried -- the same inputs would fail again -- and counts
-  as a failure toward the breaker;
+  or an uncertified one is *not* retried -- the same inputs would fail
+  again -- and counts as a failure toward the breaker;
 - when failures accumulate past the breaker threshold the breaker
   opens: re-solve requests are refused without consuming any work, the
   server keeps answering from the last-good artifact (flagged stale),
@@ -215,8 +221,10 @@ class Supervisor:
         lifetime (drift is in the arrival rate, not the objective).
     store:
         Where admitted artifacts are atomically persisted.
-    solver, backend:
-        Forwarded to :func:`repro.dpm.adaptive.solve_rated`.
+    backend:
+        Forwarded to :func:`repro.dpm.adaptive.solve_rated`, which
+        solves by policy iteration (the artifact records
+        ``"policy_iteration"``).
     retry:
         Per-request retry budget/backoff (default 3 attempts).
     breaker:
@@ -242,19 +250,18 @@ class Supervisor:
         :func:`repro.dpm.optimizer.optimize_weighted`, which rebinds it
         to the solve's model and falls back to a cold start when it is
         stale.
-    admission_level:
-        Forwarded to :func:`repro.serve.artifact.validate_artifact`.
-    certify:
-        When true (the default), every admitted solution must also earn
-        an independent certificate (:mod:`repro.certify`) before the
-        hot-swap: Bellman residual, LP duality gap, exact arithmetic,
-        and cross-backend consensus. A failed or crashed certification
-        is a deterministic ``"uncertified"`` failure -- the last-good
-        artifact keeps serving and the breaker records the failure.
     certifier:
         Injectable ``(artifact) -> CertificationReport`` for tests and
         chaos; defaults to
         :func:`repro.certify.certify_artifact` against ``base_model``.
+
+    Every re-solve is validated at the ``"standard"`` admission level
+    (:func:`repro.serve.artifact.validate_artifact`) and must then earn
+    an independent certificate (:mod:`repro.certify`) before the
+    hot-swap: Bellman residual, LP duality gap, exact arithmetic, and
+    cross-backend consensus. A failed or crashed certification is a
+    deterministic ``"uncertified"`` failure -- the last-good artifact
+    keeps serving and the breaker records the failure.
     """
 
     def __init__(
@@ -262,27 +269,21 @@ class Supervisor:
         base_model: PowerManagedSystemModel,
         weight: float,
         store: ArtifactStore,
-        solver: str = "policy_iteration",
         backend: str = "auto",
         retry: "Optional[RetryPolicy]" = None,
         breaker: "Optional[CircuitBreaker]" = None,
         attempt_timeout: "Optional[float]" = None,
         solve: "Optional[Callable[..., Any]]" = None,
-        admission_level: str = "standard",
-        certify: bool = True,
         certifier: "Optional[Callable[[PolicyArtifact], Any]]" = None,
     ) -> None:
         self.base_model = base_model
         self.weight = float(weight)
         self.store = store
-        self.solver = solver
         self.backend = backend
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.attempt_timeout = attempt_timeout
-        self.admission_level = admission_level
         self._solve = solve if solve is not None else self._default_solve
-        self.certify = certify
         self._certifier = (
             certifier if certifier is not None else self._default_certifier
         )
@@ -299,7 +300,6 @@ class Supervisor:
             self.base_model,
             rate,
             self.weight,
-            solver=self.solver,
             backend=self.backend,
             initial_policy=initial_policy,
         )
@@ -407,12 +407,9 @@ class Supervisor:
                     rated_model(self.base_model, rate),
                     result,
                     version=version,
-                    solver=self.solver,
                     backend=self.backend,
                 )
-                validate_artifact(
-                    artifact, self.base_model, level=self.admission_level
-                )
+                validate_artifact(artifact, self.base_model)
             except ArtifactError as exc:
                 report.failure = "rejected"
                 report.error = f"{type(exc).__name__}: {exc}"
@@ -424,34 +421,30 @@ class Supervisor:
             # but uncertified solution never reaches the store or the
             # server -- deterministic failure, no retry, last-good
             # artifact keeps serving.
-            certificate = None
-            if self.certify:
-                try:
-                    cert_report = self._certifier(artifact)
-                except ReproError as exc:
-                    report.failure = "uncertified"
-                    report.error = f"{type(exc).__name__}: {exc}"
-                    self.breaker.record_failure()
-                    if metrics is not None:
-                        metrics.counter("serve.resolve.failures").inc()
-                        metrics.counter("serve.resolve.uncertified").inc()
-                    return report
-                if not cert_report.certified:
-                    codes = cert_report.finding_codes
-                    report.failure = "uncertified"
-                    report.error = (
-                        f"solution failed certification: {', '.join(codes)}"
-                    )
-                    report.details["certification"] = codes
-                    self.breaker.record_failure()
-                    if metrics is not None:
-                        metrics.counter("serve.resolve.failures").inc()
-                        metrics.counter("serve.resolve.uncertified").inc()
-                    return report
-                certificate = cert_report.to_document()
+            try:
+                cert_report = self._certifier(artifact)
+            except ReproError as exc:
+                report.failure = "uncertified"
+                report.error = f"{type(exc).__name__}: {exc}"
+                self.breaker.record_failure()
+                if metrics is not None:
+                    metrics.counter("serve.resolve.failures").inc()
+                    metrics.counter("serve.resolve.uncertified").inc()
+                return report
+            if not cert_report.certified:
+                codes = cert_report.finding_codes
+                report.failure = "uncertified"
+                report.error = (
+                    f"solution failed certification: {', '.join(codes)}"
+                )
+                report.details["certification"] = codes
+                self.breaker.record_failure()
+                if metrics is not None:
+                    metrics.counter("serve.resolve.failures").inc()
+                    metrics.counter("serve.resolve.uncertified").inc()
+                return report
             self.store.save(artifact)
-            if certificate is not None:
-                self.store.save_certificate(certificate)
+            self.store.save_certificate(cert_report.to_document())
             if install is not None:
                 install(artifact)
             self.last_artifact = artifact

@@ -1,18 +1,21 @@
 """Certification above the solver's dense-tier crossover (256 states).
 
-There every check runs on the dict model's nonzeros: one SuperLU
+There every check runs on the model's CSR rows: one SuperLU
 factorization, one sparse Bellman product, a CSR constraint matrix for
-HiGHS, two CSR consensus votes and a sampled assembly check.
+HiGHS, two CSR consensus votes (the bordered evaluation and the
+stationary balance equations) and a sampled assembly check.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.certify import bellman, build_corpus, certify_artifact, certify_result
+from repro.certify import consensus as consensus_mod
 from repro.certify.consensus import ASSEMBLY_SAMPLE_PAIRS, assembly_sample
 from repro.ctmdp.policy import Policy
 from repro.ctmdp.sparse import SparseCTMDP
@@ -57,8 +60,32 @@ class TestSparseCertificate:
         assert report.n_states == 283
         assert report.certified, report.finding_codes
         consensus = report.check("consensus")
-        assert consensus.data["backends"] == ["sparse", "sparse-build"]
+        assert consensus.data["backends"] == ["sparse", "stationary"]
         assert 0 < consensus.data["assembly_sample"] <= ASSEMBLY_SAMPLE_PAIRS
+
+    @pytest.mark.parametrize("vote", ["sparse", "stationary"])
+    def test_perturbed_vote_is_a_backend_disagreement(
+            self, model, solved, monkeypatch, vote):
+        # The two votes solve different linear systems on the same CSR
+        # rows; a gain that strays in either one splits the vote.
+        if vote == "sparse":
+            evaluate = consensus_mod.evaluate_policy
+
+            def perturbed(*args, **kwargs):
+                return SimpleNamespace(
+                    gain=evaluate(*args, **kwargs).gain * (1 + 1e-3))
+
+            monkeypatch.setattr(consensus_mod, "evaluate_policy", perturbed)
+        else:
+            gain = consensus_mod._stationary_gain
+            monkeypatch.setattr(consensus_mod, "_stationary_gain",
+                                lambda *args: gain(*args) * (1 + 1e-3))
+        report = certify_result(model, solved)
+        assert not report.certified
+        consensus = report.check("consensus")
+        assert consensus.status == "failed"
+        assert {f.code for f in consensus.findings} == {"backend-disagreement"}
+        assert any(repr(vote) in f.message for f in consensus.findings)
 
     def test_sparse_evaluation_matches_dense_arithmetic(self, model, solved):
         mdp = model.build_ctmdp(0.5)

@@ -136,24 +136,31 @@ class TestStateActionData:
         np.testing.assert_array_equal(data.impulse_costs, [0.0, 5.0, 0.0, 1.0])
 
 
-class TestPairTable:
+class TestStackedRows:
+    """``pair_table()`` stacks an ``add_action`` model into CSR rows."""
+
     def test_stacks_rows_in_pair_order(self, toy_mdp):
-        table = toy_mdp.pair_table()
-        assert table.actions == (("stay", "power_down"), ("stay", "power_up"))
-        np.testing.assert_array_equal(table.pair_state, [0, 0, 1, 1])
-        np.testing.assert_array_equal(table.cost, [10.0, 18.0, 1.0, 16.0])
-        np.testing.assert_array_equal(table.extra["power"], [0.0, 10.0, 0.0, 0.0])
+        rows = toy_mdp.pair_table()
+        assert rows.actions == (("stay", "power_down"), ("stay", "power_up"))
+        np.testing.assert_array_equal(rows.pair_state, [0, 0, 1, 1])
+        np.testing.assert_array_equal(rows.cost, [10.0, 18.0, 1.0, 16.0])
+        np.testing.assert_array_equal(rows.extra["power"], [0.0, 10.0, 0.0, 0.0])
         dense = np.vstack([toy_mdp.generator_row(s, a)
                            for s, a in toy_mdp.state_action_pairs()])
-        np.testing.assert_array_equal(table.dense(), dense)
-        np.testing.assert_array_equal(table.generator().toarray(), dense)
+        np.testing.assert_array_equal(rows.generator.toarray(), dense)
+        np.testing.assert_array_equal(
+            rows.exit_rates(),
+            [toy_mdp.data(s, a).exit_rate for s, a in toy_mdp.state_action_pairs()],
+        )
 
     def test_from_rows_round_trips(self, toy_mdp):
-        table = toy_mdp.pair_table()
+        rows = toy_mdp.pair_table()
         rebuilt = CTMDP.from_rows(
-            table,
+            rows,
+            rows.off_diagonal(),
             [toy_mdp.data(s, a).cost_rate for s, a in toy_mdp.state_action_pairs()],
         )
+        assert rebuilt.pair_table() is rows
         assert rebuilt.state_action_pairs() == toy_mdp.state_action_pairs()
         for state, action in toy_mdp.state_action_pairs():
             np.testing.assert_array_equal(
@@ -163,36 +170,6 @@ class TestPairTable:
             assert rebuilt.cost(state, action) == toy_mdp.cost(state, action)
 
     def test_from_rows_rejects_self_rates(self, toy_mdp):
-        from repro.ctmdp.model import PairTable
-
-        table = toy_mdp.pair_table()
-        bad = PairTable(table.states, table.actions, [0, 1, 1, 1, 1], [0],
-                        [1.0], [1.0, 0.0, 0.0, 0.0], np.zeros(4), {})
+        rows = toy_mdp.pair_table()
         with pytest.raises(InvalidModelError, match="self-rates"):
-            CTMDP.from_rows(bad, np.zeros(4))
-
-
-class TestDenseRowSums:
-    """Sparse row sums round exactly as the dense length-n row sums."""
-
-    @pytest.mark.parametrize("n", [3, 7, 8, 9, 100, 128, 129, 257, 1003, 4003])
-    def test_matches_numpy_dense_sum(self, n):
-        from repro.ctmdp.model import dense_row_sums
-
-        rng = np.random.default_rng(n)
-        dense = np.zeros((200, n))
-        for row in dense:
-            k = int(rng.integers(0, min(n, 6) + 1))
-            cols = rng.choice(n, size=k, replace=False)
-            row[cols] = rng.random(k) * 10.0 ** rng.integers(-3, 5, size=k)
-        indptr = np.concatenate([[0], np.cumsum((dense != 0).sum(axis=1))])
-        rows, cols = np.nonzero(dense)
-        got = dense_row_sums(indptr, cols, dense[rows, cols], n)
-        want = np.array([row.sum() for row in dense])
-        np.testing.assert_array_equal(got, want)
-        # A sequential sum over the nonzeros rounds differently on some
-        # of these rows: the dense order is what is reproduced.
-        if n == 1003:
-            sequential = np.zeros(len(dense))
-            np.add.at(sequential, rows, dense[rows, cols])
-            assert np.any(sequential != want)
+            CTMDP.from_rows(rows, ([0, 1, 1, 1, 1], [0], [1.0]), np.zeros(4))

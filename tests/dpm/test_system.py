@@ -425,9 +425,10 @@ class TestVectorizedAssembly:
 
     @pytest.mark.parametrize("name", list(ASSEMBLY_MODELS))
     def test_dict_lowerings_round_as_dense_rows(self, name):
-        # The dict build holds sparse rows, yet both of its lowerings
-        # equal the dense-row formulas bit for bit: diagonals -rates.sum()
-        # (NumPy's pairwise order) and costs c_ii + rates @ impulses.
+        # Both lowerings of the dict build equal the dense-row formulas
+        # bit for bit: each diagonal the negated sum of the row's rates
+        # added in ascending column order (the CSR build's exit rate),
+        # and costs c_ii + rates @ impulses.
         from repro.ctmdp.compiled import compile_ctmdp
         from repro.ctmdp.sparse import compile_sparse_ctmdp
 
@@ -436,7 +437,7 @@ class TestVectorizedAssembly:
         rows, costs = [], []
         for state, action, rates, impulses in reference_layout(model)[-1]:
             row = rates.copy()
-            row[model.index_of(state)] = -rates.sum()
+            row[model.index_of(state)] = -sum(rates[np.flatnonzero(rates)].tolist())
             rows.append(row)
             costs.append(mdp.data(state, action).cost_rate + float(rates @ impulses))
         dense = compile_ctmdp(mdp)
@@ -444,7 +445,20 @@ class TestVectorizedAssembly:
         np.testing.assert_array_equal(dense.cost, costs)
         csr = compile_sparse_ctmdp(mdp).generator
         np.testing.assert_array_equal(csr.toarray(), dense.generator)
+        np.testing.assert_array_equal(mdp.pair_table().generator.toarray(),
+                                      dense.generator)
         assert csr.nnz == np.count_nonzero(dense.generator)
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 7.5])
+    @pytest.mark.parametrize("name", list(ASSEMBLY_MODELS))
+    def test_dict_build_wraps_the_csr_build(self, name, weight):
+        # One CSR per weight, whichever build comes first.
+        model = ASSEMBLY_MODELS[name]
+        csr = model.build_ctmdp(weight, backend="sparse")
+        assert model.build_ctmdp(weight).pair_table() is csr
+        model.clear_caches()
+        rows = model.build_ctmdp(weight).pair_table()
+        assert model.build_ctmdp(weight, backend="sparse") is rows
 
     def test_subclass_validity_is_honoured(self):
         # The fuzzer drops III.1-III.3 by overriding is_valid_action; the

@@ -187,6 +187,50 @@ class TestSweepWeightsResume:
         assert [r.metrics for r in resumed] == [r.metrics for r in plain]
 
 
+    @pytest.mark.parametrize("solver, backend", [
+        ("policy_iteration", "sparse"), ("linear_program", "auto")])
+    def test_sweep_killed_after_two_weights_resumes(
+        self, tmp_path, monkeypatch, solver, backend
+    ):
+        # Each weight is persisted as it is solved, and the stored action
+        # tuples bind to the build the backend names, so a checkpoint
+        # works on every backend.
+        import repro.dpm.optimizer as optimizer_module
+
+        kwargs = dict(solver=solver, backend=backend)
+        plain = sweep_weights(paper_system(capacity=5), self.WEIGHTS, **kwargs)
+        path, config = tmp_path / "sweep.json", {"k": 3}
+        solved = []
+
+        def killed_after_two(model, weight, **kwargs):
+            if len(solved) == 2:
+                raise _Killed
+            solved.append(weight)
+            return optimize_weighted(model, weight, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "optimize_weighted",
+                            killed_after_two)
+        with pytest.raises(_Killed):
+            sweep_weights(paper_system(capacity=5), self.WEIGHTS,
+                          checkpoint=Checkpoint(path, config), **kwargs)
+        monkeypatch.undo()
+        completed = json.loads(path.read_text())["completed"]
+        assert sorted(completed) == sorted(map(repr, self.WEIGHTS[:2]))
+        resumed = sweep_weights(
+            paper_system(capacity=5), self.WEIGHTS,
+            checkpoint=Checkpoint(path, config, resume=True), **kwargs,
+        )
+        assert all(type(r.policy.mdp) is type(p.policy.mdp)
+                   for r, p in zip(resumed, plain))
+        assert [r.policy.actions for r in resumed] == [
+            r.policy.actions for r in plain]
+        assert [r.metrics for r in resumed] == [r.metrics for r in plain]
+
+
+class _Killed(Exception):
+    """Stands in for the process dying mid-sweep."""
+
+
 class TestFrontierResume:
     def test_interrupted_frontier_resumes_identically(
         self, small_model, tmp_path

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from repro.ctmdp.kron import kron_farm_model
 from repro.ctmdp.policy import evaluate_policy
 from repro.ctmdp.policy_iteration import policy_iteration
-from repro.ctmdp.sparse import SparseCTMDP, solve_sparse_with_fallback
+from repro.ctmdp.sparse import solve_sparse_with_fallback
 from repro.dpm.optimizer import optimize_weighted, serialize_result
 from repro.dpm.presets import paper_system
 from repro.errors import SolverError
@@ -182,7 +182,7 @@ class TestEveryTierFaults:
                 kmdp.evaluate(kmdp.selection(), 0)
         assert plan.fired == {"krylov-stall": 1}
         # The same chain exhausted on the CSR tier.
-        smdp = SparseCTMDP.from_ctmdp(kmdp.to_ctmdp())
+        smdp = kmdp.to_ctmdp().pair_table()
         plan = NumericalFaultPlan().arm("direct-fail").arm("krylov-stall")
         with inject_numerical(plan):
             with pytest.raises(SolverError) as csr_err:

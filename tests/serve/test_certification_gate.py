@@ -104,17 +104,6 @@ class TestResolveGate:
         assert report.certified
         assert report.artifact_checksum == supervisor.store.load().checksum
 
-    def test_certify_false_bypasses_the_gate(self, model, tmp_path):
-        supervisor = make_supervisor(
-            model,
-            tmp_path,
-            certify=False,
-            certifier=lambda artifact: FailedCertificate(),
-        )
-        report = supervisor.resolve(model.requestor.rate)
-        assert report.ok
-        assert supervisor.store.load_certificate() is None
-
 
 class TestBootstrapGate:
     def seed_store(self, model, tmp_path, rate=None):
@@ -207,16 +196,3 @@ class TestBootstrapGate:
         assert runtime.bootstrap_source == "solved"
         assert "failed certification" in runtime.bootstrap_error
         assert store.load().checksum != stored.checksum
-
-    def test_certify_false_skips_bootstrap_check(self, model, tmp_path):
-        store = self.seed_store(model, tmp_path)
-        store.cert_path.unlink()
-        calls = []
-
-        def spy(artifact):
-            calls.append(artifact)
-            return certify_artifact(artifact, model)
-
-        runtime = make_runtime(model, store, certify=False, certifier=spy)
-        assert runtime.bootstrap(initial_solve=False) == "fresh"
-        assert calls == []

@@ -209,9 +209,14 @@ class TestSupervisorResolve:
         assert "FloatingPointError" in report.error
 
     def test_hung_solve_abandoned_at_timeout(self, model, tmp_path):
+        finished = threading.Semaphore(0)
+
         def hang(rate, seed=None):
-            time.sleep(0.5)
-            return solve_rated(model, rate, 0.5)
+            try:
+                time.sleep(0.5)
+                return solve_rated(model, rate, 0.5)
+            finally:
+                finished.release()
 
         with instrument(metrics=MetricsRegistry()) as ins:
             sup = make_supervisor(
@@ -225,6 +230,12 @@ class TestSupervisorResolve:
         assert not report.ok
         assert report.failure == "timeout"
         assert ins.metrics.to_dict()["serve.resolve.timeouts"]["value"] == 2
+        # The abandoned attempts still solve on their own threads. Wait
+        # for both: instrumentation is process-wide, so a solve landing
+        # in a later test would count there (a stray SYS assembly in
+        # TestOneSiblingPerResolve).
+        for _ in range(2):
+            assert finished.acquire(timeout=30)
 
     def test_rejected_result_not_retried(self, model, tmp_path):
         calls = []
