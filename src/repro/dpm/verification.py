@@ -16,6 +16,10 @@ mechanically for a built model:
   action-set non-emptiness, generator conservation, and the unichain
   sweep.
 
+Each check gathers a policy's rows from the model's CSR build and runs
+the O(nnz) class kernel :func:`repro.markov.classify.class_structure`
+on them, so no dict or dense matrix is built at any model size.
+
 Useful when users define their own providers/constraints and want the
 same guarantee the paper engineered for its model.
 """
@@ -23,15 +27,18 @@ same guarantee the paper engineered for its model.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.ctmdp.policy import Policy
 from repro.dpm.system import PowerManagedSystemModel, SystemState
 from repro.errors import InvalidModelError
-from repro.markov.classify import classify_states, communicating_classes
+from repro.markov.classify import class_structure
+from repro.markov.generator import validate_generator
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,7 @@ class VerificationReport:
 
 def is_unichain(generator: np.ndarray) -> bool:
     """Single recurrent communicating class (transients allowed)."""
-    kinds = classify_states(generator)
-    recurrent_classes = [
-        cls
-        for cls in communicating_classes(generator)
-        if all(kinds[i] == "recurrent" for i in cls)
-    ]
-    return len(recurrent_classes) == 1
+    return class_structure(validate_generator(generator)).unichain
 
 
 def verify_policy_unichain(
@@ -72,23 +73,14 @@ def verify_policy_unichain(
     assignment: "Dict[SystemState, str]",
 ) -> bool:
     """True iff *assignment* induces a unichain joint process."""
-    mdp = model.build_ctmdp(0.0)
-    return is_unichain(Policy(mdp, assignment).generator_matrix())
-
-
-def _policy_space(model: PowerManagedSystemModel) -> "Iterator[Dict]":
-    states = model.states
-    action_sets = [model.valid_actions(s) for s in states]
-    for combo in itertools.product(*action_sets):
-        yield dict(zip(states, combo))
+    rows = model.build_ctmdp(0.0, backend="sparse")
+    sel = rows.selection(Policy(rows, assignment))
+    return class_structure(rows.generator[sel]).unichain
 
 
 def count_policies(model: PowerManagedSystemModel) -> int:
     """Number of admissible deterministic policies."""
-    total = 1
-    for state in model.states:
-        total *= len(model.valid_actions(state))
-    return total
+    return math.prod(map(len, model.build_ctmdp(0.0, backend="sparse").actions))
 
 
 def verify_all_policies_unichain(
@@ -102,37 +94,29 @@ def verify_all_policies_unichain(
     seeded uniform sample of that size (plus the all-first and all-last
     corner policies, which empirically catch lazy/greedy pathologies).
     """
-    mdp = model.build_ctmdp(0.0)
+    rows = model.build_ctmdp(0.0, backend="sparse")
+    counts = np.diff(rows.pair_offset)
     total = count_policies(model)
-    violations: List[Dict[SystemState, str]] = []
-    if total <= sample_budget:
-        assignments = list(_policy_space(model))
-        exhaustive = True
+    exhaustive = total <= sample_budget
+    if exhaustive:
+        columns = map(np.array, itertools.product(*map(range, counts.tolist())))
     else:
         rng = np.random.default_rng(seed)
-        states = model.states
-        action_sets = [model.valid_actions(s) for s in states]
-        assignments = [
-            dict(zip(states, [acts[0] for acts in action_sets])),
-            dict(zip(states, [acts[-1] for acts in action_sets])),
-        ]
-        for _ in range(sample_budget - 2):
-            assignments.append(
-                {
-                    s: acts[rng.integers(len(acts))]
-                    for s, acts in zip(states, action_sets)
-                }
-            )
-        exhaustive = False
-    for assignment in assignments:
-        g = Policy(mdp, assignment).generator_matrix()
-        if not is_unichain(g):
-            violations.append(assignment)
+        columns = itertools.chain(
+            [np.zeros_like(counts), counts - 1],
+            (rng.integers(counts) for _ in range(sample_budget - 2)),
+        )
+    first = rows.pair_offset[:-1]
+    violations: List[Dict[SystemState, str]] = [
+        dict(zip(rows.states, map(operator.getitem, rows.actions, cols.tolist())))
+        for cols in columns
+        if not class_structure(rows.generator[first + cols]).unichain
+    ]
     return VerificationReport(
         n_states=model.n_states,
-        n_state_action_pairs=len(mdp.state_action_pairs()),
+        n_state_action_pairs=rows.n_pairs,
         n_policies_total=total,
-        n_policies_checked=len(assignments),
+        n_policies_checked=total if exhaustive else max(sample_budget, 2),
         exhaustive=exhaustive,
         violations=violations,
     )
@@ -152,24 +136,24 @@ def verify_model(
         modeling choices): generator rows not conserving, empty action
         sets, or transfer states attached to inactive modes.
     """
-    mdp = model.build_ctmdp(0.0)
+    rows = model.build_ctmdp(0.0, backend="sparse")
     for state in model.states:
         if state.queue.is_transfer and not model.provider.is_active(state.mode):
             raise InvalidModelError(
                 f"transfer state {state!r} attached to an inactive mode"
             )
-        if not model.valid_actions(state):  # pragma: no cover - guarded upstream
-            raise InvalidModelError(f"state {state!r} has no valid action")
-    for state, action in mdp.state_action_pairs():
-        row = mdp.generator_row(state, action)
-        # Conservation is checked relative to the row's own magnitude:
-        # an absolute threshold would reject every legitimate row once
-        # rates reach ~1e6x the tolerance and pass any broken row whose
-        # rates sit far below it.
-        scale = float(np.abs(row).sum())
-        if abs(float(row.sum())) > 1e-9 * scale:
-            raise InvalidModelError(
-                f"generator row of {state!r}/{action!r} sums to {row.sum():g} "
-                f"against magnitude {scale:g}"
-            )
+    # Conservation is checked relative to each row's own magnitude: an
+    # absolute threshold would reject every legitimate row once rates
+    # reach ~1e6x the tolerance and pass any broken row whose rates sit
+    # far below it.
+    sums, scale = rows.generator.sum(axis=1), abs(rows.generator).sum(axis=1)
+    broken = np.flatnonzero(np.abs(sums) > 1e-9 * scale)
+    if len(broken):
+        p = broken[0]
+        state = rows.pair_state[p]
+        raise InvalidModelError(
+            f"generator row of {rows.states[state]!r}/"
+            f"{rows.actions[state][rows.pair_col[p]]!r} sums to {sums[p]:g} "
+            f"against magnitude {scale[p]:g}"
+        )
     return verify_all_policies_unichain(model, sample_budget=sample_budget, seed=seed)

@@ -7,7 +7,11 @@ Qiu & Pedram (DAC 1999):
   their validation, stationary/limiting distributions (``pG = 0``),
   transient solutions, and uniformization.
 - :mod:`repro.markov.classify` -- communicating classes, irreducibility,
-  connectedness, and recurrent/transient state classification.
+  connectedness, and recurrent/transient state classification, all read
+  off one O(nnz) class-structure kernel on CSR generator rows
+  (:func:`~repro.markov.classify.class_structure`).
+- :mod:`repro.markov.passage` -- mean first-passage times and hitting
+  probabilities.
 - :mod:`repro.markov.rewards` -- Markov processes with rewards: rate
   rewards, impulse (transition) rewards, earning rates, expected total
   reward over finite horizons (Eqn. 2.5), limiting average reward, and

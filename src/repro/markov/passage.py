@@ -6,11 +6,14 @@ from state ``i`` satisfies the linear system::
     m_i = 0                                   for i in A
     sum_j G[i, j] m_j = -1                    for i not in A
 
-(standard first-step analysis). Used by the DPM layer to answer
-questions like "expected time until the SP is serving again, starting
-from (sleeping, q_1) under this policy" -- the latency face of the
-power--delay tradeoff -- and to characterize wake-up transients that
-the stationary metrics average away.
+(standard first-step analysis), solved over the states that reach the
+targets with probability one; every other state -- one that can reach
+a closed class holding no target, as the class kernel of
+:mod:`repro.markov.classify` finds -- has ``m_i = inf``. Used by the
+DPM layer to answer questions like "expected time until the SP is
+serving again, starting from (sleeping, q_1) under this policy" -- the
+latency face of the power--delay tradeoff -- and to characterize
+wake-up transients that the stationary metrics average away.
 
 Also provided: hitting probabilities for competing target sets and the
 full mean-first-passage matrix.
@@ -18,11 +21,12 @@ full mean-first-passage matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import SolverError
+from repro.markov.classify import class_structure
 from repro.markov.generator import validate_generator
 
 
@@ -41,7 +45,8 @@ def mean_first_passage_times(
     Returns
     -------
     Vector ``m`` with ``m[i] = 0`` for targets; ``inf`` where the
-    target set is unreachable.
+    target set is reached with probability below one -- from every
+    state that can reach a closed class holding no target.
 
     Raises
     ------
@@ -55,47 +60,30 @@ def mean_first_passage_times(
         raise SolverError("need at least one target state")
     if target_set[0] < 0 or target_set[-1] >= n:
         raise SolverError(f"target indices out of range [0, {n})")
-    others = [i for i in range(n) if i not in target_set]
-    m = np.zeros(n)
-    if not others:
-        return m
-    sub = g[np.ix_(others, others)]
-    rhs = -np.ones(len(others))
-    try:
-        solution = np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError:
-        # Singular sub-generator: some start states never reach the
-        # targets. Solve state by state via least squares and mark
-        # non-solutions infinite.
-        solution = np.full(len(others), np.inf)
-        reachable = _states_reaching(g, target_set, others)
-        idx = [k for k, i in enumerate(others) if i in reachable]
-        if idx:
-            sub_r = sub[np.ix_(idx, idx)]
-            try:
-                solution_r = np.linalg.solve(sub_r, -np.ones(len(idx)))
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SolverError("degenerate first-passage system") from exc
-            for k, value in zip(idx, solution_r):
-                solution[k] = value
-    if np.any(solution[np.isfinite(solution)] < -1e-9):
+    is_target = np.zeros(n, dtype=bool)
+    is_target[target_set] = True
+    # With the targets absorbing, a time is finite exactly when its state
+    # cannot reach a closed class that holds no target; the finite states
+    # then lead only to each other and to the targets, so their system
+    # is nonsingular.
+    structure = class_structure(np.where(is_target[:, None], 0.0, g))
+    trapped = structure.recurrent & ~is_target
+    while True:  # grow backwards along the edges: O(nnz) a step
+        grown = trapped | (structure.edges @ trapped > 0)
+        if np.array_equal(grown, trapped):
+            break
+        trapped = grown
+    m = np.where(trapped, np.inf, 0.0)
+    finite = np.flatnonzero(~trapped & ~is_target)
+    if len(finite):
+        try:
+            m[finite] = np.linalg.solve(g[np.ix_(finite, finite)],
+                                        -np.ones(len(finite)))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise SolverError("degenerate first-passage system") from exc
+    if np.any(m < -1e-9):
         raise SolverError("negative mean passage time: inconsistent generator")
-    m[others] = solution
     return m
-
-
-def _states_reaching(g: np.ndarray, targets: Sequence[int], others) -> set:
-    """States from which some target is reachable (graph search)."""
-    import networkx as nx
-
-    from repro.markov.classify import transition_graph
-
-    graph = transition_graph(g).reverse()
-    reached = set()
-    for t in targets:
-        reached.add(t)
-        reached.update(nx.descendants(graph, t))
-    return reached & set(others)
 
 
 def hitting_probabilities(

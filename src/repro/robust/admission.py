@@ -782,7 +782,7 @@ def admit_model(
     checks of *level*; SYS models at ``"full"`` additionally get the
     per-policy unichain sweep of
     :func:`repro.dpm.verification.verify_all_policies_unichain` under
-    *sample_budget*.
+    *sample_budget*, which reads the CSR rows whichever *backend* built.
 
     When the only findings are fixable by the remediation ladder, the
     repaired (rescaled) model is built, re-checked, and returned on the
@@ -821,14 +821,7 @@ def admit_model(
 
     report = admit_ctmdp(mdp, level=level, backend=backend)
 
-    from repro.ctmdp.model import CTMDP
-
-    if (is_sys and level == "full" and not isinstance(mdp, CTMDP)):
-        # The unichain sweep enumerates/samples policies on the dense
-        # dict-based model; on the sparse build it would densify, so it
-        # is skipped (the structural checks above still ran).
-        report.diagnostics["unichain_check"] = "skipped: non-dense backend"
-    if (is_sys and level == "full" and isinstance(mdp, CTMDP)
+    if (is_sys and level == "full"
             and not any(f.severity == "error" for f in report.findings)):
         from repro.dpm.verification import verify_all_policies_unichain
 

@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dpm.verification import is_unichain
 from repro.markov.classify import (
+    class_structure,
     classify_states,
     communicating_classes,
     is_connected,
     is_irreducible,
     recurrent_states,
     transient_states,
-    transition_graph,
 )
+from repro.markov.generator import DEFAULT_ATOL
 
 
 @pytest.fixture
@@ -98,10 +103,82 @@ class TestClassification:
 
 
 class TestTransitionGraph:
+    """The kernel's edge set is the transition graph."""
+
     def test_edges_follow_positive_rates(self, two_state_generator):
-        graph = transition_graph(two_state_generator)
-        assert set(graph.edges()) == {(0, 1), (1, 0)}
+        edges = class_structure(two_state_generator).edges
+        assert set(zip(*(a.tolist() for a in edges.nonzero()))) == {(0, 1), (1, 0)}
 
     def test_no_self_loops(self, three_state_cycle):
-        graph = transition_graph(three_state_cycle)
-        assert all(u != v for u, v in graph.edges())
+        edges = class_structure(three_state_cycle).edges
+        assert not np.any(edges.diagonal())
+
+
+#: A generated chain's anchor row holds only this rate, which then is
+#: the largest |entry|, so the edge threshold is exactly ``AT``.
+ANCHOR = 100.0
+AT = DEFAULT_ATOL * ANCHOR
+
+
+@st.composite
+def threshold_generators(draw):
+    """Random generators whose off-diagonal rates are absent, ordinary,
+    exactly at the edge threshold, or one ulp above it."""
+    n = draw(st.integers(1, 7))
+    g = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            kind = draw(st.sampled_from(["none", "rate", "at", "above"]))
+            if i == j or kind == "none":
+                continue
+            g[i, j] = {
+                "rate": draw(st.floats(0.5, 10.0)),
+                "at": AT,
+                "above": np.nextafter(AT, np.inf),
+            }[kind]
+    anchor, to = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if anchor != to:
+        g[anchor] = 0.0
+        g[anchor, to] = ANCHOR
+    np.fill_diagonal(g, -g.sum(axis=1))
+    return g
+
+
+def closure(adjacency: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean adjacency (Warshall)."""
+    reach = adjacency | np.eye(len(adjacency), dtype=bool)
+    for k in range(len(adjacency)):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return reach
+
+
+class TestKernelOracle:
+    """The kernel against a boolean transitive closure in plain NumPy,
+    which shares no code with :mod:`scipy.sparse.csgraph`."""
+
+    @given(g=threshold_generators())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_transitive_closure(self, g):
+        adjacency = (g > DEFAULT_ATOL * np.max(np.abs(g))) & ~np.eye(len(g), dtype=bool)
+        reach = closure(adjacency)
+        mutual = reach & reach.T
+        classes = sorted({frozenset(np.flatnonzero(row).tolist()) for row in mutual},
+                         key=min)
+        # Closed class: every state reachable from it reaches back.
+        recurrent = np.all(~reach | reach.T, axis=1)
+        closed = {frozenset(np.flatnonzero(mutual[i]).tolist())
+                  for i in np.flatnonzero(recurrent)}
+
+        structure = class_structure(sp.csr_array(g))
+        assert np.array_equal(structure.edges.toarray(), adjacency)
+        assert structure.classes() == classes
+        assert {frozenset(np.flatnonzero(structure.labels == k).tolist())
+                for k in np.flatnonzero(structure.closed)} == closed
+        assert communicating_classes(g) == classes
+        assert is_irreducible(g) == (len(classes) == 1)
+        assert recurrent_states(g) == np.flatnonzero(recurrent).tolist()
+        assert transient_states(g) == np.flatnonzero(~recurrent).tolist()
+        assert classify_states(g) == {
+            i: "recurrent" if r else "transient" for i, r in enumerate(recurrent)}
+        assert is_connected(g) == bool(closure(adjacency | adjacency.T).all())
+        assert is_unichain(g) == (len(closed) == 1)

@@ -36,6 +36,16 @@ class TestMeanFirstPassage:
         assert m[0] == 0.0
         assert np.isinf(m[1])
 
+    def test_target_reached_with_probability_below_one_is_infinite(self):
+        # From 0 the chain enters the target 1 or the trap 2, each with
+        # probability 1/2, so its mean time to reach 1 is infinite.
+        g = np.array([[-2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert hitting_probabilities(g, goal=[1], avoid=[2])[0] == 0.5
+        m = mean_first_passage_times(g, [1])
+        assert m[1] == 0.0
+        assert np.isinf(m[0]) and np.isinf(m[2])
+        assert np.isinf(mean_first_passage_matrix(g)[0, 1])
+
     def test_validation(self, two_state_generator):
         with pytest.raises(SolverError):
             mean_first_passage_times(two_state_generator, [])

@@ -9,6 +9,7 @@ import pytest
 
 from repro.ctmdp.kron import kron_farm_model
 from repro.ctmdp.model import CTMDP
+from repro.ctmdp.sparse import SparseCTMDP
 from repro.ctmdp.policy_iteration import policy_iteration
 from repro.dpm.presets import paper_system
 from repro.dpm.service_requestor import ServiceRequestor
@@ -47,6 +48,13 @@ class TestPaperPreset:
         assert report.diagnostics["max_exit_rate"] > 1e4
         assert report.diagnostics["stiffness_ratio"] > 1.0
         assert report.diagnostics["unichain_policies_checked"] > 0
+
+    def test_full_sweep_runs_on_a_csr_build(self):
+        # 403 states: above the crossover, so admission builds CSR rows.
+        report = admit_model(paper_system(capacity=100), level="full", weight=1.0)
+        assert isinstance(report.admitted_mdp, SparseCTMDP)
+        assert report.diagnostics["unichain_policies_checked"] == 100
+        assert "unichain_check" not in report.diagnostics
 
     def test_report_is_json_exportable(self):
         report = admit_model(paper_system(), level="full", weight=1.0)
