@@ -43,6 +43,7 @@ documents the table). ``--debug`` re-raises with the full traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -361,6 +362,18 @@ def cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _policy_count(count: int) -> "int | str":
+    """*count* as is, or ``"~10^<log10>"`` when it has more digits than
+    Python converts to a decimal string (``sys.get_int_max_str_digits``):
+    a large model's deterministic-policy count can have tens of
+    thousands."""
+    try:
+        str(count)
+    except ValueError:
+        return f"~10^{math.log10(count):.2f}"
+    return count
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -388,7 +401,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if unichain_report is not None:
             doc["unichain"] = {
                 "ok": unichain_report.ok,
-                "n_policies_total": unichain_report.n_policies_total,
+                "n_policies_total": _policy_count(
+                    unichain_report.n_policies_total),
                 "n_policies_checked": unichain_report.n_policies_checked,
                 "exhaustive": unichain_report.exhaustive,
                 "n_violations": len(unichain_report.violations),
@@ -418,7 +432,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(
                 f"unichain: {'ok' if unichain_report.ok else 'VIOLATED'} "
                 f"({unichain_report.n_policies_checked}/"
-                f"{unichain_report.n_policies_total} policies, {sweep})"
+                f"{_policy_count(unichain_report.n_policies_total)} policies, "
+                f"{sweep})"
             )
             for assignment in unichain_report.violations[:5]:
                 print(f"  multichain policy: {assignment}")

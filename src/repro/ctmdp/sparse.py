@@ -244,14 +244,24 @@ def solve_sparse_with_fallback(
 def bordered_system(rows, reference_state: int):
     """CSC matrix ``[[G, -1], [e_ref, 0]]`` of the evaluation equations
     ``c + G h = g 1``, ``h[ref] = 0``, for one policy's ``(n, n)`` CSR
-    generator *rows* -- the system every sparse evaluation solves."""
+    generator *rows* -- the system every sparse evaluation solves.
+
+    Assembled straight into CSC arrays: one conversion of *rows* (row
+    indices ascending, duplicates summed), the reference row's single
+    ``1`` appended as the last entry of its column, and the gain column
+    of ``-1`` as column ``n``. The arrays equal those ``sp.block_array``
+    builds from the same blocks, without its COO round trip and sort."""
     n = rows.shape[0]
-    gain_col = sp.csr_array(
-        (np.full(n, -1.0), (np.arange(n), np.zeros(n, dtype=np.intp))),
-        shape=(n, 1),
-    )
-    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
-    return sp.block_array([[rows, gain_col], [ref_row, None]], format="csc")
+    g = sp.csc_array(rows, dtype=float)
+    g.sum_duplicates()
+    end = int(g.indptr[reference_state + 1])
+    data = np.concatenate(
+        [g.data[:end], [1.0], g.data[end:], np.full(n, -1.0)])
+    indices = np.concatenate(
+        [g.indices[:end], [n], g.indices[end:], np.arange(n)], dtype=np.intp)
+    indptr = np.append(g.indptr, g.indptr[-1] + n).astype(np.intp)
+    indptr[reference_state + 1:] += 1
+    return sp.csc_array((data, indices, indptr), shape=(n + 1, n + 1))
 
 
 def sparse_stationary_distribution(
@@ -630,13 +640,16 @@ class SparseCTMDP(PairIndexedCTMDP):
     def sparse_entries(self):
         """``(rows, cols, vals)`` of nonzero generator entries in
         row-major order -- the admission gate's scan view, straight from
-        the CSR structure (no densification)."""
+        the CSR structure (no densification). A canonical CSR matrix
+        (sorted columns, no duplicates) already lists them in that
+        order, so only a non-canonical one is sorted."""
         if self._entries is None:
             coo = self.generator.tocoo()
-            order = np.lexsort((coo.col, coo.row))
+            order = (slice(None) if self.generator.has_canonical_format
+                     else np.lexsort((coo.col, coo.row)))
             rows = coo.row[order].astype(np.intp)
             cols = coo.col[order].astype(np.intp)
-            vals = coo.data[order]
+            vals = coo.data[order].copy()
             for array in (rows, cols, vals):
                 array.setflags(write=False)
             self._entries = (rows, cols, vals)

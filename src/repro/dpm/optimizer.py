@@ -265,10 +265,15 @@ def _warm_chain(
 def nearest_seed(solved: "List[tuple]", weight: float) -> "Optional[Policy]":
     """The warm-start seed of a search that revisits the weight axis:
     the converged policy of the ``(weight, policy)`` entry of *solved*
-    nearest *weight* (the first among equals), ``None`` before any."""
+    nearest *weight*, the latest among equals, ``None`` before any.
+
+    A bisection midpoint is equidistant from both ends of its interval.
+    The end solved last is usually the previous midpoint, and the
+    optimum is piecewise constant in the weight, so its policy is the
+    likelier fixed point."""
     if not solved:
         return None
-    return min(solved, key=lambda item: abs(item[0] - weight))[1]
+    return min(reversed(solved), key=lambda item: abs(item[0] - weight))[1]
 
 
 def sweep_weights(

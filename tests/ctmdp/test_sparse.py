@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.markov.generator import stationary_distribution
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import instrument
+from tests.test_backend_equivalence import fuzz_mdp
 
 
 @pytest.fixture
@@ -53,6 +54,34 @@ def _policy_system(smdp: SparseCTMDP, sel: np.ndarray):
     """Bordered evaluation system and right-hand side of rows *sel*."""
     g_can, c_can, _ = smdp.canonical()
     return bordered_system(g_can[sel], 0), np.concatenate([-c_can[sel], [0.0]])
+
+
+def _block_array_system(rows, reference_state: int):
+    """The bordered system through scipy's own block constructor: the
+    oracle :func:`bordered_system`'s direct assembly is pinned to."""
+    n = rows.shape[0]
+    gain_col = sp.csr_array(
+        (np.full(n, -1.0), (np.arange(n), np.zeros(n, dtype=np.intp))),
+        shape=(n, 1),
+    )
+    ref_row = sp.csr_array(([1.0], ([0], [reference_state])), shape=(1, n))
+    return sp.block_array([[rows, gain_col], [ref_row, None]], format="csc")
+
+
+def _birth_death_rows() -> SparseCTMDP:
+    """A 6-state queue built pair by pair with ``add_action``, lowered
+    through ``pair_table()``."""
+    n = 6
+    mdp = CTMDP(list(range(n)))
+    for i in range(n):
+        for action, speed in (("slow", 1.0), ("fast", 3.0)):
+            rates = [0.0] * n
+            if i + 1 < n:
+                rates[i + 1] = 0.5
+            if i > 0:
+                rates[i - 1] = speed
+            mdp.add_action(i, action, rates=rates, cost_rate=speed + i)
+    return mdp.pair_table()
 
 
 def _forced_direct_failure(a_csc, b):
@@ -119,6 +148,42 @@ class TestSparseLowering:
         assert np.all(np.diff(rows) >= 0)
         dense = smdp.generator.toarray()
         np.testing.assert_array_equal(vals, dense[rows, cols])
+
+
+class TestBorderedSystem:
+    """The directly assembled CSC arrays are the ones ``sp.block_array``
+    builds from the same blocks, so SuperLU gets the same input."""
+
+    @pytest.fixture(params=["paper", "add_action", "fuzz"])
+    def smdp(self, request) -> SparseCTMDP:
+        if request.param == "paper":
+            return _paper_sparse(10)
+        if request.param == "add_action":
+            return _birth_death_rows()
+        return compile_sparse_ctmdp(fuzz_mdp("baseline", 0))
+
+    @pytest.mark.parametrize("where", ["first", "interior", "last"])
+    @pytest.mark.parametrize("form", ["selected", "weighted"])
+    def test_arrays_equal_block_array(self, smdp, where, form):
+        n = smdp.n_states
+        assert n >= 3
+        reference_state = {"first": 0, "interior": n // 2, "last": n - 1}[where]
+        if form == "selected":
+            # Policy iteration's rows: the canonical generator's pairs.
+            g_can, _, _ = smdp.canonical()
+            rows = g_can[smdp.pair_offset[1:] - 1]
+        else:
+            # The Bellman certificate's rows: policy weights @ generator.
+            policy = Policy.from_actions(smdp, [a[-1] for a in smdp.actions])
+            rows = (smdp.policy_weights(policy) @ smdp.generator).tocsr()
+        direct = bordered_system(rows, reference_state)
+        oracle = _block_array_system(rows, reference_state)
+        assert direct.format == "csc"
+        assert direct.shape == oracle.shape == (n + 1, n + 1)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(direct, name), getattr(oracle, name))
+            assert getattr(direct, name).dtype == getattr(oracle, name).dtype
 
 
 class TestSolverLadder:

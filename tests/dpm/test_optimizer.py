@@ -10,6 +10,7 @@ import pytest
 from repro.dpm.analysis import evaluate_dpm_policy
 from repro.dpm.optimizer import (
     find_weight_for_constraint,
+    nearest_seed,
     optimize_constrained,
     optimize_weighted,
     sweep_weights,
@@ -177,3 +178,26 @@ class TestFindWeightForConstraint:
             find_weight_for_constraint(
                 paper_model, 0.0, weight_upper_bound=10.0
             )
+
+    def test_bisection_seeds_from_the_latest_solve(self):
+        # perfbench's constrained-1k search. Each midpoint is equidistant
+        # from both ends; seeded from the w = 0 end while it stays the
+        # low end, the search re-walked the same improvement rounds (85
+        # evaluations); seeded from the latest solve it makes 49.
+        model = paper_system(arrival_rate=1 / 6, capacity=250)
+        with instrument(metrics=MetricsRegistry()) as ins:
+            result = find_weight_for_constraint(model, 1.0)
+            solves = ins.metrics.counter("solver.sparse.direct_solves").value
+            weighted = ins.metrics.counter("optimizer.weighted_solves").value
+        assert result.weight == 0.6163120269775391
+        assert weighted == 26
+        assert solves <= 49
+
+
+class TestNearestSeed:
+    def test_ties_go_to_the_latest_entry(self):
+        solved = [(0.0, "low"), (8.0, "high")]
+        assert nearest_seed(solved, 4.0) == "high"
+        solved.append((4.0, "mid"))
+        assert nearest_seed(solved + [(0.0, "low again")], 2.0) == "low again"
+        assert nearest_seed(solved, 6.0) == "mid"

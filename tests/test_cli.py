@@ -786,3 +786,45 @@ class TestValidateUnichain:
     def test_without_flag_no_sweep(self, capsys):
         assert main(["validate"]) == 0
         assert "unichain: " not in capsys.readouterr().out
+
+    @pytest.fixture
+    def huge_policy_count(self, monkeypatch):
+        """``verify_model`` reporting 3**10000 policies, 4,772 digits:
+        past the default limit on int-to-decimal conversion."""
+        import sys
+
+        from repro.dpm import verification
+
+        def stub(model, sample_budget=500, seed=0):
+            return verification.VerificationReport(
+                n_states=model.n_states, n_state_action_pairs=0,
+                n_policies_total=3 ** 10000, n_policies_checked=sample_budget,
+                exhaustive=False, violations=[],
+            )
+
+        monkeypatch.setattr(verification, "verify_model", stub)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_count_past_the_digit_limit_prints(self, capsys, huge_policy_count):
+        assert main([
+            "validate", "--capacity", "2", "--unichain",
+            "--unichain-budget", "20",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "unichain: ok (20/~10^4771.21 policies, sampled)" in out
+
+    def test_count_past_the_digit_limit_serializes(
+        self, capsys, huge_policy_count
+    ):
+        import json
+
+        assert main([
+            "validate", "--capacity", "2", "--unichain",
+            "--unichain-budget", "20", "--json",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["unichain"]["n_policies_total"] == "~10^4771.21"
+        assert doc["unichain"]["n_policies_checked"] == 20
