@@ -21,11 +21,13 @@ Which votes run follows the solver's own tiers
   run instead, each solving a different linear system: the sparse
   tier's bordered evaluation ``c + G h = g 1`` (``sparse``), and the
   gain ``pi . c`` from the balance equations ``pi G = 0``, ``pi . 1 =
-  1`` (``stationary``,
-  :func:`~repro.ctmdp.sparse.sparse_stationary_distribution`). Both
-  read the one SYS assembly, so a deterministic sample of at most
-  :data:`ASSEMBLY_SAMPLE_PAIRS` rows is also checked against the
-  model's per-state methods (``transition_rates``,
+  1`` (``stationary``, :func:`balance_stationary_distribution`). The
+  solver's own CSR distribution is a transposed solve on the
+  evaluation's factors, and ``pi . c`` from it is the ``sparse`` vote's
+  gain on the same factors, so this vote assembles and factors its own
+  balance system. Both read the one SYS assembly, so a
+  deterministic sample of at most :data:`ASSEMBLY_SAMPLE_PAIRS` rows is
+  also checked against the model's per-state methods (``transition_rates``,
   ``effective_power_rate``, ``delay_cost``), which share no code with
   the vectorized assembly; a mismatch is a typed ``assembly-mismatch``
   finding.
@@ -38,13 +40,19 @@ limits are recorded on the check rather than silently narrowing it.
 
 from __future__ import annotations
 
+import warnings
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from repro.certify.bellman import uses_sparse_arithmetic
 from repro.certify.report import CertFinding, CheckResult
 from repro.ctmdp.policy import evaluate_policy
+from repro.errors import NotIrreducibleError
+from repro.markov.generator import canonical_shift, normalize_distribution
+from repro.robust.guardrails import RESIDUAL_RTOL, _relative_residual
 
 #: Evaluation backends that can all score a deterministic policy on a
 #: densely built model. ``kron`` needs a factored model and is noted as
@@ -157,7 +165,50 @@ def _stationary_gain(mdp, policy) -> float:
     equations of its rows in the model's CSR rows."""
     rows = mdp.pair_table()
     sel = rows.selection(policy)
-    return float(rows.stationary(sel) @ rows.cost[sel])
+    return float(balance_stationary_distribution(rows.generator[sel])
+                 @ rows.cost[sel])
+
+
+def balance_stationary_distribution(generator) -> np.ndarray:
+    """Stationary distribution of a square CSR *generator* from its
+    balance equations ``pi G = 0``, ``pi . 1 = 1``.
+
+    The reference solve of the ``stationary`` vote, assembled here and
+    not from :func:`~repro.ctmdp.sparse.bordered_system`: the
+    canonically rescaled generator with its last column replaced by
+    ones, factored by SuperLU and solved through its transpose
+    (``trans="T"``), so its one dense line is a column, which COLAMD
+    orders last. A singular factorization or a relative residual above
+    ``RESIDUAL_RTOL`` raises :class:`~repro.errors.NotIrreducibleError`.
+    """
+    gen = sp.csr_array(generator, dtype=float)
+    n = gen.shape[0]
+    shift = canonical_shift(float(np.max(-gen.diagonal(), initial=0.0)))
+    coo = gen.tocoo()
+    keep = coo.col != n - 1
+    m = sp.csc_array(
+        (np.concatenate([np.ldexp(coo.data[keep], -shift), np.ones(n)]),
+         (np.concatenate([coo.row[keep], np.arange(n)]),
+          np.concatenate([coo.col[keep], np.full(n, n - 1)]))),
+        shape=(n, n),
+    )
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = splu(m).solve(b, trans="T")
+    except (RuntimeError, ValueError) as exc:
+        raise NotIrreducibleError(
+            f"sparse LU of the balance system failed ({exc})") from exc
+    residual = (
+        _relative_residual(m.T, p, b, a_max=float(np.max(np.abs(m.data))))
+        if np.all(np.isfinite(p)) else float("inf")
+    )
+    if residual > RESIDUAL_RTOL:
+        raise NotIrreducibleError(
+            f"balance-system residual {residual:.3g} exceeds {RESIDUAL_RTOL:g}")
+    return normalize_distribution(p)
 
 
 def assembly_sample(mdp, policy) -> "List[Tuple[Any, Any]]":

@@ -39,7 +39,7 @@ and the stationary solve.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Hashable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -290,8 +290,9 @@ class CompiledCTMDP(PairIndexedCTMDP):
 
     def evaluate(
         self, sel: np.ndarray, reference_state: int, x0=None
-    ) -> "tuple[float, np.ndarray]":
-        """Gain and bias of the policy selecting rows *sel*.
+    ) -> "tuple[float, np.ndarray, Callable[[], np.ndarray]]":
+        """Gain, bias and a stationary-distribution thunk
+        (:meth:`stationary` of *sel*) of the policy selecting rows *sel*.
 
         Solves ``c + G h = g 1``, ``h[ref] = 0`` as one bordered dense
         system through the guardrail ladder, assembled from the
@@ -323,7 +324,8 @@ class CompiledCTMDP(PairIndexedCTMDP):
             context={"reference_state": reference_state},
             a_max=max(1.0, float(np.max(self._row_inf[sel]))),
         )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
+        return (float(np.ldexp(solution[n], shift)), solution[:n],
+                lambda: self.stationary(sel))
 
     def evaluate_discounted(
         self, sel: np.ndarray, discount: float, x0=None

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -403,8 +403,10 @@ class KroneckerCTMDP:
         sel: np.ndarray,
         reference_state: int,
         x0: "Optional[np.ndarray]" = None,
-    ) -> "tuple[float, np.ndarray]":
-        """Gain and bias of the policy *sel*, fully matrix-free.
+    ) -> "tuple[float, np.ndarray, Callable[[], np.ndarray]]":
+        """Gain, bias and a stationary-distribution thunk
+        (:meth:`stationary` of *sel*) of the policy *sel*, fully
+        matrix-free.
 
         Solves the uniformized elimination system (module doc) in
         canonical units with GMRES, warm-started from *x0*; the accepted
@@ -467,7 +469,7 @@ class KroneckerCTMDP:
             )
             gain = float(np.ldexp(gain_can, shift))
             span.attrs.update(gain=gain)
-            return gain, h
+            return gain, h, lambda: self.stationary(sel)
 
     def evaluate_discounted(
         self,

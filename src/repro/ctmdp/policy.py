@@ -350,8 +350,9 @@ def evaluate_policy(
         :func:`~repro.ctmdp.backends.resolve_backend` (``None`` means
         ``"auto"``); an unknown name or a tier the model cannot run on
         is a typed :class:`~repro.errors.SolverError`. A deterministic
-        policy is evaluated by the ``evaluate`` and ``stationary``
-        methods of the tier's lowering -- the same solves policy
+        policy is evaluated by the ``evaluate`` method of the tier's
+        lowering, whose stationary thunk gives the distribution (on CSR
+        from the evaluation's own LU) -- the same solves policy
         iteration runs. ``"reference"`` assembles the system from the
         dict model instead (the independent path), as do randomized
         policies unless a tier that evaluates deterministic policies
@@ -373,9 +374,9 @@ def evaluate_policy(
         )
     model = lower(policy.mdp, tier)
     sel = model.selection(policy)
-    gain, bias = model.evaluate(sel, reference_state)
+    gain, bias, stationary = model.evaluate(sel, reference_state)
     return PolicyEvaluation(
         gain=gain,
         bias=bias,
-        stationary=model.stationary(sel) if compute_stationary else None,
+        stationary=stationary() if compute_stationary else None,
     )

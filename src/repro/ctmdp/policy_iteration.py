@@ -21,8 +21,10 @@ The loop is written once for the array tiers (dense, CSR, Kronecker).
 It runs on the tier's lowered model -- ``CompiledCTMDP``,
 ``SparseCTMDP`` or ``KroneckerCTMDP`` -- which supplies only linear
 algebra: ``selection(policy)``, ``evaluate(sel, ref, x0) -> (gain,
-bias)`` in canonical units, ``q_values(v)`` and ``improve(q, sel,
-atol)`` (the incumbent-rule sweep on ``c + G v``), ``stationary(sel)``
+bias, stationary)`` in canonical units, with ``stationary`` a
+zero-argument thunk of the policy's stationary distribution (on CSR a
+transposed solve on the evaluation's own LU), ``q_values(v)`` and
+``improve(q, sel, atol)`` (the incumbent-rule sweep on ``c + G v``)
 and ``policy(mdp, sel)``. The dict-based ``reference`` loop is kept as
 an independent implementation the tests compare against bit for bit.
 """
@@ -219,8 +221,10 @@ def _policy_iteration(
 
     The stationary-distribution solve is deferred to convergence --
     intermediate policies only need gain and bias -- which the
-    reference loop pays for every round. Each evaluation is
-    warm-started from the previous bias (``x0``), which only the
+    reference loop pays for every round. Only the latest evaluation's
+    stationary thunk is kept (on CSR it holds that evaluation's LU), and
+    it is dropped before the next evaluation factors. Each evaluation
+    is warm-started from the previous bias (``x0``), which only the
     Krylov tier uses.
     """
     mdp.validate()
@@ -243,7 +247,7 @@ def _policy_iteration(
     gain_history: List[float] = []
     if ins.enabled:
         sweep_start = time.perf_counter()
-    gain, bias = model.evaluate(sel, reference_state)
+    gain, bias, stationary = model.evaluate(sel, reference_state)
     gain_history.append(gain)
     series = _convergence_series(metrics) if metrics is not None else None
     if series is not None:
@@ -269,7 +273,9 @@ def _policy_iteration(
                     sel.tobytes(), iteration, gain_history,
                     lambda: _policy_payload(model.policy(mdp, sel)),
                 )
-                gain, bias = model.evaluate(sel, reference_state, x0=bias)
+                stationary = None  # free the previous policy's LU first
+                gain, bias, stationary = model.evaluate(
+                    sel, reference_state, x0=bias)
             # An unchanged policy selects the same rows, so re-solving would
             # reproduce the previous (gain, bias) bit-for-bit -- reuse them.
             gain_history.append(gain)
@@ -298,7 +304,7 @@ def _policy_iteration(
                     policy=model.policy(mdp, sel),
                     gain=gain,
                     bias=bias,
-                    stationary=model.stationary(sel),
+                    stationary=stationary(),
                     iterations=iteration,
                     gain_history=gain_history,
                 )

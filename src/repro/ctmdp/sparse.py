@@ -27,8 +27,12 @@ the solution family. An evaluation system is singular exactly when the
 policy's chain is (numerically) multichain. Policy iteration runs every
 improvement round through this ladder -- one fresh SuperLU factorization
 per round -- and warm-started sweeps take the typed failure as a
-rejected seed. The stationary solve is not a ladder: it is SuperLU
-alone (see :func:`sparse_stationary_distribution`).
+rejected seed. The stationary solve is not a ladder: it is the
+transposed system ``B^T z = e`` of the bordered evaluation system ``B``,
+whose solution is ``[-pi; 0]``, solved on SuperLU alone
+(:func:`_stationary_solve`). When the direct rung evaluated a policy,
+that solve runs on the same LU, so a converged CSR policy is factored
+once; after a GMRES rung it gets a fresh factorization.
 
 :class:`SparseCTMDP` is also the repo's one stacked-row type: a dict
 model's :meth:`~repro.ctmdp.model.CTMDP.pair_table` is its CSR rows, so
@@ -46,11 +50,11 @@ run to -- and the equivalence suite asserts -- :data:`KRYLOV_RTOL`
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+from scipy.sparse.linalg import LinearOperator, SuperLU, gmres, spilu, splu
 
 from repro.ctmdp.compiled import PairIndexedCTMDP
 from repro.ctmdp.model import chosen_rows
@@ -109,9 +113,10 @@ KRYLOV_SERIES = "solver.sparse.krylov.residuals"
 logger = get_logger("ctmdp.sparse")
 
 
-def _direct_solve(a_csc, b: np.ndarray) -> np.ndarray:
-    """Direct sparse LU solve (module-level so tests can force the
-    Krylov rung by monkeypatching, mirroring ``guardrails._dense_solve``).
+def _direct_solve(a_csc, b: np.ndarray) -> "Tuple[np.ndarray, SuperLU]":
+    """Direct sparse LU solve and the factorization it ran on
+    (module-level so tests can force the Krylov rung by monkeypatching,
+    mirroring ``guardrails._dense_solve``).
 
     A factorization failure raises
     :class:`~repro.robust.guardrails.SingularSystem`: ``splu`` raises
@@ -131,7 +136,7 @@ def _direct_solve(a_csc, b: np.ndarray) -> np.ndarray:
         ins.metrics.histogram("solver.sparse.lu_fill_factor").observe(
             float(lu.L.nnz + lu.U.nnz) / max(int(a_csc.nnz), 1)
         )
-    return lu.solve(b)
+    return lu.solve(b), lu
 
 
 def _ilu_preconditioner(a_csc) -> "Tuple[LinearOperator, Dict[str, object]]":
@@ -200,18 +205,31 @@ def solve_sparse_with_fallback(
     that misses the residual test (ill-conditioning, not singularity),
     falls through to GMRES.
     """
+    return _ladder_solve(a, b, what, context)[0]
+
+
+def _ladder_solve(
+    a, b: np.ndarray, what: str, context: "Optional[Dict]"
+) -> "Tuple[np.ndarray, Optional[SuperLU]]":
+    """:func:`solve_sparse_with_fallback`'s solution, plus the SuperLU
+    factorization of *a* when the ladder accepted the direct rung
+    (``None`` after a GMRES rung)."""
     a_csc = sp.csc_array(a)
     a_max = float(np.max(np.abs(a_csc.data), initial=1.0))
+    lu = None
 
     def direct(callback, details) -> np.ndarray:
+        nonlocal lu
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            x = _direct_solve(a_csc, b)
+            x, lu = _direct_solve(a_csc, b)
         if not np.all(np.isfinite(x)):
             raise SingularSystem("LU solution has non-finite entries")
         return x
 
     def krylov(callback, details) -> np.ndarray:
+        nonlocal lu
+        lu = None  # the direct rung was rejected
         # Run to the documented KRYLOV_RTOL target; the ladder accepts
         # under RESIDUAL_RTOL.
         precond, precond_info = _ilu_preconditioner(a_csc)
@@ -232,13 +250,14 @@ def solve_sparse_with_fallback(
         details["gmres_info"] = int(info)
         return x
 
-    return LADDER.solve(
+    x = LADDER.solve(
         (direct, krylov),
         lambda x: (_relative_residual(a_csc, x, b, a_max=a_max), x),
         what=what,
         context=context,
         fields={"n": int(a_csc.shape[0]), "nnz": int(a_csc.nnz)},
     )
+    return x, lu
 
 
 def bordered_system(rows, reference_state: int):
@@ -269,15 +288,15 @@ def sparse_stationary_distribution(
 ) -> np.ndarray:
     """Stationary distribution of a CSR generator, sparse direct solve.
 
-    Same linear system as the dense
-    :func:`repro.markov.generator.stationary_distribution` -- transpose
-    the canonically rescaled generator, replace the last balance
-    equation with the normalization row -- but factorized through its
-    TRANSPOSE. The normalization row is dense, and a dense row sends
-    column-ordered sparse LU into catastrophic fill (150 s vs 0.3 s at
-    2e4 states on the SYS family); in the transpose it becomes a single
-    dense column, which COLAMD simply orders last. SuperLU then solves
-    the original system via ``trans="T"``.
+    The transposed solve of the bordered evaluation system
+    (:func:`_stationary_solve`) on the generator's canonically
+    rescaled rows, at reference state 0: the code
+    :meth:`SparseCTMDP.stationary` runs on a policy's rows, so no
+    separate balance matrix exists. The system's one dense line is its
+    gain column of ``-1``, which COLAMD simply orders last; a dense
+    *row* (a normalization equation) would send column-ordered sparse
+    LU into catastrophic fill, and the transposed solve never builds
+    one.
 
     The solve is direct-only, no Krylov rung: the system is nonsingular
     exactly when the chain is unichain, and GMRES cannot tell a unique
@@ -292,55 +311,60 @@ def sparse_stationary_distribution(
         raise InvalidModelError(
             f"stationary distribution needs a square generator, got {gen.shape}"
         )
+    shift = canonical_shift(float(np.max(-gen.diagonal(), initial=0.0)))
+    rows = sp.csr_array(
+        (np.ldexp(gen.data, -shift), gen.indices, gen.indptr), shape=gen.shape)
+    return _stationary_solve(bordered_system(rows, 0))
+
+
+def _stationary_solve(system, lu: "Optional[SuperLU]" = None) -> np.ndarray:
+    """Stationary distribution of the chain whose bordered evaluation
+    *system* ``B = [[G, -1], [e_ref^T, 0]]`` is given
+    (:func:`bordered_system`), read off ``B^T z = e_{n+1}``.
+
+    Its solution is ``z = [-pi; 0]``: the first ``n`` rows say
+    ``G^T (-pi) = 0`` (their sum forces ``z``'s last entry to 0, as the
+    rows of ``G`` sum to zero), the last says ``pi . 1 = 1``. So
+    ``pi`` costs one ``trans="T"`` solve on *lu*, the factorization of
+    *system* an evaluation already built, or on a fresh one when *lu*
+    is ``None``. Accepted under the relative residual of ``B^T z = e``
+    (``RESIDUAL_RTOL``); a singular or non-finite solve, or a residual
+    above it, raises :class:`NotIrreducibleError`.
+    """
+    n = system.shape[0] - 1
     ins = obs_active()
     with ins.span(
-        "stationary_solve", backend="sparse", n_states=int(n), nnz=int(gen.nnz)
+        "stationary_solve", backend="sparse", n_states=n, nnz=int(system.nnz)
     ) as span:
-        p = _stationary_balance_solve(gen, n, span)
-    return p
-
-
-def _stationary_balance_solve(gen, n: int, span) -> np.ndarray:
-    """The bordered balance-system solve behind
-    :func:`sparse_stationary_distribution` (split out for the span)."""
-    exit_rates = -gen.diagonal()
-    shift = canonical_shift(float(np.max(exit_rates, initial=0.0)))
-    # m = A^T where A = G_can^T with row n-1 := ones; so m is G_can with
-    # column n-1 := ones.
-    coo = gen.tocoo()
-    keep = coo.col != n - 1
-    rows = np.concatenate([coo.row[keep], np.arange(n)])
-    cols = np.concatenate([coo.col[keep], np.full(n, n - 1)])
-    vals = np.concatenate([np.ldexp(coo.data[keep], -shift), np.ones(n)])
-    m = sp.csc_array((vals, (rows, cols)), shape=(n, n))
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = splu(m).solve(b, trans="T")
-    except (RuntimeError, ValueError) as exc:
-        raise NotIrreducibleError(
-            "stationary distribution is not unique or does not exist: "
-            f"sparse LU of the balance system failed ({exc})"
-        ) from exc
-    a_max = float(np.max(np.abs(m.data), initial=1.0))
-    residual = (
-        _relative_residual(m.T, p, b, a_max=a_max)
-        if np.all(np.isfinite(p))
-        else float("inf")
-    )
-    span.attrs.update(residual=residual)
-    ins = obs_active()
-    if ins.enabled and ins.metrics is not None:
-        ins.metrics.counter("solver.sparse.stationary_solves").inc()
-    if residual > RESIDUAL_RTOL:
-        raise NotIrreducibleError(
-            "stationary distribution is not unique or does not exist: "
-            f"balance-system residual {residual:.3g} exceeds "
-            f"{RESIDUAL_RTOL:g}; the chain is likely not unichain"
+        e = np.zeros(n + 1)
+        e[n] = 1.0
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if lu is None:
+                    lu = splu(system)
+                z = lu.solve(e, trans="T")
+        except (RuntimeError, ValueError) as exc:
+            raise NotIrreducibleError(
+                "stationary distribution is not unique or does not exist: "
+                f"sparse LU of the bordered system failed ({exc})"
+            ) from exc
+        a_max = float(np.max(np.abs(system.data), initial=1.0))
+        residual = (
+            _relative_residual(system.T, z, e, a_max=a_max)
+            if np.all(np.isfinite(z))
+            else float("inf")
         )
-    return normalize_distribution(p)
+        span.attrs.update(residual=residual)
+        if ins.enabled and ins.metrics is not None:
+            ins.metrics.counter("solver.sparse.stationary_solves").inc()
+        if residual > RESIDUAL_RTOL:
+            raise NotIrreducibleError(
+                "stationary distribution is not unique or does not exist: "
+                f"bordered-system residual {residual:.3g} exceeds "
+                f"{RESIDUAL_RTOL:g}; the chain is likely not unichain"
+            )
+    return normalize_distribution(-z[:n])
 
 
 class SparseCTMDP(PairIndexedCTMDP):
@@ -527,14 +551,19 @@ class SparseCTMDP(PairIndexedCTMDP):
 
     def evaluate(
         self, sel: np.ndarray, reference_state: int, x0=None
-    ) -> "tuple[float, np.ndarray]":
-        """Gain and bias of the policy selecting rows *sel*.
+    ) -> "tuple[float, np.ndarray, Callable[[], np.ndarray]]":
+        """Gain, bias and a stationary-distribution thunk of the policy
+        selecting rows *sel*.
 
         The canonical-unit bordered system (:func:`bordered_system`)
         gets one fresh SuperLU factorization through the sparse ladder,
         so every evaluation of a policy returns the same values bit for
         bit; a singular system raises ``reason: "singular_system"``.
-        *x0* is ignored (a direct solve).
+        When the ladder accepted that factorization, the thunk reads the
+        stationary distribution off it with one transposed solve
+        (:func:`_stationary_solve`) and holds it until dropped; after a
+        GMRES rung it calls :meth:`stationary`. *x0* is ignored (a
+        direct solve).
         """
         n = self.n_states
         if not 0 <= reference_state < n:
@@ -542,13 +571,18 @@ class SparseCTMDP(PairIndexedCTMDP):
                 f"reference state {reference_state} out of range"
             )
         g_can, c_can, shift = self.canonical()
-        solution = solve_sparse_with_fallback(
-            bordered_system(g_can[sel], reference_state),
+        system = bordered_system(g_can[sel], reference_state)
+        solution, lu = _ladder_solve(
+            system,
             np.concatenate([-c_can[sel], [0.0]]),
             what="policy evaluation system",
             context={"reference_state": reference_state},
         )
-        return float(np.ldexp(solution[n], shift)), solution[:n]
+        stationary = (
+            (lambda: self.stationary(sel)) if lu is None
+            else (lambda: _stationary_solve(system, lu))
+        )
+        return float(np.ldexp(solution[n], shift)), solution[:n], stationary
 
     def evaluate_discounted(
         self, sel: np.ndarray, discount: float, x0=None
@@ -563,8 +597,11 @@ class SparseCTMDP(PairIndexedCTMDP):
         )
 
     def stationary(self, sel: np.ndarray) -> np.ndarray:
-        """Stationary distribution of the policy selecting rows *sel*."""
-        return sparse_stationary_distribution(self.generator[sel])
+        """Stationary distribution of the policy selecting rows *sel*:
+        the transposed solve (:func:`_stationary_solve`) on a fresh
+        factorization of its bordered system at reference state 0, the
+        system :meth:`evaluate` factors at that reference state."""
+        return _stationary_solve(bordered_system(self.canonical()[0][sel], 0))
 
     def uniformized_transition(self, lam: float):
         """CSR ``(pairs, states)`` rows of ``P = I + G/lam``: the

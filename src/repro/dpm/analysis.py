@@ -68,11 +68,15 @@ def evaluate_dpm_policy(
 
     *stationary* is the policy's stationary distribution when the
     caller already solved for it -- policy iteration returns it with
-    its converged policy, from the same rows and the same solver this
-    function would use -- and skips that solve. The dense branch still
-    validates the induced generator.
+    its converged policy -- and skips that solve. The dense branch still
+    validates the induced generator. On CSR rows the solve here is
+    :meth:`~repro.ctmdp.sparse.SparseCTMDP.stationary`, the transposed
+    solve of the bordered evaluation system at reference state 0, which
+    policy iteration reads off its last evaluation's LU: at the default
+    reference state 0 a solve's metrics and a fresh evaluation are the
+    same floats, at another they agree to round-off.
     """
-    from repro.ctmdp.sparse import SparseCTMDP, sparse_stationary_distribution
+    from repro.ctmdp.sparse import SparseCTMDP
     from repro.markov.generator import stationary_distribution, validate_generator
 
     p = stationary
@@ -80,7 +84,7 @@ def evaluate_dpm_policy(
         smdp = policy.mdp
         sel = smdp.selection(policy)
         if p is None:
-            p = sparse_stationary_distribution(smdp.generator[sel])
+            p = smdp.stationary(sel)
         power = float(p @ smdp.extra[cost_channels.POWER][sel])
         queue_length = float(p @ smdp.extra[cost_channels.QUEUE_LENGTH][sel])
         loss = float(p @ smdp.extra[cost_channels.LOSS][sel])

@@ -17,7 +17,8 @@ import pytest
 from repro.certify import bellman, build_corpus, certify_artifact, certify_result
 from repro.certify import consensus as consensus_mod
 from repro.certify.consensus import ASSEMBLY_SAMPLE_PAIRS, assembly_sample
-from repro.ctmdp.policy import Policy
+import repro.ctmdp.sparse as sparse_mod
+from repro.ctmdp.policy import Policy, evaluate_policy
 from repro.ctmdp.sparse import SparseCTMDP
 from repro.dpm.adaptive import rated_model
 from repro.dpm.optimizer import optimize_weighted
@@ -86,6 +87,36 @@ class TestSparseCertificate:
         assert consensus.status == "failed"
         assert {f.code for f in consensus.findings} == {"backend-disagreement"}
         assert any(repr(vote) in f.message for f in consensus.findings)
+
+    def test_wrong_bordered_system_is_a_backend_disagreement(
+            self, model, solved, monkeypatch):
+        # The stationary vote assembles its own balance system, so a
+        # rate dropped from the evaluation's bordered system, which the
+        # sparse vote factors, splits the vote. A stationary
+        # distribution read off that system's transpose would move with
+        # the gain and agree with it.
+        policy = Policy(model.build_ctmdp(0.5), solved.policy.as_dict())
+        state = int(np.argmax(evaluate_policy(
+            policy, backend="sparse", compute_stationary=True).stationary))
+        assemble = sparse_mod.bordered_system
+
+        def dropped(rows, reference_state):
+            system = assemble(rows, reference_state)
+            n = rows.shape[0]
+            cols = np.repeat(np.arange(n + 1), np.diff(system.indptr))
+            # The first off-diagonal rate out of the most likely state.
+            k = np.flatnonzero((system.indices == state) & (cols != state)
+                               & (cols < n))[0]
+            system.data[k] = 0.0
+            return system
+
+        monkeypatch.setattr(sparse_mod, "bordered_system", dropped)
+        consensus = certify_result(model, solved).check("consensus")
+        assert consensus.status == "failed"
+        assert {f.code for f in consensus.findings} == {"backend-disagreement"}
+        assert "errors" not in consensus.data
+        gains = consensus.data["gains"]
+        assert abs(gains["sparse"] - gains["stationary"]) > 1e-3 * gains["stationary"]
 
     def test_sparse_evaluation_matches_dense_arithmetic(self, model, solved):
         mdp = model.build_ctmdp(0.5)

@@ -15,7 +15,12 @@ import pytest
 
 from repro.certify import certify_result
 from repro.certify.duality import check_lp
-from repro.ctmdp.linear_program import constrained_lp_optimum, solve_average_cost_lp
+from repro.ctmdp.linear_program import (
+    average_cost_lp_optimum,
+    constrained_lp_optimum,
+    solve_average_cost_lp,
+)
+from repro.ctmdp.policy_iteration import policy_iteration
 from repro.dpm.adaptive import rated_model
 from repro.dpm.optimizer import optimize_constrained, optimize_weighted
 from repro.dpm.presets import paper_system
@@ -113,3 +118,41 @@ class TestConstrainedPolicyMeetsItsBound:
         assert result.metrics.average_power == pytest.approx(lp.gain, rel=1e-6)
         report = certify_result(model, result, constraints={"queue_length": bound})
         assert report.certified, report.finding_codes
+
+
+class TestHighsWithoutPresolve:
+    """With presolve on, HiGHS stopped ``numerical`` on these SYS
+    optima from 403 states up, and certification failed the honest
+    policy with ``lp-error``; without it the LP reaches ``optimal``."""
+
+    @pytest.mark.parametrize("capacity,rate,weight", [
+        (100, 1 / 3, 0.26),    # 403 states
+        (500, 1 / 6, 103.5),   # 2,003 states
+        (1000, 1 / 6, 1.0),    # 4,003 states
+        (2500, 1 / 6, 1.0),    # 10,003 states
+    ])
+    def test_lp_reaches_the_pi_gain(self, capacity, rate, weight):
+        model = paper_system(capacity=capacity, arrival_rate=rate)
+        pi = policy_iteration(model.build_ctmdp(weight, backend="sparse"))
+        lp = average_cost_lp_optimum(model.build_ctmdp(weight))
+        assert lp.status == "optimal"
+        assert lp.gain == pytest.approx(pi.gain, rel=1e-8)
+
+    def test_constrained_lp_lands_on_its_bound(self):
+        bound = 0.45
+        mdp = paper_system(capacity=500, arrival_rate=1 / 6).build_ctmdp(1.0)
+        lp = constrained_lp_optimum(mdp, "power", {"queue_length": bound})
+        assert lp.status == "optimal"
+        queue = mdp.pair_table().extra["queue_length"] @ lp.x
+        assert queue == pytest.approx(bound, abs=1e-12)
+
+    @pytest.mark.parametrize("capacity,rate,weight", [
+        (100, 1 / 3, 0.26),
+        (500, 1 / 6, 103.5),
+        (1000, 1 / 6, 1.0),
+    ])
+    def test_honest_optimum_certifies(self, capacity, rate, weight):
+        model = paper_system(capacity=capacity, arrival_rate=rate)
+        report = certify_result(model, optimize_weighted(model, weight))
+        assert report.certified, report.finding_codes
+        assert report.check("lp").data["lp_status"] == "optimal"

@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import repro.ctmdp.sparse as sparse_mod
+from repro.certify.consensus import balance_stationary_distribution
 from repro.ctmdp.compiled import compile_ctmdp
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import Policy, evaluate_policy
+from repro.ctmdp.policy_iteration import policy_iteration
 from repro.ctmdp.sparse import (
     ILU_DROP_TOL,
     ILU_FILL_FACTOR,
@@ -244,6 +247,98 @@ class TestSparseStationary:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidModelError):
             sparse_stationary_distribution(sp.csr_array(np.zeros((2, 3))))
+
+
+class TestTransposedStationary:
+    """The CSR stationary distribution is one transposed solve of the
+    bordered evaluation system; it agrees to round-off with the
+    separately assembled balance system of consensus's ``stationary``
+    vote (:func:`balance_stationary_distribution`)."""
+
+    @staticmethod
+    def _assert_matches_balance_system(smdp: SparseCTMDP) -> None:
+        result = policy_iteration(smdp, backend="sparse")
+        sel = smdp.selection(result.policy)
+        oracle = balance_stationary_distribution(smdp.generator[sel])
+        for p in (
+            result.stationary,
+            smdp.stationary(sel),
+            sparse_stationary_distribution(smdp.generator[sel]),
+        ):
+            assert np.max(np.abs(p - oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("capacity", [5, 250, 2500])
+    def test_paper_sys(self, capacity):
+        # 23, 1,003 and 10,003 states.
+        self._assert_matches_balance_system(_paper_sparse(capacity))
+
+    @pytest.mark.parametrize("capacity,rate,weight", [
+        (20, 1 / 8, 0.0),
+        (40, 1 / 6, 0.1),
+        (60, 1 / 4, 0.2),
+        (100, 1 / 3, 0.26),
+        (250, 1 / 6, 0.28),
+    ])
+    def test_weight_grid_slice(self, capacity, rate, weight):
+        model = paper_system(capacity=capacity, arrival_rate=rate)
+        self._assert_matches_balance_system(
+            model.build_ctmdp(weight, backend="sparse"))
+
+    def test_fresh_solve_is_the_solve_of_policy_iteration(self):
+        # At reference state 0 both factor the same bordered system.
+        smdp = _paper_sparse(100)
+        result = policy_iteration(smdp, backend="sparse")
+        np.testing.assert_array_equal(
+            result.stationary, smdp.stationary(smdp.selection(result.policy)))
+
+
+class TestOneFactorizationPerPolicy:
+    """Policy iteration and ``evaluate_policy`` read the stationary
+    distribution off the LU their last evaluation built."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(sparse_mod, "splu", counting)
+        return calls
+
+    def test_policy_iteration_factors_once_per_evaluation(self, splu_calls):
+        smdp = _paper_sparse(100)
+        with instrument(metrics=MetricsRegistry()) as ins:
+            result = policy_iteration(smdp, backend="sparse")
+            counter = ins.metrics.counter
+            evaluations = counter("solver.sparse.direct_solves").value
+            stationary_solves = counter("solver.sparse.stationary_solves").value
+        # Every round but the last (unchanged) one evaluates a policy.
+        assert evaluations == result.iterations >= 2
+        assert len(splu_calls) == evaluations
+        assert stationary_solves == 1
+
+    def test_evaluate_policy_factors_once(self, splu_calls):
+        smdp = _paper_sparse(100)
+        policy = policy_iteration(smdp, backend="sparse").policy
+        splu_calls.clear()
+        evaluation = evaluate_policy(
+            policy, backend="sparse", compute_stationary=True)
+        assert len(splu_calls) == 1
+        np.testing.assert_array_equal(
+            evaluation.stationary, smdp.stationary(smdp.selection(policy)))
+
+    def test_gmres_rung_leaves_a_fresh_factorization(
+            self, splu_calls, monkeypatch):
+        monkeypatch.setattr(sparse_mod, "_direct_solve", _forced_direct_failure)
+        smdp = _paper_sparse(10)
+        result = policy_iteration(smdp, backend="sparse")
+        sel = smdp.selection(result.policy)
+        assert len(splu_calls) == 1
+        np.testing.assert_array_equal(result.stationary, smdp.stationary(sel))
+        oracle = balance_stationary_distribution(smdp.generator[sel])
+        assert np.max(np.abs(result.stationary - oracle)) <= 1e-13
 
 
 class TestSparseEvaluation:
