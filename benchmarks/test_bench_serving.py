@@ -13,12 +13,14 @@ Five measurements, recorded in ``BENCH_serving.json``:
 - **swap cost**: in-memory install (pointer rebind) and full persisted
   swap (``ArtifactStore.save``: temp + fsync + rename), the downtime a
   client could observe being bounded by the former;
-- **the artifact path at 10^5 states**: after one CSR solve at
-  Q = 25000 (100,003 states), one timed ``compile_artifact``,
-  ``ArtifactStore.save``, ``ArtifactStore.load`` and
-  ``PolicyServer(model)`` each, plus the file's size -- the steps
-  between a solved policy and an installed table, asserted to round
-  trip the table and checksum;
+- **the artifact path at 10^5 states**: ``paper_system`` at
+  Q = 25000 (100,003 states) and its CSR solve, then one timed
+  ``compile_artifact``, ``ArtifactStore.save``, ``ArtifactStore.load``,
+  ``PolicyServer(model)`` and ``validate_artifact`` on a fresh model
+  each, plus the file's size -- the steps between a configuration and
+  an installed table, asserted to round trip the table and checksum,
+  to build no ``SystemState``, and to validate in less time than the
+  solve;
 - **the supervised re-solve**: the median time of a certified
   ``Supervisor.resolve`` at the paper's Q = 5 point (23 states) over a
   fixed rate cycle -- solve, compile, admission gate, certificate,
@@ -48,7 +50,8 @@ from repro.dpm.presets import paper_system
 from repro.obs.benchtrack import record_suite
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import instrument
-from repro.serve.artifact import ArtifactStore, compile_artifact
+from repro.dpm.system import SystemState
+from repro.serve.artifact import ArtifactStore, compile_artifact, validate_artifact
 from repro.serve.server import PolicyServer
 from repro.serve.supervisor import Supervisor
 
@@ -184,14 +187,27 @@ def test_bench_hot_swap(benchmark, tmp_path):
     assert install_s < persist_s
 
 
-def test_bench_artifact_at_scale(benchmark, tmp_path):
-    """Compile, save, load and heuristic-table construction at 10^5 states."""
+def test_bench_artifact_at_scale(benchmark, tmp_path, monkeypatch):
+    """Model, compile, save, load, heuristic-table construction and
+    validation at 10^5 states, with no SystemState built."""
+    labels = [0]
+    init = SystemState.__init__
+
+    def counting(self, *args, **kwargs):
+        labels[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SystemState, "__init__", counting)
+    t0 = time.perf_counter()
     model = paper_system(capacity=SCALE_CAPACITY)
+    model_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
     result = optimize_weighted(model, 1.0)
+    solve_s = time.perf_counter() - t0
     store = ArtifactStore(tmp_path)
 
     def measure():
-        timings = {}
+        timings = {"model_s": model_s, "solve_s": solve_s}
         t0 = time.perf_counter()
         artifact = compile_artifact(model, result, version=1)
         timings["compile_s"] = time.perf_counter() - t0
@@ -201,15 +217,24 @@ def test_bench_artifact_at_scale(benchmark, tmp_path):
         t0 = time.perf_counter()
         loaded = store.load()
         timings["load_s"] = time.perf_counter() - t0
+        # The keys compile_artifact built are the model's: the server
+        # zips a copy of them with the heuristic actions.
         t0 = time.perf_counter()
-        PolicyServer(model)
+        server = PolicyServer(model)
         timings["server_construct_s"] = time.perf_counter() - t0
+        server.install(loaded)
+        fresh = paper_system(capacity=SCALE_CAPACITY)
+        t0 = time.perf_counter()
+        validate_artifact(loaded, fresh)
+        timings["validate_s"] = time.perf_counter() - t0
         return artifact, loaded, timings
 
     artifact, loaded, timings = once(benchmark, measure)
     assert loaded.checksum == artifact.checksum
     assert loaded.states == artifact.states
     assert loaded.actions == artifact.actions
+    assert labels[0] == 0, "a SystemState was built on the path"
+    assert timings["validate_s"] < solve_s
     file_bytes = store.path.stat().st_size
     record_suite(
         BENCH_JSON,

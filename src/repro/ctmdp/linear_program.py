@@ -160,6 +160,18 @@ def _lp_diagnostics(result, b_eq, b_ub=None) -> "Dict[str, object]":
     return diag
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Reject non-finite LP cost coefficients with the typed
+    :class:`~repro.errors.SolverError` policy iteration raises on the
+    same models, before ``linprog`` raises its untyped ``ValueError``."""
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise SolverError(
+            f"{what} has {bad} non-finite entr{'y' if bad == 1 else 'ies'}; "
+            "the LP needs finite costs"
+        )
+
+
 def _build_lp(mdp: CTMDP):
     """Assemble shared LP pieces; returns (pairs, costs, A_eq, b_eq).
 
@@ -284,12 +296,14 @@ def average_cost_lp_optimum(mdp: CTMDP) -> LinearProgramOptimum:
     """Minimize the long-run average cost rate over stationary policies.
 
     Runs HiGHS and returns the optimum without extracting a policy.
-    Non-optimal statuses (iteration limit, infeasibility, numerical
-    trouble) raise :class:`~repro.errors.SolverError` with the HiGHS
-    diagnostics attached instead of silently returning a partial
+    Non-finite cost rates, and non-optimal statuses (iteration limit,
+    infeasibility, numerical trouble), raise
+    :class:`~repro.errors.SolverError` -- the latter with the HiGHS
+    diagnostics attached -- instead of silently returning a partial
     answer.
     """
     pairs, costs, a_eq, b_eq = _build_lp(mdp)
+    _require_finite(costs, "the effective cost rate")
     result = linprog(costs, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                      method="highs", options=_HIGHS_OPTIONS)
     diagnostics = _lp_diagnostics(result, b_eq)
@@ -330,7 +344,8 @@ def constrained_lp_optimum(
     InfeasibleConstraintError
         If no stationary policy satisfies the bounds.
     SolverError
-        On any other non-optimal HiGHS status.
+        On a non-finite objective or constraint channel, and on any
+        other non-optimal HiGHS status.
     """
     pairs, _, a_eq, b_eq = _build_lp(mdp)
     obj = _channel(mdp, objective)
@@ -338,6 +353,9 @@ def constrained_lp_optimum(
             if constraints else None)
     b_ub = (np.array([float(bound) for bound in constraints.values()])
             if constraints else None)
+    _require_finite(obj, f"the objective channel {objective!r}")
+    for name, row in zip(constraints, () if a_ub is None else a_ub):
+        _require_finite(row, f"the constraint channel {name!r}")
     result = linprog(obj, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
                      bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
     diagnostics = _lp_diagnostics(result, b_eq, b_ub)

@@ -170,6 +170,10 @@ class CTMDP:
     :meth:`validate` checks that every state has at least one action.
     """
 
+    #: The label key of the CSR rows a :meth:`from_rows` model wraps
+    #: (:attr:`~repro.ctmdp.sparse.SparseCTMDP.label_key`), else ``None``.
+    label_key = None
+
     def __init__(self, states: Sequence[Hashable], rate_scale: float = 1.0) -> None:
         self._states: Tuple[Hashable, ...] = tuple(states)
         if len(set(self._states)) != len(self._states):
@@ -292,6 +296,7 @@ class CTMDP:
                 )
                 pair += 1
         mdp._pairs = rows
+        mdp.label_key = rows.label_key
         mdp.validate()
         return mdp
 

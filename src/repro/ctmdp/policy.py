@@ -21,7 +21,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import InvalidModelError, InvalidPolicyError, SolverError
-from repro.ctmdp.model import CTMDP
+from repro.ctmdp.model import CTMDP, chosen_rows
 from repro.markov.chain import ContinuousTimeMarkovChain
 from repro.markov.generator import canonical_shift, stationary_distribution
 from repro.robust.guardrails import solve_with_fallback
@@ -30,12 +30,19 @@ from repro.robust.guardrails import solve_with_fallback
 def same_states(a, b) -> bool:
     """Whether models *a* and *b* list the same states in the same order.
 
-    A Kronecker model past :data:`~repro.ctmdp.kron.LABEL_LIMIT` never
-    materializes its joint labels; two such models compare their factor
-    axes instead.
+    Two models that both carry a ``label_key`` -- a SYS model, its CSR
+    and dict builds and its re-rated siblings
+    (:class:`~repro.dpm.system.SystemLabels`) -- compare their keys in
+    O(1) and build no label. A Kronecker model past
+    :data:`~repro.ctmdp.kron.LABEL_LIMIT` never materializes its joint
+    labels; two such models compare their factor axes instead. Any
+    other pair compares its labels.
     """
     if a is b:
         return True
+    key_a, key_b = getattr(a, "label_key", None), getattr(b, "label_key", None)
+    if key_a is not None and key_b is not None:
+        return key_a == key_b
     try:
         return tuple(a.states) == tuple(b.states)
     except InvalidModelError:
@@ -82,8 +89,20 @@ class Policy:
 
     def validate(self) -> None:
         """Raise :class:`InvalidPolicyError` unless every chosen action
-        is available in its state."""
+        is available in its state.
+
+        On a pair-indexed lowering the actions are checked by position
+        against its per-state action tuples (:func:`chosen_rows`), with
+        no label read; only a failure scans the states to name the
+        offending one by its label.
+        """
         mdp = self._mdp
+        if _pair_indexed(mdp):
+            try:
+                chosen_rows(mdp.actions, mdp.pair_offset, self._actions)
+                return
+            except InvalidPolicyError:
+                pass  # the scan below names the state
         offered = (mdp.actions if _pair_indexed(mdp)  # per-state tuples
                    else map(mdp.actions, mdp.states))
         for state, action, available in zip(mdp.states, self._actions, offered):

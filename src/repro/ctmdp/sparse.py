@@ -382,23 +382,32 @@ class SparseCTMDP(PairIndexedCTMDP):
     triples via :meth:`from_coo` by the SYS assembly (whose dict build
     wraps the CSR build of its weight) or stacked from the pairs of a
     model built by ``add_action``.
+
+    *states* is the label sequence, or a zero-argument factory of it
+    that compares equal to another factory exactly when both list the
+    same labels (the SYS assembly passes its
+    :class:`~repro.dpm.system.SystemLabels`). A factory is kept as
+    :attr:`label_key`, which :func:`~repro.ctmdp.policy.same_states`
+    compares, and :attr:`states` builds one tuple from it on first
+    read; ``n_states`` is the number of action tuples either way.
     """
 
     def __init__(
         self,
-        states: Sequence[Hashable],
+        states: "Sequence[Hashable] | Callable[[], Sequence[Hashable]]",
         actions: Sequence[Sequence[Hashable]],
         generator,
         cost: np.ndarray,
         rate_scale: float = 1.0,
         extra: "Optional[Dict[str, np.ndarray]]" = None,
     ) -> None:
-        self.states = tuple(states)
-        self.n_states = len(self.states)
+        self.label_key = states if callable(states) else None
+        self._states = None if callable(states) else tuple(states)
         self._index_pairs(actions)
-        if len(self.actions) != self.n_states:
+        self.n_states = len(self.actions)
+        if self._states is not None and len(self._states) != self.n_states:
             raise InvalidModelError(
-                f"{len(self.actions)} action tuples for {self.n_states} states"
+                f"{self.n_states} action tuples for {len(self._states)} states"
             )
         self.generator = sp.csr_array(generator, dtype=float)
         if self.generator.shape != (self.n_pairs, self.n_states):
@@ -438,10 +447,18 @@ class SparseCTMDP(PairIndexedCTMDP):
 
     # -- constructors --------------------------------------------------------
 
+    @property
+    def states(self) -> "Tuple[Hashable, ...]":
+        """The state labels, built from :attr:`label_key` on first read
+        when the model was given a factory."""
+        if self._states is None:
+            self._states = tuple(self.label_key())
+        return self._states
+
     @classmethod
     def from_coo(
         cls,
-        states: Sequence[Hashable],
+        states: "Sequence[Hashable] | Callable[[], Sequence[Hashable]]",
         actions: Sequence[Sequence[Hashable]],
         pair_rows: np.ndarray,
         cols: np.ndarray,
@@ -454,14 +471,15 @@ class SparseCTMDP(PairIndexedCTMDP):
         Eqn.-2.4 diagonals (``-sum`` of each pair's off-diagonal rates).
 
         This is the constructor for models assembled at scale: nothing
-        dense of size ``O(pairs x states)`` is ever created.
+        dense of size ``O(pairs x states)`` is ever created, and
+        *states* may be a label factory (see the class docstring).
         """
         pair_rows = np.asarray(pair_rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         rates = np.asarray(rates, dtype=float)
         counts = np.array([len(a) for a in actions], dtype=np.intp)
         n_pairs = int(counts.sum())
-        n = len(states)
+        n = len(counts)
         pair_state = np.repeat(np.arange(n, dtype=np.intp), counts)
         if np.any(rates < 0.0):
             raise InvalidModelError("transition rates must be non-negative")

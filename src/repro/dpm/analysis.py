@@ -52,6 +52,14 @@ class AnalyticMetrics:
     paper_waiting_time_approximation: float
 
 
+def _stationary_average(p: np.ndarray, rates: np.ndarray) -> float:
+    """``sum_i p_i rates_i`` as NumPy's pairwise sum of the products,
+    which adds in one order whatever the BLAS thread count: OpenBLAS
+    splits ``p @ rates`` by thread above ~10^4 entries, so the served
+    metrics' last bits moved with the host's core count."""
+    return float(np.add.reduce(p * rates))
+
+
 def evaluate_dpm_policy(
     model: PowerManagedSystemModel,
     policy: Union[Policy, RandomizedPolicy],
@@ -85,18 +93,20 @@ def evaluate_dpm_policy(
         sel = smdp.selection(policy)
         if p is None:
             p = smdp.stationary(sel)
-        power = float(p @ smdp.extra[cost_channels.POWER][sel])
-        queue_length = float(p @ smdp.extra[cost_channels.QUEUE_LENGTH][sel])
-        loss = float(p @ smdp.extra[cost_channels.LOSS][sel])
+
+        def channel(name: str) -> np.ndarray:
+            return smdp.extra[name][sel]
     else:
         chain_generator = policy.generator_matrix()
         if p is None:
             p = stationary_distribution(chain_generator)
         else:
             validate_generator(chain_generator)
-        power = float(p @ policy.extra_cost_vector(cost_channels.POWER))
-        queue_length = float(p @ policy.extra_cost_vector(cost_channels.QUEUE_LENGTH))
-        loss = float(p @ policy.extra_cost_vector(cost_channels.LOSS))
+        channel = policy.extra_cost_vector
+    power, queue_length, loss = (
+        _stationary_average(p, channel(name))
+        for name in (cost_channels.POWER, cost_channels.QUEUE_LENGTH,
+                     cost_channels.LOSS))
     lam = model.requestor.rate
     accepted = max(lam - loss, 0.0)
     waiting = queue_length / accepted if accepted > 0 else np.inf

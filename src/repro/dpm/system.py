@@ -79,6 +79,42 @@ class SystemState:
         return f"({self.mode},{self.queue!r})"
 
 
+@dataclass(frozen=True)
+class SystemLabels:
+    """The label key of a SYS state space, and the factory of its labels.
+
+    The joint states are a pure function of the provider's modes, the
+    active modes that pair with transfer states (none without transfer
+    states) and the capacity. Calling the key lists them as
+    :attr:`PowerManagedSystemModel.states` does, ``S x Q_stable`` first,
+    then ``S_active x Q_transfer``. Two keys compare equal exactly when
+    their lists do, so :func:`repro.ctmdp.policy.same_states` compares
+    keys and builds no label. It holds no model: a CSR build keeps it as
+    its label factory without a reference back, and it pickles.
+    """
+
+    modes: Tuple[str, ...]
+    transfer_modes: Tuple[str, ...]
+    capacity: int
+
+    @property
+    def n_states(self) -> int:
+        """``|S|·(Q+1) + |S_active|·Q`` with transfer states, ``|S|·(Q+1)``
+        without: the state count, read off the grid."""
+        return (len(self.modes) * (self.capacity + 1)
+                + len(self.transfer_modes) * self.capacity)
+
+    def __call__(self) -> "List[SystemState]":
+        # One QueueState per queue state, shared by every mode it pairs
+        # with (the states compare and hash by value either way).
+        levels = [stable(i) for i in range(self.capacity + 1)]
+        states = [SystemState(mode, q) for mode in self.modes for q in levels]
+        transfers = [transfer(i) for i in range(1, self.capacity + 1)]
+        states.extend(SystemState(mode, q)
+                      for mode in self.transfer_modes for q in transfers)
+        return states
+
+
 def build_backend(backend: str) -> str:
     """The :meth:`PowerManagedSystemModel.build_ctmdp` backend a solver
     *backend* runs on: ``compiled`` and ``reference`` read the dict
@@ -153,8 +189,18 @@ class PowerManagedSystemModel:
         from repro.robust.admission import admit_inputs
 
         admit_inputs(provider, requestor, self.capacity)
-        self._states = self._enumerate_states()
-        self._index = {x: i for i, x in enumerate(self._states)}
+        #: The :class:`SystemLabels` this model's states are listed by.
+        self.label_key = SystemLabels(
+            tuple(provider.modes),
+            tuple(provider.active_modes) if self.include_transfer_states else (),
+            self.capacity,
+        )
+        # The label views, each built on its first read: the SystemState
+        # list, its index, and the (mode, kind, index) keys. Nothing on
+        # the solve and serve path reads the first two (DESIGN §10.2).
+        self._states: "List[SystemState] | None" = None
+        self._index: "Dict[SystemState, int] | None" = None
+        self._keys: "List[Tuple[str, str, int]] | None" = None
         # Weight-independent per-pair data of the dict-based build (its
         # off-diagonal slices, impulses and extra dicts), sliced lazily
         # from the sparse skeleton.
@@ -180,32 +226,24 @@ class PowerManagedSystemModel:
 
     # -- state space -----------------------------------------------------------
 
-    def _enumerate_states(self) -> "List[SystemState]":
-        # One QueueState per queue state, shared by every mode it pairs
-        # with (the states compare and hash by value either way).
-        levels = [stable(i) for i in range(self.capacity + 1)]
-        states = [
-            SystemState(mode, q) for mode in self.provider.modes for q in levels
-        ]
-        if self.include_transfer_states:
-            transfers = [transfer(i) for i in range(1, self.capacity + 1)]
-            states.extend(
-                SystemState(mode, q)
-                for mode in self.provider.active_modes
-                for q in transfers
-            )
-        return states
+    def _labels(self) -> "List[SystemState]":
+        """The state list, built from :attr:`label_key` on first read."""
+        if self._states is None:
+            self._states = self.label_key()
+        return self._states
 
     @property
     def states(self) -> "List[SystemState]":
         """All joint states, stable block first."""
-        return list(self._states)
+        return list(self._labels())
 
     @property
     def n_states(self) -> int:
-        return len(self._states)
+        return self.label_key.n_states
 
     def index_of(self, state: SystemState) -> int:
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self._labels())}
         try:
             return self._index[state]
         except KeyError:
@@ -252,15 +290,13 @@ class PowerManagedSystemModel:
 
         Each state's mode index (provider order), its queue index (``i``
         of ``q_i`` or of ``q_{i -> i-1}``) and whether it is a transfer
-        state: the :meth:`_enumerate_states` layout, ``S x Q_stable``
-        first, then ``S_active x Q_transfer``.
+        state: the :class:`SystemLabels` layout, ``S x Q_stable`` first,
+        then ``S_active x Q_transfer``.
         """
-        sp, cap = self.provider, self.capacity
-        n_modes, levels = len(sp.modes), cap + 1
-        transfer_modes = (
-            np.flatnonzero([sp.is_active(m) for m in sp.modes])
-            if self.include_transfer_states else np.zeros(0, dtype=np.intp)
-        )
+        key, cap = self.label_key, self.capacity
+        n_modes, levels = len(key.modes), cap + 1
+        transfer_modes = np.array(
+            [key.modes.index(m) for m in key.transfer_modes], dtype=np.intp)
         mode = np.concatenate([np.repeat(np.arange(n_modes), levels),
                                np.repeat(transfer_modes, cap)])
         level = np.concatenate([np.tile(np.arange(levels), n_modes),
@@ -272,16 +308,20 @@ class PowerManagedSystemModel:
         """Each state's ``(mode, kind, index)`` triple, in :attr:`states` order.
 
         The serving layer's table key (the artifact's states and the
-        heuristic rung), built from the state grid with NumPy rather
-        than read off each :class:`SystemState`.
+        heuristic rung), built once from the state grid with NumPy
+        rather than read off each :class:`SystemState`; each call
+        returns a fresh copy of that list.
         """
-        mode, level, in_transfer = self._state_grid()
-        # Object arrays hand out shared objects: the provider's mode names
-        # (hashes cached) and one int per queue index.
-        names = np.array(self.provider.modes, dtype=object)[mode]
-        kinds = np.array([STABLE, TRANSFER], dtype=object)[in_transfer.astype(np.intp)]
-        index = np.arange(self.capacity + 1, dtype=object)[level]
-        return list(zip(names.tolist(), kinds.tolist(), index.tolist()))
+        if self._keys is None:
+            mode, level, in_transfer = self._state_grid()
+            # Object arrays hand out shared objects: the provider's mode
+            # names (hashes cached) and one int per queue index.
+            names = np.array(self.label_key.modes, dtype=object)[mode]
+            kinds = np.array([STABLE, TRANSFER],
+                             dtype=object)[in_transfer.astype(np.intp)]
+            index = np.arange(self.capacity + 1, dtype=object)[level]
+            self._keys = list(zip(names.tolist(), kinds.tolist(), index.tolist()))
+        return list(self._keys)
 
     def validity_grid(self) -> tuple:
         """The state grid and its action-validity mask, as arrays.
@@ -300,7 +340,7 @@ class PowerManagedSystemModel:
         mode, level, in_transfer = self._state_grid()
         if type(self).is_valid_action is not PowerManagedSystemModel.is_valid_action:
             invalid = ~np.array([[self.is_valid_action(x, m) for m in modes]
-                                 for x in self._states], dtype=bool)
+                                 for x in self._labels()], dtype=bool)
             return mode, level, in_transfer, invalid
         active, wake, service = (np.array([f(m) for m in modes])
                                  for f in (sp.is_active, sp.wakeup_time,
@@ -418,7 +458,7 @@ class PowerManagedSystemModel:
         active = mu > 0.0
         mode, level, is_transfer, invalid = self.validity_grid()
         if np.any(invalid.all(axis=1)):
-            state = self._states[int(np.argmax(invalid.all(axis=1)))]
+            state = self._labels()[int(np.argmax(invalid.all(axis=1)))]
             raise InvalidModelError(f"state {state!r} has no valid action")
         x, a = np.nonzero(~invalid)
         keys = (~invalid * (1 << np.arange(n_modes))).sum(axis=1).tolist()
@@ -452,7 +492,7 @@ class PowerManagedSystemModel:
             self.LOSS: np.where(i == cap, lam, 0.0),
         }
         skeleton = SparseCTMDP.from_coo(
-            self._states, [named[k] for k in keys], rows, dest.ravel()[flat],
+            self.label_key, [named[k] for k in keys], rows, dest.ravel()[flat],
             rates, np.zeros(len(x)), rate_scale=scale, extra=extra,
         )
         term_pairs = rows[switch]
@@ -633,8 +673,10 @@ class PowerManagedSystemModel:
         self._rated = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the derived caches (rebuilt lazily on demand)."""
+        """Pickle without the derived caches and label views (rebuilt
+        lazily on demand)."""
         state = self.__dict__.copy()
+        state["_states"] = state["_index"] = state["_keys"] = None
         state["_structure"] = None
         state["_sparse_skeleton"] = None
         state["_ctmdp_cache"] = OrderedDict()

@@ -3,8 +3,9 @@
 Output formats:
 
 - **metrics JSON** -- one object with a ``manifest`` block (what ran:
-  git sha, argv, seed, package versions) and a ``metrics`` block (the
-  :meth:`MetricsRegistry.to_dict` snapshot, names sorted);
+  git sha and dirty flag, argv, seed, package versions) and a
+  ``metrics`` block (the :meth:`MetricsRegistry.to_dict` snapshot,
+  names sorted);
 - **trace JSONL** -- one span object per line (see
   :mod:`repro.obs.trace`), preceded by a single ``{"type": "manifest"}``
   line so a trace file is self-describing on its own.
@@ -26,11 +27,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
-def _git_sha() -> "Optional[str]":
-    """The repo HEAD sha, or ``None`` outside a git checkout."""
+def _git(*args: str) -> "Optional[str]":
+    """Output of ``git *args`` run in this package's directory, or
+    ``None`` when git fails (outside a checkout, or no git)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
@@ -38,8 +40,21 @@ def _git_sha() -> "Optional[str]":
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def _git_sha() -> "Optional[str]":
+    """The repo HEAD sha, or ``None`` outside a git checkout."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
+    return sha or None
+
+
+def _git_dirty() -> "Optional[bool]":
+    """Whether tracked files differ from HEAD, so a manifest stamped
+    with HEAD's sha was written by code not yet committed; ``None``
+    outside a git checkout."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status.strip())
 
 
 def _package_versions() -> "Dict[str, str]":
@@ -60,9 +75,11 @@ def run_manifest(
     seed: "Optional[int]" = None,
     **extra: Any,
 ) -> "Dict[str, Any]":
-    """Provenance for one run: git sha, args, seed, versions, platform."""
+    """Provenance for one run: git sha and whether the tracked tree
+    differs from it (``git_dirty``), args, seed, versions, platform."""
     manifest: Dict[str, Any] = {
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
         "argv": list(argv) if argv is not None else list(sys.argv),
         "seed": seed,
         "versions": _package_versions(),

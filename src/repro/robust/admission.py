@@ -283,14 +283,13 @@ def _row_diff_max(g, p_a: int, p_b: int) -> float:
 
 def _structural_findings(comp, entries) -> "List[Finding]":
     findings: List[Finding] = []
-    states = comp.states
     rows, cols, vals = entries
     if np.any(np.diff(comp.pair_offset) == 0):
         for i in np.nonzero(np.diff(comp.pair_offset) == 0)[0]:
             findings.append(Finding(
                 code="empty-action-set", severity="error",
                 message="state has no admissible action",
-                state=repr(states[int(i)]),
+                state=repr(comp.states[int(i)]),
             ))
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -299,7 +298,7 @@ def _structural_findings(comp, entries) -> "List[Finding]":
             findings.append(Finding(
                 code="nonfinite-rate", severity="error",
                 message=f"rate to column {j} is {float(vals[k])!r}",
-                state=repr(states[int(comp.pair_state[p])]),
+                state=repr(comp.states[int(comp.pair_state[p])]),
                 action=repr(comp.actions[int(comp.pair_state[p])]
                             [int(comp.pair_col[p])]),
             ))
@@ -309,7 +308,7 @@ def _structural_findings(comp, entries) -> "List[Finding]":
             findings.append(Finding(
                 code="nonfinite-cost", severity="error",
                 message=f"effective cost rate is {comp.cost[int(p)]!r}",
-                state=repr(states[int(comp.pair_state[int(p)])]),
+                state=repr(comp.states[int(comp.pair_state[int(p)])]),
                 action=repr(comp.actions[int(comp.pair_state[int(p)])]
                             [int(comp.pair_col[int(p)])]),
             ))
@@ -325,7 +324,7 @@ def _structural_findings(comp, entries) -> "List[Finding]":
             findings.append(Finding(
                 code="negative-rate", severity="error",
                 message=f"rate to column {j} is {vals[k]:g}",
-                state=repr(states[int(comp.pair_state[p])]),
+                state=repr(comp.states[int(comp.pair_state[p])]),
                 action=repr(comp.actions[int(comp.pair_state[p])]
                             [int(comp.pair_col[p])]),
                 value=float(vals[k]),
@@ -338,7 +337,7 @@ def _structural_findings(comp, entries) -> "List[Finding]":
                 code="nonconservative-row", severity="error",
                 message=(f"generator row sums to {row_sums[int(p)]:g} "
                          f"against magnitude {row_scale[int(p)]:g}"),
-                state=repr(states[int(comp.pair_state[int(p)])]),
+                state=repr(comp.states[int(comp.pair_state[int(p)])]),
                 action=repr(comp.actions[int(comp.pair_state[int(p)])]
                             [int(comp.pair_col[int(p)])]),
                 value=float(row_sums[int(p)]),
@@ -435,7 +434,6 @@ def _rate_range_findings(
 def _numerical_findings(
     comp, diagnostics: "Dict[str, Any]", entries
 ) -> "List[Finding]":
-    states = comp.states
     rows, cols, vals = entries
     # Exit rates from the sparse diagonal entries (zero rows stay 0).
     exit_rates = np.zeros(comp.n_pairs)
@@ -444,7 +442,7 @@ def _numerical_findings(
     state_max_exit = np.zeros(comp.n_states)
     np.maximum.at(state_max_exit, comp.pair_state, exit_rates)
     findings, (max_rate, min_rate, shift) = _exit_rate_findings(
-        exit_rates, state_max_exit, states.__getitem__, diagnostics
+        exit_rates, state_max_exit, lambda i: comp.states[i], diagnostics
     )
 
     # Near-zero rates: positive but indistinguishable from a missing
@@ -462,7 +460,7 @@ def _numerical_findings(
                 message=(f"{count} rate(s) below {NEAR_ZERO_RELATIVE:g} x "
                          "the maximal rate are structurally zero edges; "
                          f"first: rate {vals[k]:g} to column {j}"),
-                state=repr(states[int(comp.pair_state[p])]),
+                state=repr(comp.states[int(comp.pair_state[p])]),
                 action=repr(comp.actions[int(comp.pair_state[p])]
                             [int(comp.pair_col[p])]),
                 value=float(vals[k]),
@@ -506,7 +504,7 @@ def _numerical_findings(
                     code="near-duplicate-actions", severity="info",
                     message=(f"actions {a_name!r} and {b_name!r} have "
                              "identical rates and costs"),
-                    state=repr(states[i]),
+                    state=repr(comp.states[i]),
                     action=repr(a_name),
                 ))
     return findings

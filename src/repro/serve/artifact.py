@@ -21,7 +21,7 @@ document (schema ``repro-policy/v1``):
   repurposed as the artifact-validation step of the serve pipeline: the
   encoded model configuration must fingerprint-match the serving model,
   pass :func:`repro.robust.admission.admit_model`, and the policy must
-  validate against the rebuilt CTMDP. Inadmissible artifacts raise
+  validate by position against the rebuilt CTMDP. Inadmissible artifacts raise
   :class:`~repro.errors.ArtifactRejectedError` -- they are never served.
 
 :class:`ArtifactStore` owns the on-disk lifecycle: saves are atomic
@@ -33,6 +33,7 @@ temp files from a crash mid-swap are swept on the next save/load.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -53,7 +54,6 @@ from repro.robust.checkpoint import (
     atomic_write,
     canonical_checksum,
     canonical_json as _canonical_json,
-    document_checksum,
 )
 
 #: Schema tag stamped on every artifact document.
@@ -128,6 +128,15 @@ def table_action(table: "Dict[Tuple[str, str, int], str]", capacity: int,
     return action
 
 
+def _canonical_object(members: "Dict[str, str]") -> str:
+    """The canonical JSON of an object whose member values are given as
+    canonical JSON: its ``"key":value`` members in sorted key order,
+    comma-joined in braces, exactly as :func:`canonical_json` writes
+    the object itself."""
+    return "{" + ",".join(
+        f"{json.dumps(key)}:{members[key]}" for key in sorted(members)) + "}"
+
+
 class PolicyArtifact:
     """An immutable compiled policy table plus its provenance.
 
@@ -151,6 +160,7 @@ class PolicyArtifact:
         "metrics",
         "checksum",
         "_table",
+        "_members",
     )
 
     def __init__(
@@ -195,8 +205,12 @@ class PolicyArtifact:
                 raise ArtifactSchemaError(f"duplicate state {key!r} in artifact")
             table[key] = action
         self._table = table
-        body = self._body()
-        expected = document_checksum(body)
+        # Each body member serialized once: the checksum digests the
+        # body assembled from these strings, and save writes them.
+        self._members = {key: _canonical_json(value)
+                         for key, value in self._body().items()}
+        expected = hashlib.sha256(
+            _canonical_object(self._members).encode("utf-8")).hexdigest()
         if checksum is None:
             self.checksum = expected
         else:
@@ -235,6 +249,12 @@ class PolicyArtifact:
         doc = self._body()
         doc["checksum"] = self.checksum
         return doc
+
+    def to_json(self) -> str:
+        """``canonical_json(self.to_document())``, assembled from the
+        members serialized at construction: no second json pass."""
+        return _canonical_object(
+            {**self._members, "checksum": json.dumps(self.checksum)})
 
     @classmethod
     def from_document(cls, doc: "Dict[str, Any]") -> "PolicyArtifact":
@@ -377,8 +397,12 @@ def validate_artifact(
        provider numbers, capacity, transfer-state choice);
     2. the model re-rated to the artifact's solved rate must pass the
        admission gate at *level* (verdict ``ok`` or ``repaired``);
-    3. the policy table must validate against the rebuilt CTMDP (every
-       state covered, every action available in its state);
+    3. the policy table must validate by position against the
+       ``backend="auto"`` build of the re-rated model: its states must
+       be the model's :meth:`~PowerManagedSystemModel.state_keys` in
+       model order (what :func:`compile_artifact` writes; a permutation
+       is rejected), and each action must be available in the state at
+       its position;
     4. the stored metrics must be finite.
 
     Any failure raises :class:`~repro.errors.ArtifactRejectedError`
@@ -435,8 +459,11 @@ def validate_artifact(
         from repro.ctmdp.policy import Policy
 
         try:
-            mdp = rated.build_ctmdp(artifact.weight)
-            Policy(mdp, artifact.assignment())
+            if artifact.states != rated.state_keys():
+                raise InvalidPolicyError(
+                    "its states are not the model's states in model order")
+            mdp = rated.build_ctmdp(artifact.weight, backend="auto")
+            Policy.from_actions(mdp, artifact.actions).validate()
         except (InvalidPolicyError, InvalidModelError) as exc:
             if metrics is not None:
                 metrics.counter("serve.artifact.rejected").inc()
@@ -505,20 +532,23 @@ class ArtifactStore:
                         pass
         return removed
 
-    def _write(self, path: Path, document: "Dict[str, Any]") -> None:
-        """Atomically replace *path* with *document* as canonical JSON,
-        serialized whole first: a document json cannot encode fails
-        before any temp file exists, and the compact form runs json's C
-        encoder (``indent`` would fall back to the pure-Python one)."""
-        data = (_canonical_json(document) + "\n").encode("utf-8")
+    def _write(self, path: Path, text: str) -> None:
+        """Atomically replace *path* with the canonical JSON *text* and a
+        newline. Callers serialize whole first: a document json cannot
+        encode fails before any temp file exists, and the compact form
+        runs json's C encoder (``indent`` would fall back to the
+        pure-Python one)."""
+        data = (text + "\n").encode("utf-8")
         atomic_write(path, data, crash_hook=self._maybe_crash)
 
     def save(self, artifact: PolicyArtifact) -> None:
-        """Atomically persist *artifact* as the current policy."""
+        """Atomically persist *artifact* as the current policy: the
+        bytes of ``canonical_json(artifact.to_document())`` and a
+        newline, from the members serialized at construction."""
         ins = obs_active()
         with ins.span("serve.swap", version=artifact.version):
             self.sweep()
-            self._write(self.path, artifact.to_document())
+            self._write(self.path, artifact.to_json())
             if ins.enabled and ins.metrics is not None:
                 ins.metrics.counter("serve.artifact.saves").inc()
 
@@ -564,7 +594,7 @@ class ArtifactStore:
         The same temp-write/fsync/replace/directory-fsync sequence as
         :meth:`save`; callers pass ``CertificationReport.to_document()``.
         """
-        self._write(self.cert_path, document)
+        self._write(self.cert_path, _canonical_json(document))
 
     def load_certificate(self) -> "Optional[Dict[str, Any]]":
         """The stored certificate document, ``None`` when absent.

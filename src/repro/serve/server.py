@@ -80,7 +80,9 @@ class PolicyServer:
     (:func:`repro.dpm.model_policies.n_policy_actions`) keyed by
     :meth:`~repro.dpm.system.PowerManagedSystemModel.state_keys`, both
     in state order -- and involves no solver, so it cannot fail at
-    decision time.
+    decision time. The model builds its key list once, so a server
+    constructed after :func:`~repro.serve.artifact.compile_artifact`
+    on the same model copies the keys compile built.
     """
 
     def __init__(

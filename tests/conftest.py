@@ -62,3 +62,19 @@ def paper_model():
 def paper_mdp(paper_model):
     """The Section-V joint CTMDP at weight 1."""
     return paper_model.build_ctmdp(weight=1.0)
+
+
+@pytest.fixture
+def system_state_constructions(monkeypatch):
+    """A one-element list counting :class:`SystemState` constructions."""
+    from repro.dpm.system import SystemState
+
+    count = [0]
+    original = SystemState.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SystemState, "__init__", counting)
+    return count

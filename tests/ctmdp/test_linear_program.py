@@ -5,11 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ctmdp.linear_program import solve_average_cost_lp, solve_constrained_lp
+from repro.ctmdp.linear_program import (
+    average_cost_lp_optimum,
+    constrained_lp_optimum,
+    solve_average_cost_lp,
+    solve_constrained_lp,
+)
 from repro.ctmdp.model import CTMDP
 from repro.ctmdp.policy import evaluate_policy
 from repro.ctmdp.policy_iteration import policy_iteration
-from repro.errors import InfeasibleConstraintError
+from repro.errors import InfeasibleConstraintError, SolverError
 
 
 def random_unichain_mdp(seed: int, n_states: int = 5, n_actions: int = 3) -> CTMDP:
@@ -143,3 +148,38 @@ class TestStatusAndDiagnostics:
         assert "message" in diag
         # No duality_gap claim on a failed solve.
         assert "duality_gap" not in diag
+
+
+class TestNonFiniteCosts:
+    """Both LPs reject non-finite costs with policy iteration's typed
+    error before HiGHS sees them (scipy raises a bare ``ValueError``)."""
+
+    @pytest.mark.parametrize("seed", [10, 22])
+    def test_nan_cost_fuzz_models(self, seed):
+        from repro.robust.fuzz import build_from_spec, generate_spec
+
+        mdp = build_from_spec(generate_spec("nan_cost", seed))[0]
+        with pytest.raises(SolverError):
+            policy_iteration(mdp)
+        with pytest.raises(SolverError, match="effective cost rate has 1 "
+                                              "non-finite entry"):
+            average_cost_lp_optimum(mdp)
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_average_cost_lp(mdp)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_channels_in_the_constrained_lp(self, value):
+        mdp = random_unichain_mdp(0)
+        broken = CTMDP(mdp.states)
+        for state, action in mdp.state_action_pairs():
+            data = mdp.data(state, action)
+            extra = dict(data.extra_costs)
+            if (state, action) == (2, 1):
+                extra["delay"] = value
+            broken.add_action(state, action, data.rates, data.cost_rate,
+                              extra_costs=extra)
+        constrained_lp_optimum(broken, "power", {})  # delay unused: fine
+        with pytest.raises(SolverError, match="objective channel 'delay'"):
+            constrained_lp_optimum(broken, "delay", {})
+        with pytest.raises(SolverError, match="constraint channel 'delay'"):
+            solve_constrained_lp(broken, "power", {"delay": 1.0})

@@ -113,3 +113,52 @@ class TestStateProbabilities:
         policy = policy_iteration(paper_mdp).policy
         probs = state_probabilities(policy)
         assert set(probs) == set(paper_model.states)
+
+
+class TestThreadIndependentMetrics:
+    """The metrics' reductions read the same bits on any BLAS thread
+    count, so a served artifact's bytes do not depend on the host."""
+
+    SCRIPT = (
+        "import numpy as np\n"
+        "from repro.dpm.analysis import _stationary_average\n"
+        "rng = np.random.default_rng(7)\n"
+        "p = rng.random(100003); p /= p.sum()\n"
+        "x = rng.random(100003) * 10.0\n"
+        "print(_stationary_average(p, x).hex())\n"
+    )
+
+    def run(self, threads: int) -> str:
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        return out.stdout.strip()
+
+    def test_one_and_two_threads_agree(self):
+        assert self.run(1) == self.run(2)
+
+    @pytest.mark.parametrize("capacity", [5, 100])  # dense and CSR tiers
+    def test_metrics_are_those_reductions(self, capacity):
+        from repro.ctmdp.backends import lower, resolve_backend
+        from repro.dpm.analysis import _stationary_average
+        from repro.dpm.optimizer import optimize_weighted
+
+        model = paper_system(capacity=capacity)
+        result = optimize_weighted(model, 1.0)
+        mdp = result.policy.mdp
+        tier = lower(mdp, resolve_backend(mdp, "auto"))
+        sel = tier.selection(result.policy)
+        p = tier.stationary(sel)
+        for name, got in [("power", result.metrics.average_power),
+                          ("queue_length", result.metrics.average_queue_length),
+                          ("loss", result.metrics.loss_rate)]:
+            assert got == _stationary_average(p, tier.extra[name][sel]), name

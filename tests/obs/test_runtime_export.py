@@ -78,6 +78,61 @@ class TestManifest:
         sha = run_manifest()["git_sha"]
         assert sha is None or (len(sha) == 40 and set(sha) <= set("0123456789abcdef"))
 
+    def test_git_dirty_is_a_flag_beside_the_sha(self):
+        manifest = run_manifest()
+        if manifest["git_sha"] is None:
+            assert manifest["git_dirty"] is None
+        else:
+            assert manifest["git_dirty"] in (True, False)
+
+    @staticmethod
+    def _export_in(directory):
+        """The export module loaded from a copy in *directory*, so its
+        git calls run there."""
+        import importlib.util
+        import shutil
+
+        from repro.obs import export
+
+        path = directory / "export_copy.py"
+        shutil.copy(export.__file__, path)
+        spec = importlib.util.spec_from_file_location("export_copy", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_git_dirty_follows_tracked_changes(self, tmp_path):
+        import shutil
+        import subprocess
+
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        manifest = self._export_in(outside).run_manifest()
+        assert manifest["git_sha"] is None and manifest["git_dirty"] is None
+
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                            "-c", "user.email=t@example.com",
+                            "-c", "commit.gpgsign=false", *args],
+                           check=True, capture_output=True)
+
+        git("init", "-q")
+        module = self._export_in(repo)
+        git("add", "export_copy.py")
+        git("commit", "-q", "-m", "export")
+        assert module.run_manifest()["git_dirty"] is False
+        (repo / "notes.txt").write_text("untracked files do not count\n")
+        assert module.run_manifest()["git_dirty"] is False
+        with open(repo / "export_copy.py", "a") as handle:
+            handle.write("# edited\n")
+        manifest = module.run_manifest()
+        assert manifest["git_dirty"] is True and len(manifest["git_sha"]) == 40
+
 
 class TestExporters:
     def test_metrics_round_trip(self, tmp_path):
